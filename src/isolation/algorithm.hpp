@@ -31,6 +31,7 @@
 
 namespace opiso {
 
+class CycleSink;
 struct IterationLog;
 
 struct IsolationOptions {
@@ -75,20 +76,6 @@ struct IsolationOptions {
   /// across the lanes, so the statistical sample size is comparable.
   SimEngineKind sim_engine = SimEngineKind::Scalar;
   unsigned sim_lanes = 64;
-  /// Re-simulate incrementally between iterations: the first
-  /// measurement round records a frame tape, later rounds re-evaluate
-  /// only the dirty cone of the banks committed since (sim/incremental
-  /// .hpp) and splice the carried-forward statistics — bit-identical to
-  /// full re-simulation, typically several times faster per iteration.
-  /// Requires the stimulus factories to be round-invariant (same value
-  /// sequence per call), which every seeded factory satisfies.
-  bool incremental = true;
-  /// Frame-tape memory ceiling; runs whose tape would exceed it fall
-  /// back to full re-simulation each round.
-  std::size_t incremental_tape_budget_bytes = std::size_t{256} << 20;
-  /// Spot-check the round-invariance contract during scalar replays by
-  /// re-drawing the stimulus and comparing primary inputs to the tape.
-  bool incremental_verify_stimulus = false;
   /// Per-lane stimulus streams for the parallel engine (lane index →
   /// fresh generator; seeds should differ per lane). Required when
   /// sim_engine == Parallel.
@@ -214,6 +201,19 @@ struct IsolationResult {
 /// Produces a fresh, identically distributed stimulus for each
 /// simulation round (each iteration re-simulates the transformed design).
 using StimulusFactory = std::function<std::unique_ptr<Stimulus>()>;
+
+/// One measurement round — the discipline every isolate-family command
+/// shares: a fresh engine of options.sim_engine, warmup_cycles discarded
+/// then sim_cycles measured; the parallel engine splits both across its
+/// lanes (warmup rounded up, at least one measured macro-cycle), so the
+/// statistical weight matches the scalar path. Batch-means moments are
+/// collected when options.confidence is enabled. `register_on` attaches
+/// probes (ExprRefs in `pool` over `vars`) before the run; `sink`, when
+/// given, observes exactly the measured cycles.
+[[nodiscard]] ActivityStats measure_activity(
+    const Netlist& nl, const ExprPool* pool, const NetVarMap* vars,
+    const StimulusFactory& stimuli, const IsolationOptions& options,
+    const std::function<void(ProbeHost&)>& register_on = nullptr, CycleSink* sink = nullptr);
 
 /// Run the full Algorithm-1 flow on a copy of `design`.
 [[nodiscard]] IsolationResult run_operand_isolation(const Netlist& design,

@@ -278,62 +278,4 @@ bool net_in_combinational_fanout(const Netlist& nl, CellId cell, NetId net) {
   return std::find(fan.begin(), fan.end(), target) != fan.end();
 }
 
-std::vector<CellId> changed_cells(const Netlist& base, const Netlist& cur) {
-  if (cur.num_cells() < base.num_cells() || cur.num_nets() < base.num_nets()) {
-    throw NetlistError("changed_cells: current netlist is not an append-only "
-                       "evolution of the baseline (cells or nets were removed)");
-  }
-  for (std::uint32_t n = 0; n < base.num_nets(); ++n) {
-    if (cur.net(NetId{n}).width != base.net(NetId{n}).width) {
-      throw NetlistError("changed_cells: width of net '" + cur.net(NetId{n}).name +
-                         "' changed between baseline and current netlist");
-    }
-  }
-  std::vector<CellId> changed;
-  for (std::uint32_t i = 0; i < cur.num_cells(); ++i) {
-    const CellId id{i};
-    if (i >= base.num_cells()) {
-      changed.push_back(id);
-      continue;
-    }
-    const Cell& a = base.cell(id);
-    const Cell& b = cur.cell(id);
-    if (a.kind != b.kind || a.param != b.param || a.width != b.width || a.out != b.out ||
-        a.ins != b.ins) {
-      changed.push_back(id);
-    }
-  }
-  return changed;
-}
-
-std::vector<CellId> dirty_cone(const Netlist& nl, const std::vector<CellId>& seeds) {
-  std::vector<bool> seen(nl.num_cells(), false);
-  std::vector<CellId> stack;
-  for (CellId s : seeds) {
-    if (!seen[s.value()]) {
-      seen[s.value()] = true;
-      stack.push_back(s);
-    }
-  }
-  while (!stack.empty()) {
-    const CellId id = stack.back();
-    stack.pop_back();
-    const Cell& c = nl.cell(id);
-    if (!c.out.valid()) continue;
-    // Cross sequential boundaries: a dirty register D/EN pin dirties the
-    // register's output from the next cycle on, so its readers replay too.
-    for (const Pin& pin : nl.net(c.out).fanouts) {
-      if (!seen[pin.cell.value()]) {
-        seen[pin.cell.value()] = true;
-        stack.push_back(pin.cell);
-      }
-    }
-  }
-  std::vector<CellId> cone;
-  for (std::uint32_t i = 0; i < nl.num_cells(); ++i) {
-    if (seen[i]) cone.push_back(CellId{i});
-  }
-  return cone;
-}
-
 }  // namespace opiso

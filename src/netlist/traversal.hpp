@@ -74,25 +74,4 @@ struct CombBlock {
 [[nodiscard]] std::string describe_comb_cycle(const Netlist& nl,
                                               const std::vector<CellId>& scc);
 
-/// Structural diff for the incremental re-simulation engine: cells of
-/// `cur` that do not behave identically to the cell of the same id in
-/// `base` — appended cells plus cells whose kind, parameter, width or
-/// connectivity (input nets, output net) changed. Requires `cur` to be
-/// an append-only evolution of `base` (the isolation transform only
-/// appends nets/cells and rewires inputs); throws NetlistError when
-/// `cur` has fewer cells or nets than `base`, or when a net carried
-/// over from `base` changed width (then no frame of a `base` simulation
-/// can be reused). Sorted by id.
-[[nodiscard]] std::vector<CellId> changed_cells(const Netlist& base, const Netlist& cur);
-
-/// Transitive forward closure of `seeds` over net fanouts, *through*
-/// registers and latches (unlike combinational_fanout_cone, which stops
-/// at sequential boundaries): once a cell's output diverges, everything
-/// downstream of it — in this or any later cycle — may diverge, so the
-/// cone must cross clock edges. Includes the seeds; sorted by id. This
-/// is the dirty cone the incremental engine re-evaluates; every cell
-/// outside it provably replays the baseline simulation cycle-for-cycle.
-[[nodiscard]] std::vector<CellId> dirty_cone(const Netlist& nl,
-                                             const std::vector<CellId>& seeds);
-
 }  // namespace opiso

@@ -4,7 +4,7 @@
 // src/obs/CMakeLists.txt): all confidence arithmetic must be the same
 // IEEE operation sequence on every build of the same source, so the
 // determinism CI leg can diff confidence sections bitwise across
-// engines, thread counts, plane widths, and incremental replay.
+// engines, thread counts and plane widths.
 
 #include <algorithm>
 #include <cmath>
@@ -34,27 +34,6 @@ void BatchAccumulator::merge(const BatchAccumulator& other) {
   num_frames_ = std::max(num_frames_, other.num_frames_);
   if (cells_.size() < other.cells_.size()) cells_.resize(other.cells_.size(), 0);
   for (std::size_t i = 0; i < other.cells_.size(); ++i) cells_[i] += other.cells_[i];
-}
-
-void BatchAccumulator::copy_series(const BatchAccumulator& from, std::size_t series) {
-  if (!enabled() || !from.enabled()) return;
-  OPISO_REQUIRE(from.batch_frames_ == batch_frames_,
-                "BatchAccumulator::copy_series: batch sizes differ");
-  OPISO_REQUIRE(series < num_series_ && series < from.num_series_,
-                "BatchAccumulator::copy_series: unknown series");
-  // The sides may cover netlists of different sizes (a baseline and an
-  // append-only evolution): windows are copied cell by cell under each
-  // side's own stride. The trailing partial window is copied too — the
-  // accumulators must stay exact, not just CI-equivalent.
-  const std::uint64_t windows =
-      (from.num_frames_ + from.batch_frames_ - 1) / from.batch_frames_;
-  num_frames_ = std::max(num_frames_, from.num_frames_);
-  const std::size_t need = static_cast<std::size_t>(windows) * num_series_;
-  if (cells_.size() < need) cells_.resize(need, 0);
-  for (std::uint64_t w = 0; w < windows; ++w) {
-    cells_[static_cast<std::size_t>(w) * num_series_ + series] =
-        from.cells_[static_cast<std::size_t>(w) * from.num_series_ + series];
-  }
 }
 
 void BatchAccumulator::reset() {

@@ -8,8 +8,8 @@
 // exact integers (toggle counts per batch window), so its merge is
 // associative and commutative — the cells come out identical whether
 // the frames were simulated by one scalar lane at a time, by a
-// bit-parallel plane engine, by an incremental dirty-cone replay, or
-// split across any number of sweep worker threads. All floating-point
+// bit-parallel plane engine, or split across any number of sweep worker
+// threads. All floating-point
 // derivation (means, variances, Student-t half-widths) happens at
 // report time, in this translation unit, which is compiled with
 // -ffp-contract=off so the arithmetic is the same IEEE sequence on
@@ -82,11 +82,6 @@ class BatchAccumulator {
   /// which is what keeps reports identical across lane/thread/engine
   /// partitions.
   void merge(const BatchAccumulator& other);
-
-  /// Overwrite one series' cells from another accumulator of identical
-  /// shape (incremental replay splices carried-forward clean-net cells
-  /// this way).
-  void copy_series(const BatchAccumulator& from, std::size_t series);
 
   /// Zero all cells and the frame counter; keeps the configuration.
   void reset();

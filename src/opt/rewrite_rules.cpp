@@ -11,6 +11,7 @@
 #include "opt/egraph.hpp"
 #include "power/area_model.hpp"
 #include "power/estimator.hpp"
+#include "sim/cycle_trace.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
 #include "support/error.hpp"
@@ -34,9 +35,9 @@ bool is_op_kind(CellKind kind) {
 }
 
 /// Word-level evaluation of one operator — identical semantics to the
-/// simulator's eval_scalar_cell and the optimizer's constant folder:
-/// inputs are masked to their own widths already, the result is masked
-/// to the node's width.
+/// scalar Simulator and the optimizer's constant folder: inputs are
+/// masked to their own widths already, the result is masked to the
+/// node's width.
 std::uint64_t eval_node(CellKind kind, std::uint64_t param, unsigned out_width,
                         const std::vector<std::uint64_t>& in) {
   std::uint64_t out = 0;
@@ -451,11 +452,12 @@ struct Saturator {
 // ---------------------------------------------------------------------
 
 /// Per-net settled-value tape of the profiling run.
-class TapeSink final : public FrameSink {
+class TapeSink final : public CycleSink {
  public:
   std::vector<std::vector<std::uint64_t>> frames;
-  void on_frame(std::uint64_t, const std::uint64_t* data, std::size_t n) override {
-    frames.emplace_back(data, data + n);
+  void on_cycle(const Netlist& nl, std::uint64_t, unsigned, std::span<const std::uint32_t>,
+                const std::uint64_t* net_values) override {
+    frames.emplace_back(net_values, net_values + nl.num_nets());
   }
 };
 
@@ -471,9 +473,9 @@ Profile profile_activity(const Netlist& nl, const RewriteOptions& opt) {
   UniformStimulus stim(opt.profile_seed);
   sim.warmup(stim, opt.profile_warmup);
   TapeSink tape;
-  sim.set_frame_sink(&tape);
+  sim.set_cycle_sink(&tape);
   sim.run(stim, opt.profile_cycles);
-  sim.set_frame_sink(nullptr);
+  sim.set_cycle_sink(nullptr);
   p.frames = std::move(tape.frames);
   p.stats = sim.stats();
   double wsum = 0.0, isum = 0.0;

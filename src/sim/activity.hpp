@@ -58,8 +58,8 @@ struct ActivityStats {
   /// toggles) and probes (lanes where the expression held). Disabled
   /// unless the engine was asked to collect them; counted only over
   /// measured frames (reset clears the warmup accumulation), and
-  /// carried through merge/incremental splicing so confidence
-  /// intervals stay bitwise identical across engines and partitions.
+  /// carried through merge so confidence intervals stay bitwise
+  /// identical across engines and partitions.
   obs::BatchAccumulator net_batches;
   obs::BatchAccumulator probe_batches;
 

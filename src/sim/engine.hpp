@@ -32,17 +32,4 @@ class ProbeHost {
   virtual std::size_t add_probe(ExprRef expr) = 0;
 };
 
-/// Raw per-cycle state observer both engines can drive: after every
-/// combinational settle (warmup cycles included) the sink sees the
-/// engine's full settled-state array for that cycle. For the scalar
-/// Simulator `data` is the per-net value array (`n` = nets); for the
-/// lane-parallel engine it is the bit-plane word array (`n` = plane
-/// words). This is the capture hook of the incremental dirty-cone
-/// engine's frame tape (sim/incremental.hpp).
-class FrameSink {
- public:
-  virtual ~FrameSink() = default;
-  virtual void on_frame(std::uint64_t cycle, const std::uint64_t* data, std::size_t n) = 0;
-};
-
 }  // namespace opiso

@@ -398,7 +398,6 @@ void ParallelSimulator::run(std::uint64_t cycles) {
     if (has_prev_) std::swap(prev_, planes_);
     drive_inputs();
     eval_plane_program(program_, planes_.data(), state_.data(), lane_mask_.data());
-    if (frame_sink_) frame_sink_->on_frame(cycle_, planes_.data(), planes_.size());
     record_stats();
     clock_plane_program(program_, planes_.data(), state_.data());
     has_prev_ = true;

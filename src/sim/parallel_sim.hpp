@@ -86,9 +86,6 @@ class ParallelSimulator : public ProbeHost {
   /// sum of the scalar engine's per-lane traces. Net values are not
   /// passed (they live in bit planes); attach after warmup.
   void set_cycle_sink(CycleSink* sink);
-  /// Attach a frame observer (null detaches): after every settle the
-  /// sink sees the full plane array (incremental tape capture).
-  void set_frame_sink(FrameSink* sink) { frame_sink_ = sink; }
   /// Collect per-bit toggle counts (dual-bit-type power models).
   void enable_bit_stats();
   /// Collect batch-means moments (obs/confidence.hpp). Each macro-cycle
@@ -146,7 +143,6 @@ class ParallelSimulator : public ProbeHost {
   std::uint64_t cycle_ = 0;
   bool has_prev_ = false;
   CycleSink* sink_ = nullptr;
-  FrameSink* frame_sink_ = nullptr;
   std::vector<std::uint32_t> sink_toggles_;  ///< per net, this macro-cycle (lane-folded)
 };
 

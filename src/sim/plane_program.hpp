@@ -8,10 +8,7 @@
 // holding the opcode, the pre-resolved plane-word offsets of its
 // output/input blocks, the widths needed for zero-extension, and the
 // state offset for stateful kinds. eval_plane_program is then a tight
-// loop over a contiguous op array — the same kernel serves the full
-// engine (ops = every cell) and the incremental cone replay (ops =
-// only the dirty cone's cells), which is what keeps the two paths
-// bit-identical by construction.
+// loop over a contiguous op array.
 //
 // Offsets are in words into the planes/state arrays (bit-plane index
 // times kPlaneWords); bit b of an operand lives at off + b*kPlaneWords.

@@ -9,7 +9,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/cycle_trace.hpp"
-#include "sim/eval_scalar.hpp"
 #include "support/error.hpp"
 
 namespace opiso {
@@ -17,6 +16,66 @@ namespace opiso {
 namespace {
 std::uint64_t width_mask(unsigned width) {
   return width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
+}
+
+/// Evaluate one cell on the settled `value` array. `state` is the
+/// cell's held word — read for Reg outputs, updated level-sensitively
+/// for Latch/IsoLatch. Returns the unmasked output word.
+std::uint64_t eval_cell(const Cell& c, const std::uint64_t* value, std::uint64_t& state) {
+  auto in = [&](int p) { return value[c.ins[static_cast<std::size_t>(p)].value()]; };
+  switch (c.kind) {
+    case CellKind::PrimaryInput:  // driven by stimulus; skipped by the caller
+    case CellKind::PrimaryOutput:
+      return 0;
+    case CellKind::Constant:
+      return c.param;
+    case CellKind::Reg:
+      return state;
+    case CellKind::Add:
+      return in(0) + in(1);
+    case CellKind::Sub:
+      return in(0) - in(1);
+    case CellKind::Mul:
+      return in(0) * in(1);
+    case CellKind::Eq:
+      return in(0) == in(1) ? 1 : 0;
+    case CellKind::Lt:
+      return in(0) < in(1) ? 1 : 0;
+    case CellKind::Shl:
+      return c.param >= 64 ? 0 : in(0) << c.param;
+    case CellKind::Shr:
+      return c.param >= 64 ? 0 : in(0) >> c.param;
+    case CellKind::Not:
+      return ~in(0);
+    case CellKind::Buf:
+      return in(0);
+    case CellKind::And:
+      return in(0) & in(1);
+    case CellKind::Or:
+      return in(0) | in(1);
+    case CellKind::Xor:
+      return in(0) ^ in(1);
+    case CellKind::Nand:
+      return ~(in(0) & in(1));
+    case CellKind::Nor:
+      return ~(in(0) | in(1));
+    case CellKind::Xnor:
+      return ~(in(0) ^ in(1));
+    case CellKind::Mux2:
+      return (in(0) & 1) ? in(2) : in(1);
+    case CellKind::Latch:
+      // Transparent while EN = 1; holds otherwise (level-sensitive).
+      if (in(1) & 1) state = in(0);
+      return state;
+    case CellKind::IsoAnd:
+      return (in(1) & 1) ? in(0) : 0;
+    case CellKind::IsoOr:
+      return (in(1) & 1) ? in(0) : ~std::uint64_t{0};
+    case CellKind::IsoLatch:
+      if (in(1) & 1) state = in(0);
+      return state;
+  }
+  return 0;
 }
 }  // namespace
 
@@ -55,8 +114,7 @@ void Simulator::settle_combinational() {
   for (CellId id : order_) {
     const Cell& c = nl_.cell(id);
     if (c.kind == CellKind::PrimaryInput || c.kind == CellKind::PrimaryOutput) continue;
-    value_[c.out.value()] =
-        eval_scalar_cell(c, value_.data(), state_[id.value()]) & mask_[c.out.value()];
+    value_[c.out.value()] = eval_cell(c, value_.data(), state_[id.value()]) & mask_[c.out.value()];
   }
 }
 
@@ -66,7 +124,7 @@ void Simulator::clock_registers() {
   for (CellId id : order_) {
     const Cell& c = nl_.cell(id);
     if (c.kind != CellKind::Reg) continue;
-    clock_scalar_reg(c, value_.data(), state_[id.value()]);
+    if (value_[c.ins[1].value()] & 1) state_[id.value()] = value_[c.ins[0].value()];
   }
 }
 
@@ -172,7 +230,6 @@ void Simulator::run(Stimulus& stim, std::uint64_t cycles) {
       value_[c.out.value()] = stim.next(nl_, pi, cycle_) & mask_[c.out.value()];
     }
     settle_combinational();
-    if (frame_sink_) frame_sink_->on_frame(cycle_, value_.data(), value_.size());
     record_stats();
     if (vcd_) write_vcd_cycle();
     clock_registers();

@@ -63,11 +63,6 @@ class Simulator : public ProbeHost {
   /// Stream a VCD waveform of all nets while running (null disables).
   void set_vcd(std::ostream* os) { vcd_ = os; }
 
-  /// Attach a frame observer (null detaches): after every combinational
-  /// settle (warmup cycles included) the sink sees the per-net settled
-  /// value array — the incremental engine's tape capture hook.
-  void set_frame_sink(FrameSink* sink) { frame_sink_ = sink; }
-
   /// Attach a per-cycle observer (null detaches). Each simulated cycle
   /// the sink receives this cycle's per-net bit-toggle counts (zeros on
   /// the first observed cycle) and the settled net values — attach
@@ -107,7 +102,6 @@ class Simulator : public ProbeHost {
   std::ostream* vcd_ = nullptr;
   bool vcd_header_written_ = false;
   CycleSink* sink_ = nullptr;
-  FrameSink* frame_sink_ = nullptr;
   std::vector<std::uint32_t> sink_toggles_;  ///< per net, this cycle
 };
 

@@ -145,21 +145,6 @@ TEST(BatchAccumulator, MergeInvariantUnderAnyLanePartitionFuzz) {
   }
 }
 
-TEST(BatchAccumulator, CopySeriesIsStrideAware) {
-  // Source covers a 4-net design, destination a 2-net one: copy_series
-  // must index each side under its own num_series stride (this is how
-  // incremental replay splices carried-forward clean-net windows).
-  BatchAccumulator src = accumulate_lanes({0, 1}, 11, 4, 4);
-  BatchAccumulator dst = accumulate_lanes({2}, 7, 2, 4);
-  const std::uint64_t dst_s0_w0 = dst.cell(0, 0);
-  dst.copy_series(src, 1);
-  EXPECT_EQ(dst.num_frames(), 11u);  // adopts the longer frame count
-  for (std::uint64_t w = 0; w < 3; ++w) {
-    EXPECT_EQ(dst.cell(w, 1), src.cell(w, 1)) << "window " << w;
-  }
-  EXPECT_EQ(dst.cell(0, 0), dst_s0_w0);  // other series untouched
-}
-
 TEST(BatchInterval, DegenerateAndConstantSeries) {
   BatchAccumulator acc;
   acc.configure(1, 4);

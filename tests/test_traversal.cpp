@@ -2,8 +2,6 @@
 // cone computations.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "designs/designs.hpp"
 #include "netlist/traversal.hpp"
 
@@ -128,65 +126,6 @@ TEST(Traversal, NetInCombinationalFanout) {
   EXPECT_TRUE(net_in_combinational_fanout(nl, add2, nl.find_net("add2")));
   EXPECT_FALSE(net_in_combinational_fanout(nl, add2, nl.find_net("sub2")));
   EXPECT_FALSE(net_in_combinational_fanout(nl, add2, nl.find_net("reg_p")));
-}
-
-TEST(Traversal, ChangedCellsEmptyOnIdenticalNetlists) {
-  const Netlist a = make_design1(8);
-  const Netlist b = make_design1(8);
-  EXPECT_TRUE(changed_cells(a, b).empty());
-}
-
-TEST(Traversal, ChangedCellsFindsAppendedAndRewiredCells) {
-  const Netlist base = make_design1(8);
-  Netlist cur = base;
-  // Append a cell and rewire an existing consumer onto its output — the
-  // isolation transform's evolution pattern in miniature.
-  const NetId src = cur.find_net("add2");
-  const NetId buf_out = cur.add_net("cc_buf", cur.net(src).width);
-  const CellId buf = cur.add_cell(CellKind::Buf, "cc_buf_cell", {src}, buf_out);
-  const CellId mux_a = cur.net(cur.find_net("mux_a")).driver;  // reads add2 on pin 1
-  int pin = -1;
-  for (std::size_t i = 0; i < cur.cell(mux_a).ins.size(); ++i) {
-    if (cur.cell(mux_a).ins[i] == src) pin = static_cast<int>(i);
-  }
-  ASSERT_GE(pin, 0);
-  cur.reconnect_input(mux_a, pin, buf_out);
-  const std::vector<CellId> changed = changed_cells(base, cur);
-  ASSERT_EQ(changed.size(), 2u);
-  EXPECT_TRUE(std::is_sorted(changed.begin(), changed.end(),
-                             [](CellId a, CellId b) { return a.value() < b.value(); }));
-  EXPECT_EQ(changed[0], mux_a);  // rewired input
-  EXPECT_EQ(changed[1], buf);    // appended cell
-}
-
-TEST(Traversal, ChangedCellsRejectsNonAppendEvolution) {
-  const Netlist design1 = make_design1(8);
-  const Netlist fig1 = make_fig1(8);
-  // fig1 has fewer cells than design1: not an append-only evolution.
-  EXPECT_THROW((void)changed_cells(design1, fig1), NetlistError);
-}
-
-TEST(Traversal, DirtyConeClosesOverFanoutThroughRegisters) {
-  const Netlist nl = make_design1(8);
-  const CellId mul1 = nl.net(nl.find_net("mul1")).driver;
-  const std::vector<CellId> cone = dirty_cone(nl, {mul1});
-  const auto in_cone = [&cone](CellId id) {
-    return std::find(cone.begin(), cone.end(), id) != cone.end();
-  };
-  EXPECT_TRUE(in_cone(mul1));  // seeds are included
-  // Unlike the combinational fanout cone (which is just {mul1}: it
-  // feeds reg_p directly), the dirty cone crosses the register — a
-  // changed cell perturbs the register's state sequence, so every
-  // reader of reg_p replays differently too.
-  EXPECT_EQ(combinational_fanout_cone(nl, mul1).size(), 1u);
-  EXPECT_TRUE(in_cone(nl.net(nl.find_net("reg_p")).driver));
-  EXPECT_TRUE(in_cone(nl.net(nl.find_net("add2")).driver));
-  EXPECT_TRUE(in_cone(nl.net(nl.find_net("sub2")).driver));
-  // Cells fed only by the untouched reg_q branch never enter the cone.
-  EXPECT_FALSE(in_cone(nl.net(nl.find_net("add1")).driver));
-  EXPECT_FALSE(in_cone(nl.net(nl.find_net("mul2")).driver));
-  EXPECT_TRUE(std::is_sorted(cone.begin(), cone.end(),
-                             [](CellId a, CellId b) { return a.value() < b.value(); }));
 }
 
 }  // namespace
