@@ -146,7 +146,7 @@ int main() {
     const FlowOutcome iso = run_flow(s, /*rewrite=*/false);
     const FlowOutcome rw = run_flow(s, /*rewrite=*/true);
     // Both flows share one baseline: the original design's measured
-    // power (the rewrite flow's own power_before is post-rewrite).
+    // power (both flows report it as power_before).
     const double baseline_mw = iso.result.power_before_mw;
     obs::JsonValue d = obs::JsonValue::object();
     d["baseline_power_mw"] = baseline_mw;

@@ -14,8 +14,8 @@ std::string format_isolation_summary(const IsolationResult& result) {
      << result.power_after_mw << " mW (" << std::setprecision(2)
      << -result.power_reduction_pct() << "%)\n";
   os << "  area:  " << std::setprecision(0) << result.area_before_um2 << " um^2 -> "
-     << result.area_after_um2 << " um^2 (+" << std::setprecision(2)
-     << result.area_increase_pct() << "%)\n";
+     << result.area_after_um2 << " um^2 (" << std::showpos << std::setprecision(2)
+     << result.area_increase_pct() << std::noshowpos << "%)\n";
   os << "  slack: " << std::setprecision(2) << result.slack_before_ns << " ns -> "
      << result.slack_after_ns << " ns\n";
   os << "  isolated modules: " << result.records.size() << "\n";
