@@ -122,20 +122,20 @@ Netlist netlist_from_string(const std::string& text) {
 
 void save_netlist(const std::string& path, const Netlist& nl) {
   std::ofstream os(path);
-  OPISO_REQUIRE(os.good(), "cannot open '" + path + "' for writing");
+  if (!os.good()) throw IoError("cannot open '" + path + "' for writing");
   write_netlist(os, nl);
 }
 
 Netlist load_netlist(const std::string& path) {
   std::ifstream is(path);
-  OPISO_REQUIRE(is.good(), "cannot open '" + path + "' for reading");
+  if (!is.good()) throw IoError("cannot open '" + path + "' for reading");
   return read_netlist(is);
 }
 
 Netlist load_netlist(const std::string& path, const NetlistReadOptions& options,
                      SourceMap* source_map) {
   std::ifstream is(path);
-  OPISO_REQUIRE(is.good(), "cannot open '" + path + "' for reading");
+  if (!is.good()) throw IoError("cannot open '" + path + "' for reading");
   return read_netlist(is, options, source_map);
 }
 
