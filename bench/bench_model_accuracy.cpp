@@ -11,6 +11,7 @@
 #include "isolation/algorithm.hpp"
 #include "netlist/traversal.hpp"
 #include "power/estimator.hpp"
+#include "sim/parallel_sim.hpp"
 
 namespace {
 
@@ -30,10 +31,10 @@ void evaluate_design(const char* title, const Netlist& design, const StimulusFac
       identify_candidates(base, combinational_blocks(base), aa, pool, CandidateConfig{});
   MacroPowerModel power;
   SavingsEstimator est(base, pool, vars, cands, power);
-  Simulator sim(base, &pool, &vars);
+  ParallelSimulator sim(base, 1, &pool, &vars);
   est.register_probes(sim);
-  auto stim = stimuli();
-  sim.run(*stim, cycles);
+  sim.set_stimulus([&](unsigned) { return stimuli(); });
+  sim.run(cycles);
   const PowerEstimator pe(power);
   const double before = pe.estimate(base, sim.stats()).total_mw;
 
@@ -53,9 +54,9 @@ void evaluate_design(const char* title, const Netlist& design, const StimulusFac
     const CellId cell = cands[i].cell;  // ids are stable across the copy
     (void)isolate_module(variant, pool2, vars2, cell, aa2.activation_of(variant, cell),
                          IsolationStyle::And);
-    Simulator sim2(variant);
-    auto stim2 = stimuli();
-    sim2.run(*stim2, cycles);
+    ParallelSimulator sim2(variant, 1);
+    sim2.set_stimulus([&](unsigned) { return stimuli(); });
+    sim2.run(cycles);
     const double after = pe.estimate(variant, sim2.stats()).total_mw;
     const double measured = before - after;
 

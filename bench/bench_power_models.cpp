@@ -16,7 +16,7 @@
 #include "lower/gate_power.hpp"
 #include "power/bit_model.hpp"
 #include "power/estimator.hpp"
-#include "sim/simulator.hpp"
+#include "sim/parallel_sim.hpp"
 
 namespace {
 
@@ -56,10 +56,10 @@ Row measure(const Netlist& nl, bool correlated, std::uint64_t cycles) {
 
   Row row{};
   {
-    Simulator sim(nl);
+    ParallelSimulator sim(nl, 1);
     sim.enable_bit_stats();
-    auto stim = make_stim();
-    sim.run(*stim, cycles);
+    sim.set_stimulus([&](unsigned) { return make_stim(); });
+    sim.run(cycles);
     row.word_mw = PowerEstimator().estimate(nl, sim.stats()).total_mw;
     row.bit_mw = BitLevelPowerEstimator().total_power_mw(nl, sim.stats());
   }

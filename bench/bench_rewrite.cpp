@@ -14,7 +14,7 @@
 // Emitted as BENCH_rewrite.json (schema opiso.bench_rewrite/v1 inside
 // the opiso.bench/v1 envelope). Wall-clock fields feed the rolling
 // perf-trajectory gate; everything else is deterministic (fixed seeds,
-// scalar engine) and gated structurally against the committed
+// single-stream measurements) and gated structurally against the committed
 // ci/bench_baseline snapshot.
 
 #include <chrono>

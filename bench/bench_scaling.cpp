@@ -4,10 +4,10 @@
 // derivation, candidate identification, STA and one simulated cycle
 // batch; derivation time per cell should stay ~flat.
 //
-// The BM_*Simulate* and BM_Sweep* groups compare simulation throughput:
-// scalar engine vs the 64-lane bit-parallel engine vs the threaded
+// The BM_ParallelSimulate and BM_Sweep* groups compare simulation
+// throughput: one plane-engine lane vs 8 and 64 lanes vs the threaded
 // sweep runner. items_per_second is lane-cycles/sec everywhere, so the
-// ratios read directly as speedups over BM_ScalarSimulate.
+// ratios read directly as speedups over BM_ParallelSimulate/1.
 
 #include <benchmark/benchmark.h>
 
@@ -66,31 +66,17 @@ BENCHMARK(BM_Sta)->Arg(4)->Arg(16)->Arg(64);
 void BM_Simulate1k(benchmark::State& state) {
   const Netlist nl = design_of_size(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    Simulator sim(nl);
-    UniformStimulus stim(7);
-    sim.run(stim, 1000);
+    ParallelSimulator sim(nl, 1);
+    sim.set_stimulus([](unsigned) { return std::make_unique<UniformStimulus>(7); });
+    sim.run(1000);
     benchmark::DoNotOptimize(sim.stats().cycles);
   }
   state.counters["cells"] = static_cast<double>(nl.num_cells());
 }
 BENCHMARK(BM_Simulate1k)->Arg(1)->Arg(4)->Arg(16);
 
-// --- engine comparison: identical workload (design2, uniform stimuli,
+// --- lane scaling: identical workload (design2, uniform stimuli,
 // lane-seeded streams), lane-cycles/sec as the common unit.
-
-void BM_ScalarSimulate(benchmark::State& state) {
-  const Netlist nl = make_design2();
-  std::uint64_t lane_cycles = 0;
-  for (auto _ : state) {
-    Simulator sim(nl);
-    UniformStimulus stim(sweep_lane_seed(1, 0));
-    sim.run(stim, 4096);
-    benchmark::DoNotOptimize(sim.stats().cycles);
-    lane_cycles += 4096;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(lane_cycles));
-}
-BENCHMARK(BM_ScalarSimulate);
 
 void BM_ParallelSimulate(benchmark::State& state) {
   const Netlist nl = make_design2();
@@ -107,12 +93,11 @@ void BM_ParallelSimulate(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(lane_cycles));
 }
-BENCHMARK(BM_ParallelSimulate)->Arg(8)->Arg(64);
+BENCHMARK(BM_ParallelSimulate)->Arg(1)->Arg(8)->Arg(64);
 
 // Thread scaling of the sweep runner: 16 independent (seed) tasks on
-// the 64-lane engine. At 8 threads on a multicore host this is where
-// the >=10x total throughput over BM_ScalarSimulate comes from; on a
-// single hardware thread the engine alone contributes its ~3-6x.
+// the 64-lane engine. At 8 threads on a multicore host this multiplies
+// the single-thread 64-lane throughput by the core count.
 void BM_SweepThreads(benchmark::State& state) {
   std::vector<SweepTask> tasks;
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {

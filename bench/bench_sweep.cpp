@@ -66,7 +66,7 @@ BenchRow time_bench(const std::string& name,
   return row;
 }
 
-std::uint64_t run_sweep_once(SimEngineKind engine, unsigned lanes, std::uint64_t cycles) {
+std::uint64_t run_sweep_once(unsigned lanes, std::uint64_t cycles) {
   std::vector<SweepTask> tasks;
   for (std::uint64_t seed : {1ull, 2ull}) {
     SweepTask t;
@@ -75,7 +75,6 @@ std::uint64_t run_sweep_once(SimEngineKind engine, unsigned lanes, std::uint64_t
     t.seed = seed;
     t.cycles = cycles;
     t.lanes = lanes;
-    t.engine = engine;
     tasks.push_back(t);
     t.design = "design2";
     t.make_design = [] { return make_design2(8, 4); };
@@ -116,15 +115,13 @@ Netlist make_tail_pipeline(unsigned stages, unsigned width) {
 std::uint64_t run_isolate_once() {
   const Netlist nl = make_tail_pipeline(16, 8);
   IsolationOptions opt;
-  opt.sim_engine = SimEngineKind::Parallel;
   opt.sim_lanes = 64;
   opt.sim_cycles = 64 * 2048;
   opt.warmup_cycles = 64 * 8;
   opt.lane_stimuli = [](unsigned lane) {
     return std::make_unique<UniformStimulus>(sweep_lane_seed(7, lane));
   };
-  const IsolationResult res = run_operand_isolation(
-      nl, [] { return std::make_unique<UniformStimulus>(7); }, opt);
+  const IsolationResult res = run_operand_isolation(nl, nullptr, opt);
   return (res.iterations.size() + 1) * opt.sim_cycles;
 }
 
@@ -167,10 +164,7 @@ void emit(const std::vector<BenchRow>& rows) {
 int main() {
   std::printf("Sweep / isolation perf trajectory (best of %d reps):\n", kReps);
   std::vector<BenchRow> rows;
-  rows.push_back(time_bench("sweep_parallel",
-                            [] { return run_sweep_once(SimEngineKind::Parallel, 64, 16384); }));
-  rows.push_back(time_bench("sweep_scalar",
-                            [] { return run_sweep_once(SimEngineKind::Scalar, 4, 16384); }));
+  rows.push_back(time_bench("sweep_parallel", [] { return run_sweep_once(64, 16384); }));
   rows.push_back(time_bench("isolate_full", run_isolate_once));
   emit(rows);
   return 0;

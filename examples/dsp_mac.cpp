@@ -9,6 +9,7 @@
 #include "designs/designs.hpp"
 #include "isolation/algorithm.hpp"
 #include "power/estimator.hpp"
+#include "sim/parallel_sim.hpp"
 
 int main() {
   using namespace opiso;
@@ -44,9 +45,9 @@ int main() {
   }
 
   // Power breakdown of the final design.
-  Simulator sim(result.netlist);
-  auto stim = stimuli();
-  sim.run(*stim, 8192);
+  ParallelSimulator sim(result.netlist, 1);
+  sim.set_stimulus([&](unsigned) { return stimuli(); });
+  sim.run(8192);
   const PowerBreakdown pb = PowerEstimator().estimate(result.netlist, sim.stats());
   std::printf("\nfinal power breakdown: arith %.3f, steering %.3f, sequential %.3f, "
               "isolation overhead %.3f mW\n",

@@ -5,6 +5,7 @@
 
 #include "netlist/traversal.hpp"
 #include "power/estimator.hpp"
+#include "sim/parallel_sim.hpp"
 
 namespace opiso {
 
@@ -16,9 +17,9 @@ CsgResult run_control_signal_gating(const Netlist& design, const StimulusFactory
   Netlist& nl = result.netlist;
 
   {
-    Simulator sim(nl);
-    auto stim = stimuli();
-    sim.run(*stim, opt.sim_cycles);
+    ParallelSimulator sim(nl, 1);
+    sim.set_stimulus([&stimuli](unsigned) { return stimuli(); });
+    sim.run(opt.sim_cycles);
     result.power_before_mw = PowerEstimator(opt.power).estimate(nl, sim.stats()).total_mw;
   }
 
@@ -102,9 +103,9 @@ CsgResult run_control_signal_gating(const Netlist& design, const StimulusFactory
   }
 
   {
-    Simulator sim(nl);
-    auto stim = stimuli();
-    sim.run(*stim, opt.sim_cycles);
+    ParallelSimulator sim(nl, 1);
+    sim.set_stimulus([&stimuli](unsigned) { return stimuli(); });
+    sim.run(opt.sim_cycles);
     result.power_after_mw = PowerEstimator(opt.power).estimate(nl, sim.stats()).total_mw;
   }
   return result;

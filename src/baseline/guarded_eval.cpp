@@ -2,6 +2,7 @@
 
 #include "boolfn/bdd.hpp"
 #include "power/estimator.hpp"
+#include "sim/parallel_sim.hpp"
 
 namespace opiso {
 
@@ -14,9 +15,9 @@ GuardedEvalResult run_guarded_evaluation(const Netlist& design, const StimulusFa
 
   // Power before.
   {
-    Simulator sim(nl);
-    auto stim = stimuli();
-    sim.run(*stim, opt.sim_cycles);
+    ParallelSimulator sim(nl, 1);
+    sim.set_stimulus([&stimuli](unsigned) { return stimuli(); });
+    sim.run(opt.sim_cycles);
     result.power_before_mw = PowerEstimator(opt.power).estimate(nl, sim.stats()).total_mw;
   }
 
@@ -63,9 +64,9 @@ GuardedEvalResult run_guarded_evaluation(const Netlist& design, const StimulusFa
 
   // Power after.
   {
-    Simulator sim(nl);
-    auto stim = stimuli();
-    sim.run(*stim, opt.sim_cycles);
+    ParallelSimulator sim(nl, 1);
+    sim.set_stimulus([&stimuli](unsigned) { return stimuli(); });
+    sim.run(opt.sim_cycles);
     result.power_after_mw = PowerEstimator(opt.power).estimate(nl, sim.stats()).total_mw;
   }
   return result;

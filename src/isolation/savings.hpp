@@ -34,7 +34,9 @@
 #include "isolation/muxfn.hpp"
 #include "isolation/transform.hpp"
 #include "power/macro_model.hpp"
-#include "sim/simulator.hpp"
+#include "sim/activity.hpp"
+#include "sim/engine.hpp"
+#include "sim/stimulus.hpp"
 
 namespace opiso {
 
@@ -79,9 +81,9 @@ class SavingsEstimator {
                    const std::vector<IsolationCandidate>& candidates,
                    const MacroPowerModel& power);
 
-  /// Register all required probes on a simulation engine (scalar or
-  /// 64-lane parallel — anything implementing ProbeHost) that shares
-  /// `pool`/`vars`. Call before running the engine.
+  /// Register all required probes on a simulation engine (anything
+  /// implementing ProbeHost) that shares `pool`/`vars`. Call before
+  /// running the engine.
   void register_probes(ProbeHost& sim);
 
   /// Pr(!f_i) — probability candidate i computes redundantly.

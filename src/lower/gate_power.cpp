@@ -1,15 +1,16 @@
 #include "lower/gate_power.hpp"
 
-#include "sim/simulator.hpp"
+#include "sim/parallel_sim.hpp"
 
 namespace opiso {
 
 GateRefPower measure_gate_level_power(const Netlist& word_design, Stimulus& stim,
                                       std::uint64_t cycles, const MacroPowerModel& model) {
   const GateLevelResult g = lower_to_gates(word_design);
-  Simulator sim(g.netlist);
-  BitStimulusAdapter bits(word_design, stim);
-  sim.run(bits, cycles);
+  ParallelSimulator sim(g.netlist, 1);
+  sim.set_stimulus(
+      [&](unsigned) { return std::make_unique<BitStimulusAdapter>(word_design, stim); });
+  sim.run(cycles);
 
   GateRefPower ref;
   ref.gate_cells = g.netlist.num_cells();

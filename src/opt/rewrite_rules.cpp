@@ -12,7 +12,7 @@
 #include "power/area_model.hpp"
 #include "power/estimator.hpp"
 #include "sim/cycle_trace.hpp"
-#include "sim/simulator.hpp"
+#include "sim/parallel_sim.hpp"
 #include "sim/stimulus.hpp"
 #include "support/error.hpp"
 #include "verify/equiv.hpp"
@@ -35,7 +35,7 @@ bool is_op_kind(CellKind kind) {
 }
 
 /// Word-level evaluation of one operator — identical semantics to the
-/// scalar Simulator and the optimizer's constant folder: inputs are
+/// plane engine and the optimizer's constant folder: inputs are
 /// masked to their own widths already, the result is masked to the
 /// node's width.
 std::uint64_t eval_node(CellKind kind, std::uint64_t param, unsigned out_width,
@@ -467,14 +467,16 @@ struct Profile {
   double pr_idle = 0.0;  ///< width-weighted mean Pr(reg EN == 0)
 };
 
+/// One plane-engine lane on the fixed profiling stream.
 Profile profile_activity(const Netlist& nl, const RewriteOptions& opt) {
   Profile p;
-  Simulator sim(nl);
-  UniformStimulus stim(opt.profile_seed);
-  sim.warmup(stim, opt.profile_warmup);
+  ParallelSimulator sim(nl, 1);
+  sim.set_stimulus(
+      [&opt](unsigned) { return std::make_unique<UniformStimulus>(opt.profile_seed); });
+  sim.warmup(opt.profile_warmup);
   TapeSink tape;
   sim.set_cycle_sink(&tape);
-  sim.run(stim, opt.profile_cycles);
+  sim.run(opt.profile_cycles);
   sim.set_cycle_sink(nullptr);
   p.frames = std::move(tape.frames);
   p.stats = sim.stats();
@@ -759,9 +761,9 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
   }
 
   try {
-    // 1. Profile the input netlist (always the scalar engine with a
-    //    fixed seed: the report section must be bitwise identical no
-    //    matter which engine/thread count the surrounding flow uses).
+    // 1. Profile the input netlist (always one lane on a fixed seed:
+    //    the report section must be bitwise identical no matter which
+    //    lane/thread count the surrounding flow uses).
     const Profile prof = profile_activity(nl, opt);
 
     // 2. Saturate.

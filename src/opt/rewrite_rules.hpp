@@ -81,9 +81,9 @@ struct RewriteResult {
 
 /// The opiso.rewrite/v1 run-report section: rules fired, e-graph size,
 /// extraction cost deltas, verification status. Deterministic for a
-/// given (netlist, options) — the profiling simulation is always the
-/// scalar engine with a fixed seed, independent of thread count or the
-/// simulation engine the surrounding flow uses.
+/// given (netlist, options) — the profiling simulation is always one
+/// plane-engine lane on a fixed seed, independent of thread count or
+/// the lane count the surrounding flow measures with.
 [[nodiscard]] obs::JsonValue rewrite_report_section(const RewriteResult& r);
 
 }  // namespace opiso

@@ -22,7 +22,7 @@ void CycleTrace::on_cycle(const Netlist& nl, std::uint64_t /*cycle*/, unsigned l
   OPISO_REQUIRE(net_toggles.size() == num_nets_ && lanes == lanes_,
                 "CycleTrace: engine changed shape mid-capture");
   OPISO_REQUIRE(!record_values_ || net_values != nullptr,
-                "CycleTrace: value recording needs the scalar engine");
+                "CycleTrace: value recording needs the engine's net values");
   for (std::size_t n = 0; n < num_nets_; ++n) {
     accum_[n] += net_toggles[n];
     net_totals_[n] += net_toggles[n];

@@ -1,16 +1,15 @@
 #pragma once
 // Multithreaded design sweep.
 //
-// A sweep fans independent (design × stimulus seed × engine config)
+// A sweep fans independent (design × stimulus seed × lane count)
 // simulation tasks across a deterministic thread pool and reduces the
 // results in task order. Each task derives its lane RNG streams from
 // its own seed (sweep_lane_seed), no task shares mutable state with
 // another, and the result vector is indexed by task — so the output is
-// bitwise identical for any --threads value, and identical between the
-// scalar and parallel engines (a scalar task runs one Simulator per
-// lane and merges the stats; a parallel task runs the 64-lane engine
-// once). CI diffs the emitted reports across thread counts and engines
-// to hold the runner to this.
+// bitwise identical for any --threads value. CI diffs the emitted
+// reports across thread counts and plane widths to hold the runner to
+// this; the tests compare each task against one reference run per lane,
+// merged.
 
 #include <cstdint>
 #include <functional>
@@ -21,9 +20,7 @@
 #include "netlist/netlist.hpp"
 #include "obs/confidence.hpp"
 #include "obs/json.hpp"
-#include "sim/engine.hpp"
 #include "sim/parallel_sim.hpp"
-#include "sim/simulator.hpp"
 
 namespace opiso {
 
@@ -41,20 +38,19 @@ struct SweepTask {
   std::uint64_t cycles = 4096;  ///< cycles per lane
   unsigned lanes = ParallelSimulator::kMaxLanes;
   std::uint64_t warmup = 0;  ///< per-lane warmup cycles (discarded)
-  SimEngineKind engine = SimEngineKind::Parallel;
   /// Stimulus per lane seed; defaults to UniformStimulus when unset.
   std::function<std::unique_ptr<Stimulus>(std::uint64_t lane_seed)> make_stimulus;
   /// When set, the task runs Algorithm 1 (run_operand_isolation) on the
   /// design instead of a plain activity measurement: the options are
-  /// copied and the task's engine/lanes/cycles/warmup and seed-derived
+  /// copied and the task's lanes/cycles/warmup and seed-derived
   /// stimulus factories are installed on the copy, so every task stays
   /// a pure function of its own fields. Shared across tasks (the sweep
   /// never mutates it).
   std::shared_ptr<const IsolationOptions> isolate;
   /// Batch-means confidence collection (obs/confidence.hpp). When
   /// enabled the task's report row gains opiso.confidence/v1 and
-  /// opiso.coverage/v1 sections — bitwise identical across engines,
-  /// --threads values, and plane widths, because the accumulated window
+  /// opiso.coverage/v1 sections — bitwise identical across --threads
+  /// values and plane widths, because the accumulated window
   /// moments are exact integers. A min_power_ci_halfwidth_mw >= 0 gate
   /// *fails* an under-converged task (confidence.under-converged in
   /// opiso.task_failures/v1) instead of silently extending it. In
@@ -65,7 +61,6 @@ struct SweepTask {
 struct SweepResult {
   std::string design;
   std::uint64_t seed = 0;
-  SimEngineKind engine = SimEngineKind::Parallel;
   unsigned lanes = 0;
   std::uint64_t lane_cycles = 0;  ///< total simulated lane-cycles (post-warmup)
   std::uint64_t toggles = 0;      ///< total bit toggles over all nets
@@ -184,7 +179,7 @@ class SweepRunner {
 /// Deterministic JSON report (schema opiso.sweep/v1). Contains no
 /// wall-clock or thread-count fields so reports from different
 /// --threads runs diff clean; throughput lives in the metrics registry
-/// ("sweep.*", "sim.parallel.*", "pool.*") instead. The report always
+/// ("sweep.*", "sim.*", "pool.*") instead. The report always
 /// carries a `task_failures` section (schema opiso.task_failures/v1;
 /// empty array on a clean run), so its presence never depends on
 /// whether anything failed.

@@ -5,6 +5,7 @@
 #include "baseline/control_signal_gating.hpp"
 #include "baseline/guarded_eval.hpp"
 #include "designs/designs.hpp"
+#include "reference_simulator.hpp"
 
 namespace opiso {
 namespace {

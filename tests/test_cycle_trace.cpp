@@ -1,9 +1,10 @@
-// Per-cycle capture hook (sim/cycle_trace.hpp): the scalar and parallel
-// engines must feed a CycleSink traces that are BITWISE IDENTICAL —
-// the parallel engine's lane-folded per-cycle toggle counts equal the
-// sample-wise sum (CycleTrace::merge) of one scalar trace per lane with
-// the same stimulus streams — and a trace must integrate back to the
-// engine's own ActivityStats exactly, for any window size.
+// Per-cycle capture hook (sim/cycle_trace.hpp): the plane engine and
+// the reference interpreter must feed a CycleSink traces that are
+// BITWISE IDENTICAL — the plane engine's lane-folded per-cycle toggle
+// counts equal the sample-wise sum (CycleTrace::merge) of one reference
+// trace per lane with the same stimulus streams — and a trace must
+// integrate back to the engine's own ActivityStats exactly, for any
+// window size.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,7 +12,7 @@
 #include "designs/designs.hpp"
 #include "sim/cycle_trace.hpp"
 #include "sim/parallel_sim.hpp"
-#include "sim/simulator.hpp"
+#include "reference_simulator.hpp"
 #include "sim/sweep.hpp"
 
 namespace opiso {

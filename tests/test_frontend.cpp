@@ -4,7 +4,7 @@
 
 #include "frontend/rtl_parser.hpp"
 #include "isolation/activation.hpp"
-#include "sim/simulator.hpp"
+#include "reference_simulator.hpp"
 
 namespace opiso {
 namespace {

@@ -123,8 +123,9 @@ TEST_P(Fuzz, LoweringMatchesWordLevel) {
 }
 
 TEST_P(Fuzz, ParallelSimMatchesScalarOracle) {
-  // The 64-lane engine must be bitwise identical to one scalar run per
-  // lane on arbitrary generated designs, latches included.
+  // The 64-lane plane engine must be bitwise identical to one
+  // reference-interpreter run per lane on arbitrary generated designs,
+  // latches included.
   RandomDesignConfig cfg;
   cfg.allow_latches = (GetParam() % 2) == 1;
   const Netlist nl = make_random_datapath(seed(), cfg);

@@ -5,7 +5,7 @@
 
 #include "designs/designs.hpp"
 #include "lower/gate_level.hpp"
-#include "sim/simulator.hpp"
+#include "reference_simulator.hpp"
 
 namespace opiso {
 namespace {

@@ -4,7 +4,7 @@
 
 #include "designs/designs.hpp"
 #include "power/estimator.hpp"
-#include "sim/simulator.hpp"
+#include "reference_simulator.hpp"
 
 namespace opiso {
 namespace {

@@ -6,7 +6,7 @@
 #include "lower/gate_power.hpp"
 #include "power/bit_model.hpp"
 #include "power/estimator.hpp"
-#include "sim/simulator.hpp"
+#include "reference_simulator.hpp"
 
 namespace opiso {
 namespace {

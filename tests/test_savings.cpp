@@ -6,6 +6,7 @@
 #include "designs/designs.hpp"
 #include "isolation/algorithm.hpp"
 #include "netlist/traversal.hpp"
+#include "reference_simulator.hpp"
 
 namespace opiso {
 namespace {

@@ -1,8 +1,9 @@
-// Tests for the cycle-based simulator: functional semantics of every
-// cell kind, register/latch behavior, toggle statistics and probes.
+// Tests for the reference interpreter (reference_simulator.hpp), the
+// oracle of the plane engine: functional semantics of every cell kind,
+// register/latch behavior, toggle statistics and probes.
 #include <gtest/gtest.h>
 
-#include "sim/simulator.hpp"
+#include "reference_simulator.hpp"
 
 namespace opiso {
 namespace {
@@ -215,22 +216,6 @@ TEST(Sim, StatsErrorOnZeroCycles) {
   nl.add_output("o", a);
   Simulator sim(nl);
   EXPECT_THROW((void)sim.stats().toggle_rate(a), Error);
-}
-
-TEST(Sim, VcdDumpHasHeaderAndChanges) {
-  Netlist nl;
-  NetId a = nl.add_input("a", 2);
-  nl.add_output("o", a);
-  std::ostringstream vcd;
-  Simulator sim(nl);
-  sim.set_vcd(&vcd);
-  VectorStimulus stim;
-  stim.set("a", {1, 2});
-  sim.run(stim, 2);
-  const std::string text = vcd.str();
-  EXPECT_NE(text.find("$enddefinitions"), std::string::npos);
-  EXPECT_NE(text.find("$var wire 2"), std::string::npos);
-  EXPECT_NE(text.find('#'), std::string::npos);
 }
 
 }  // namespace

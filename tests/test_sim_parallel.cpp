@@ -1,19 +1,22 @@
-// Differential tests for the multi-lane bit-parallel simulator: for every
-// design and lane count, the parallel engine must produce statistics
-// BITWISE IDENTICAL to running one scalar Simulator per lane (with the
-// lane's RNG stream) and merging the stats — the scalar engine is the
-// oracle. This is the contract that lets the sweep runner, the
-// isolation loop, and the benchmarks swap engines freely.
+// Differential tests for the plane engine, the only simulation engine:
+// for every design, stimulus and lane count it must produce statistics
+// BITWISE IDENTICAL to running the reference interpreter
+// (reference_simulator.hpp) once per lane on the lane's stream and
+// merging the stats. This is the contract that lets every caller with a
+// single stream run one lane and get the plain cycle-by-cycle numbers.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "designs/designs.hpp"
 #include "frontend/rtl_parser.hpp"
 #include "isolation/activation.hpp"
 #include "isolation/transform.hpp"
+#include "reference_simulator.hpp"
+#include "sim/cycle_trace.hpp"
 #include "sim/parallel_sim.hpp"
-#include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 
 namespace opiso {
@@ -38,21 +41,45 @@ std::vector<ExprRef> make_probes(const Netlist& nl, ExprPool& pool, NetVarMap& v
   return probes;
 }
 
-/// The differential harness: parallel run vs per-lane scalar oracle.
+/// Frames per batch-means window in the harness: small, so short runs
+/// still cover several windows and a trailing partial one.
+constexpr std::uint32_t kBatchFrames = 7;
+
+using LaneFactory = ParallelSimulator::LaneStimulusFactory;
+
+LaneFactory uniform_lanes(std::uint64_t seed) {
+  return [seed](unsigned lane) {
+    return std::make_unique<UniformStimulus>(sweep_lane_seed(seed, lane));
+  };
+}
+
+void expect_same_batches(const obs::BatchAccumulator& got, const obs::BatchAccumulator& want) {
+  ASSERT_EQ(got.num_frames(), want.num_frames());
+  ASSERT_EQ(got.num_series(), want.num_series());
+  const std::uint64_t windows = (got.num_frames() + kBatchFrames - 1) / kBatchFrames;
+  for (std::uint64_t w = 0; w < windows; ++w) {
+    for (std::size_t s = 0; s < got.num_series(); ++s) {
+      ASSERT_EQ(got.cell(w, s), want.cell(w, s)) << "window " << w << " series " << s;
+    }
+  }
+}
+
+/// The differential harness: a plane run vs the per-lane reference
+/// runs on the same streams, merged. Compares every statistic the
+/// engine keeps: toggles, ones, bit toggles, probes and batch moments.
 void expect_matches_oracle(const Netlist& nl, unsigned lanes, std::uint64_t cycles,
-                           std::uint64_t seed, std::uint64_t warmup = 0) {
+                           const LaneFactory& make, std::uint64_t warmup = 0) {
   SCOPED_TRACE(testing::Message() << "design=" << nl.name() << " lanes=" << lanes
-                                  << " cycles=" << cycles << " seed=" << seed);
+                                  << " cycles=" << cycles << " warmup=" << warmup);
   ExprPool pool;
   NetVarMap vars;
   const std::vector<ExprRef> probes = make_probes(nl, pool, vars);
 
   ParallelSimulator psim(nl, lanes, &pool, &vars);
   psim.enable_bit_stats();
+  psim.enable_batch_stats(kBatchFrames);
   for (ExprRef p : probes) psim.add_probe(p);
-  psim.set_stimulus([seed](unsigned lane) {
-    return std::make_unique<UniformStimulus>(sweep_lane_seed(seed, lane));
-  });
+  psim.set_stimulus(make);
   if (warmup > 0) psim.warmup(warmup);
   psim.run(cycles);
 
@@ -60,13 +87,14 @@ void expect_matches_oracle(const Netlist& nl, unsigned lanes, std::uint64_t cycl
   for (unsigned l = 0; l < lanes; ++l) {
     Simulator sim(nl, &pool, &vars);
     sim.enable_bit_stats();
+    sim.enable_batch_stats(kBatchFrames);
     for (ExprRef p : probes) sim.add_probe(p);
-    UniformStimulus stim(sweep_lane_seed(seed, l));
-    if (warmup > 0) sim.warmup(stim, warmup);
-    sim.run(stim, cycles);
+    const std::unique_ptr<Stimulus> stim = make(l);
+    if (warmup > 0) sim.warmup(*stim, warmup);
+    sim.run(*stim, cycles);
     oracle.merge(sim.stats());
-    // Final word-level values per lane must match the scalar run too —
-    // stats could in principle agree while values diverge.
+    // Final word-level values per lane must match the reference run
+    // too — stats could in principle agree while values diverge.
     for (NetId id : nl.net_ids()) {
       ASSERT_EQ(psim.lane_value(id, l), sim.net_value(id))
           << "net " << nl.net(id).name << " lane " << l;
@@ -80,9 +108,16 @@ void expect_matches_oracle(const Netlist& nl, unsigned lanes, std::uint64_t cycl
   EXPECT_EQ(got.bit_toggles, oracle.bit_toggles);
   EXPECT_EQ(got.probe_true, oracle.probe_true);
   EXPECT_EQ(got.probe_toggles, oracle.probe_toggles);
+  expect_same_batches(got.net_batches, oracle.net_batches);
+  expect_same_batches(got.probe_batches, oracle.probe_batches);
 }
 
-TEST(SimParallel, MatchesScalarOnFig1) {
+void expect_matches_oracle(const Netlist& nl, unsigned lanes, std::uint64_t cycles,
+                           std::uint64_t seed, std::uint64_t warmup = 0) {
+  expect_matches_oracle(nl, lanes, cycles, uniform_lanes(seed), warmup);
+}
+
+TEST(SimParallel, MatchesReferenceOnFig1) {
   const Netlist nl = make_fig1();
   // Lane counts straddling plane-word boundaries: partial first word,
   // exactly one word, first lane of word 1, partial last word, full block.
@@ -92,31 +127,31 @@ TEST(SimParallel, MatchesScalarOnFig1) {
   }
 }
 
-TEST(SimParallel, MatchesScalarOnDesign1) {
+TEST(SimParallel, MatchesReferenceOnDesign1) {
   expect_matches_oracle(make_design1(), 64, 150, 17);
   // Cross the 64-lane word boundary on a real datapath (slow-path count
-  // kept small: the oracle runs one scalar sim per lane).
+  // kept small: the oracle runs one reference run per lane).
   expect_matches_oracle(make_design1(), 96, 60, 19);
 }
 
-TEST(SimParallel, MatchesScalarOnDesign2) {
+TEST(SimParallel, MatchesReferenceOnDesign2) {
   // design2 has an FSM, multipliers and latches — the densest mix.
   expect_matches_oracle(make_design2(), 64, 150, 29);
   expect_matches_oracle(make_design2(8, 3), 7, 100, 31);
 }
 
-TEST(SimParallel, MatchesScalarOnParametric) {
+TEST(SimParallel, MatchesReferenceOnParametric) {
   ParametricConfig cfg;
   cfg.lanes = 3;
   cfg.stages = 2;
   expect_matches_oracle(make_parametric_datapath(cfg), 64, 100, 41);
 }
 
-TEST(SimParallel, MatchesScalarWithWarmup) {
+TEST(SimParallel, MatchesReferenceWithWarmup) {
   expect_matches_oracle(make_fig1(), 64, 100, 5, /*warmup=*/16);
 }
 
-TEST(SimParallel, MatchesScalarOnAllRtlDesigns) {
+TEST(SimParallel, MatchesReferenceOnAllRtlDesigns) {
   for (const char* name : {"fig1.rtl", "design1.rtl", "fir4.rtl"}) {
     const Netlist nl =
         parse_rtl_file(std::string(OPISO_DESIGNS_RTL_DIR) + "/" + name);
@@ -124,7 +159,7 @@ TEST(SimParallel, MatchesScalarOnAllRtlDesigns) {
   }
 }
 
-TEST(SimParallel, MatchesScalarOnIsolatedDesigns) {
+TEST(SimParallel, MatchesReferenceOnIsolatedDesigns) {
   // The transformed netlists exercise the Iso* cell kinds.
   for (IsolationStyle style :
        {IsolationStyle::And, IsolationStyle::Or, IsolationStyle::Latch}) {
@@ -164,7 +199,7 @@ Netlist make_mixed_width_alu(unsigned wa, unsigned wb) {
   return nl;
 }
 
-TEST(SimParallel, MatchesScalarOnMixedWidthOperators) {
+TEST(SimParallel, MatchesReferenceOnMixedWidthOperators) {
   for (auto [wa, wb] : {std::pair{4u, 4u}, {3u, 8u}, {8u, 3u}, {1u, 12u}, {16u, 5u}}) {
     expect_matches_oracle(make_mixed_width_alu(wa, wb), 64, 200, 1000 + wa * 64 + wb);
   }
@@ -184,24 +219,81 @@ TEST(SimParallel, ShiftParamEdgeCases) {
   }
 }
 
-TEST(SimParallel, MatchesScalarWithNonUniformStimulus) {
+TEST(SimParallel, MatchesReferenceWithNonUniformStimulus) {
   // ControlledBitStimulus is not a plain uniform draw, so this pins the
   // per-lane virtual-dispatch path (the SoA fast path handles uniform).
-  const Netlist nl = make_design1();
-  ParallelSimulator psim(nl, 70);
-  psim.set_stimulus([](unsigned lane) {
+  const LaneFactory make = [](unsigned lane) {
     return std::make_unique<ControlledBitStimulus>(0.3, 0.2, 1000 + lane);
-  });
-  psim.run(80);
-  ActivityStats oracle;
-  for (unsigned l = 0; l < 70; ++l) {
-    Simulator sim(nl);
-    ControlledBitStimulus stim(0.3, 0.2, 1000 + l);
-    sim.run(stim, 80);
-    oracle.merge(sim.stats());
+  };
+  expect_matches_oracle(make_design1(), 70, 80, make);
+}
+
+TEST(SimParallel, MatchesReferenceWithTableStimulus) {
+  // Shaped like Table 1's stimulus: uniform data, with the control
+  // inputs routed to Markov streams of set probability and toggle rate.
+  const LaneFactory make = [](unsigned lane) {
+    auto comp = std::make_unique<CompositeStimulus>(
+        std::make_unique<UniformStimulus>(sweep_lane_seed(1001, lane)));
+    comp->route("act", std::make_unique<ControlledBitStimulus>(0.25, 0.2, 1002 + 8 * lane));
+    comp->route("sel", std::make_unique<ControlledBitStimulus>(0.5, 0.4, 1003 + 8 * lane));
+    comp->route("g1", std::make_unique<ControlledBitStimulus>(0.5, 0.3, 1004 + 8 * lane));
+    comp->route("g2", std::make_unique<ControlledBitStimulus>(0.5, 0.3, 1005 + 8 * lane));
+    return comp;
+  };
+  for (unsigned lanes : {1u, 64u}) {
+    expect_matches_oracle(make_design1(8), lanes, 150, make, /*warmup=*/9);
   }
-  EXPECT_EQ(psim.stats().toggles, oracle.toggles);
-  EXPECT_EQ(psim.stats().ones, oracle.ones);
+}
+
+/// Records every cycle's toggle counts and settled values.
+class RecordingSink final : public CycleSink {
+ public:
+  std::vector<std::vector<std::uint32_t>> toggles;
+  std::vector<std::vector<std::uint64_t>> values;
+  void on_cycle(const Netlist& nl, std::uint64_t, unsigned, std::span<const std::uint32_t> t,
+                const std::uint64_t* v) override {
+    toggles.emplace_back(t.begin(), t.end());
+    values.emplace_back(v, v + nl.num_nets());
+  }
+};
+
+TEST(SimParallel, CycleSinkSeesTheReferenceValuesOnOneLane) {
+  // The rewrite profiler's tape and the VCD exporter read these values.
+  for (const Netlist& nl : {make_fig1(), make_design2()}) {
+    RecordingSink got;
+    ParallelSimulator psim(nl, 1);
+    psim.set_stimulus(uniform_lanes(23));
+    psim.warmup(5);
+    psim.set_cycle_sink(&got);
+    psim.run(60);
+
+    RecordingSink want;
+    Simulator sim(nl);
+    UniformStimulus stim(sweep_lane_seed(23, 0));
+    sim.warmup(stim, 5);
+    sim.set_cycle_sink(&want);
+    sim.run(stim, 60);
+
+    ASSERT_EQ(got.values.size(), 60u);
+    EXPECT_EQ(got.values, want.values);
+    EXPECT_EQ(got.toggles, want.toggles);
+  }
+}
+
+TEST(SimParallel, CycleSinkValuesAreLaneZeroOfAManyLaneRun) {
+  const Netlist nl = make_design1();
+  RecordingSink got;
+  ParallelSimulator psim(nl, 64);
+  psim.set_stimulus(uniform_lanes(31));
+  psim.set_cycle_sink(&got);
+  psim.run(40);
+
+  RecordingSink want;
+  Simulator sim(nl);
+  UniformStimulus stim(sweep_lane_seed(31, 0));
+  sim.set_cycle_sink(&want);
+  sim.run(stim, 40);
+  EXPECT_EQ(got.values, want.values);
 }
 
 TEST(SimParallel, RunRequiresStimulus) {

@@ -4,7 +4,7 @@
 
 #include <sstream>
 
-#include "sim/simulator.hpp"
+#include "reference_simulator.hpp"
 
 namespace opiso {
 namespace {

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/json.hpp"
-#include "sim/simulator.hpp"
+#include "reference_simulator.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/strong_id.hpp"

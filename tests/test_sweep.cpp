@@ -1,7 +1,8 @@
 // Thread pool and sweep runner: deterministic parallelism. The pool
 // must execute every task exactly once and propagate failures; the
 // sweep runner must produce results that are bitwise independent of the
-// thread count and of the simulation engine.
+// thread count and equal to one reference-interpreter run per lane,
+// merged.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +11,8 @@
 
 #include "designs/designs.hpp"
 #include "obs/metrics.hpp"
+#include "power/estimator.hpp"
+#include "reference_simulator.hpp"
 #include "sim/sweep.hpp"
 #include "util/thread_pool.hpp"
 
@@ -79,42 +82,61 @@ TEST(SweepRunner, ResultsIndependentOfThreadCount) {
   }
 }
 
-TEST(SweepRunner, ScalarEngineIsABitwiseOracle) {
-  std::vector<SweepTask> par = demo_tasks();
-  std::vector<SweepTask> scal = demo_tasks();
-  for (SweepTask& t : scal) t.engine = SimEngineKind::Scalar;
-  const std::vector<SweepResult> p = SweepRunner(2).run(par);
-  const std::vector<SweepResult> s = SweepRunner(2).run(scal);
-  ASSERT_EQ(p.size(), s.size());
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    EXPECT_EQ(p[i].toggles, s[i].toggles);
-    EXPECT_EQ(p[i].lane_cycles, s[i].lane_cycles);
-    EXPECT_EQ(p[i].power_mw, s[i].power_mw);
+/// What a plain task must report: one reference-interpreter run per
+/// lane on the lane's stream, merged in lane order.
+SweepResult reference_result(const SweepTask& t) {
+  const Netlist nl = t.make_design();
+  ActivityStats merged;
+  for (unsigned lane = 0; lane < t.lanes; ++lane) {
+    Simulator sim(nl);
+    UniformStimulus stim(sweep_lane_seed(t.seed, lane));
+    if (t.warmup > 0) sim.warmup(stim, t.warmup);
+    sim.run(stim, t.cycles);
+    merged.merge(sim.stats());
+  }
+  SweepResult r;
+  r.design = t.design;
+  r.seed = t.seed;
+  r.lanes = t.lanes;
+  r.lane_cycles = merged.cycles;
+  for (std::uint64_t n : merged.toggles) r.toggles += n;
+  r.power_mw = PowerEstimator().estimate(nl, merged).total_mw;
+  return r;
+}
+
+TEST(SweepRunner, MatchesMergedReferenceRuns) {
+  const std::vector<SweepTask> tasks = demo_tasks();
+  const std::vector<SweepResult> got = SweepRunner(2).run(tasks);
+  ASSERT_EQ(got.size(), tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const SweepResult want = reference_result(tasks[i]);
+    EXPECT_EQ(got[i].toggles, want.toggles);
+    EXPECT_EQ(got[i].lane_cycles, want.lane_cycles);
+    EXPECT_EQ(got[i].power_mw, want.power_mw);  // bitwise, not approximate
   }
 }
 
-TEST(SweepRunner, PartialLaneCountsMatchScalar) {
+TEST(SweepRunner, PartialLaneCountsAndWarmupMatchReference) {
   SweepTask t;
   t.design = "fig1";
   t.make_design = [] { return make_fig1(); };
   t.cycles = 128;
   t.lanes = 5;  // not a multiple of anything convenient
-  SweepTask ts = t;
-  ts.engine = SimEngineKind::Scalar;
+  t.warmup = 7;
   const SweepResult p = run_sweep_task(t);
-  const SweepResult s = run_sweep_task(ts);
+  const SweepResult want = reference_result(t);
   EXPECT_EQ(p.lane_cycles, 5u * 128u);
-  EXPECT_EQ(p.toggles, s.toggles);
-  EXPECT_EQ(p.power_mw, s.power_mw);
+  EXPECT_EQ(p.toggles, want.toggles);
+  EXPECT_EQ(p.power_mw, want.power_mw);
 }
 
-TEST(SweepReport, IsDeterministicAcrossEngines) {
-  std::vector<SweepTask> par = demo_tasks();
-  std::vector<SweepTask> scal = demo_tasks();
-  for (SweepTask& t : scal) t.engine = SimEngineKind::Scalar;
+TEST(SweepReport, EqualsTheReportOfMergedReferenceRuns) {
+  const std::vector<SweepTask> tasks = demo_tasks();
+  std::vector<SweepResult> want;
+  for (const SweepTask& t : tasks) want.push_back(reference_result(t));
   std::ostringstream a, b;
-  build_sweep_report(SweepRunner(4).run(par)).write(a, 1);
-  build_sweep_report(SweepRunner(1).run(scal)).write(b, 1);
+  build_sweep_report(SweepRunner(4).run(tasks)).write(a, 1);
+  build_sweep_report(want).write(b, 1);
   EXPECT_EQ(a.str(), b.str());
 }
 

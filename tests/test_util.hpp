@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/simulator.hpp"
+#include "reference_simulator.hpp"
 
 namespace opiso::testutil {
 

@@ -11,7 +11,8 @@
 #include "obs/vcd.hpp"
 #include "power/power_trace.hpp"
 #include "sim/cycle_trace.hpp"
-#include "sim/simulator.hpp"
+#include "sim/parallel_sim.hpp"
+#include "sim/sweep.hpp"
 
 namespace opiso {
 namespace {
@@ -21,14 +22,18 @@ struct Wave {
   PowerTrace power;
 };
 
+/// A multi-lane capture, as `opiso wave` makes: lane 0's values, power
+/// folded over every lane.
 Wave make_wave(const Netlist& nl, std::uint64_t cycles, std::uint64_t window) {
   Wave w;
   w.trace = CycleTrace(window, /*record_values=*/true);
-  Simulator sim(nl);
-  UniformStimulus stim(1);
-  sim.warmup(stim, 8);
+  ParallelSimulator sim(nl, 4);
+  sim.set_stimulus([](unsigned lane) {
+    return std::make_unique<UniformStimulus>(sweep_lane_seed(1, lane));
+  });
+  sim.warmup(8);
   sim.set_cycle_sink(&w.trace);
-  sim.run(stim, cycles);
+  sim.run(cycles);
   w.trace.finish();
   w.power = compute_power_trace(nl, w.trace);
   return w;
@@ -93,10 +98,10 @@ TEST(Vcd, WindowedTimestampsAreSampleStarts) {
 TEST(Vcd, RequiresValueSnapshots) {
   const Netlist nl = make_fig1();
   CycleTrace trace(1, /*record_values=*/false);
-  Simulator sim(nl);
-  UniformStimulus stim(1);
+  ParallelSimulator sim(nl, 1);
+  sim.set_stimulus([](unsigned) { return std::make_unique<UniformStimulus>(1); });
   sim.set_cycle_sink(&trace);
-  sim.run(stim, 4);
+  sim.run(4);
   trace.finish();
   std::ostringstream os;
   EXPECT_THROW(obs::write_vcd(os, nl, trace, nullptr), Error);
@@ -123,20 +128,6 @@ TEST(Vcd, ParserRejectsMalformedDocuments) {
   EXPECT_EQ(ok.vars.size(), 1u);
   EXPECT_EQ(ok.num_timestamps, 2u);
   EXPECT_EQ(ok.num_changes, 2u);
-}
-
-TEST(Vcd, ParsesScalarSimulatorInlineVcd) {
-  // The scalar Simulator's own --vcd output (net-id identifier codes)
-  // must pass the same round-trip gate.
-  const Netlist nl = make_fig1();
-  std::ostringstream os;
-  Simulator sim(nl);
-  sim.set_vcd(&os);
-  UniformStimulus stim(1);
-  sim.run(stim, 16);
-  const obs::VcdDocument doc = obs::parse_vcd(os.str());
-  EXPECT_EQ(doc.vars.size(), nl.num_nets());
-  EXPECT_EQ(doc.num_timestamps, 16u);
 }
 
 }  // namespace
