@@ -174,7 +174,7 @@ JsonValue build_confidence_section(const ConfidenceInput& input) {
     const SeriesInterval pw =
         weighted_interval(*acc, input.power_weights_mw, lanes, input.config.level);
     JsonValue power = JsonValue::object();
-    power["mean_mw"] = pw.mean;
+    power["mean_mw"] = input.static_power_mw + pw.mean;
     power["ci_halfwidth_mw"] = pw.halfwidth;
     power["batches"] = pw.batches;
     if (input.config.min_power_ci_halfwidth_mw >= 0.0) {

@@ -61,8 +61,8 @@ std::vector<std::size_t> rank_cells(const PowerTrace& pt) {
 }  // namespace
 
 JsonValue build_power_trace_section(const Netlist& nl, const PowerTrace& pt,
-                                    std::string_view design, std::string_view engine,
-                                    std::size_t max_samples, std::size_t top_cells) {
+                                    std::string_view design, std::size_t max_samples,
+                                    std::size_t top_cells) {
   OPISO_REQUIRE(pt.cell_fj.size() == nl.num_cells(),
                 "build_power_trace_section: trace does not match the netlist");
   const std::size_t k = decimation_factor(pt.num_samples(), max_samples);
@@ -71,7 +71,6 @@ JsonValue build_power_trace_section(const Netlist& nl, const PowerTrace& pt,
   JsonValue doc = JsonValue::object();
   doc["schema"] = "opiso.power_trace/v1";
   doc["design"] = design;
-  doc["engine"] = engine;
   doc["cycles"] = pt.cycles;
   doc["lanes"] = pt.lanes;
   doc["window"] = pt.window;

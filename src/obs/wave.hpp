@@ -7,7 +7,7 @@
 // Schema opiso.power_trace/v1 (stable keys, additive evolution):
 //   {
 //     "schema": "opiso.power_trace/v1",
-//     "design": "...", "engine": "scalar|parallel",
+//     "design": "...",
 //     "cycles": C, "lanes": L, "window": W, "decimation": K,
 //     "clock_freq_mhz": f,
 //     "total_energy_fj": E,          // exact integer femtojoules
@@ -46,7 +46,6 @@ namespace opiso::obs {
 /// series (0 = totals only).
 [[nodiscard]] JsonValue build_power_trace_section(const Netlist& nl, const PowerTrace& pt,
                                                   std::string_view design,
-                                                  std::string_view engine,
                                                   std::size_t max_samples = 512,
                                                   std::size_t top_cells = 16);
 

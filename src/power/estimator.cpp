@@ -35,6 +35,15 @@ std::vector<double> PowerEstimator::net_toggle_weights(const Netlist& nl) const 
   return weights;
 }
 
+double PowerEstimator::static_mw(const Netlist& nl) const {
+  double mw = 0.0;
+  for (CellId id : nl.cell_ids()) {
+    const Cell& c = nl.cell(id);
+    mw += model_.static_energy_pj(c.kind, c.width) * model_.clock_freq_mhz * 1e-3;
+  }
+  return mw;
+}
+
 PowerBreakdown PowerEstimator::estimate(const Netlist& nl, const ActivityStats& stats) const {
   OPISO_SPAN("power.estimate");
   obs::metrics().counter("power.estimates").add(1);

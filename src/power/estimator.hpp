@@ -48,6 +48,9 @@ class PowerEstimator {
   /// re-estimation.
   [[nodiscard]] std::vector<double> net_toggle_weights(const Netlist& nl) const;
 
+  /// The toggle-independent term static_mw of that decomposition.
+  [[nodiscard]] double static_mw(const Netlist& nl) const;
+
   [[nodiscard]] const MacroPowerModel& model() const { return model_; }
 
  private:

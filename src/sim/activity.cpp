@@ -104,7 +104,8 @@ void ActivityStats::reset() {
 
 obs::JsonValue build_confidence_section(const Netlist& nl, const ActivityStats& stats,
                                         const obs::ConfidenceConfig& config,
-                                        const std::vector<double>& net_power_weights_mw) {
+                                        const std::vector<double>& net_power_weights_mw,
+                                        double static_power_mw) {
   obs::ConfidenceInput input;
   input.nets = &stats.net_batches;
   input.cycles = stats.cycles;
@@ -113,6 +114,7 @@ obs::JsonValue build_confidence_section(const Netlist& nl, const ActivityStats& 
     input.net_names.push_back(nl.net(NetId(static_cast<std::uint32_t>(n))).name);
   }
   input.power_weights_mw = net_power_weights_mw;
+  input.static_power_mw = static_power_mw;
   input.config = config;
   return obs::build_confidence_section(input);
 }
