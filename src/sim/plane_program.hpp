@@ -11,7 +11,8 @@
 // loop over a contiguous op array.
 //
 // Offsets are in words into the planes/state arrays (bit-plane index
-// times kPlaneWords); bit b of an operand lives at off + b*kPlaneWords.
+// times the program's block width `words`); bit b of an operand lives
+// at off + b*words. The width is 1 (up to 64 lanes) or kPlaneWords.
 
 #include <cstdint>
 #include <vector>
@@ -42,20 +43,23 @@ struct PlaneRegOp {
 };
 
 struct PlaneProgram {
+  unsigned words = kPlaneWords;  ///< block width: 64-bit words per bit plane
   std::vector<PlaneOp> ops;      ///< settle ops, topological order
   std::vector<PlaneRegOp> regs;  ///< clock-edge captures
 };
 
 /// Compile `cells` (must be topologically ordered; PIs/POs are
-/// skipped) against plane/state offset maps given in bit-plane units.
+/// skipped) against plane/state offset maps given in bit-plane units,
+/// for blocks of `words` words (1 or kPlaneWords).
 [[nodiscard]] PlaneProgram build_plane_program(const Netlist& nl,
                                                const std::vector<CellId>& cells,
                                                const std::vector<std::size_t>& plane_off,
-                                               const std::vector<std::size_t>& state_off);
+                                               const std::vector<std::size_t>& state_off,
+                                               unsigned words);
 
 /// One combinational settle: evaluate every op into `planes`,
 /// level-sensitive latches updating `state`. `ones` is the active-lane
-/// mask block (kPlaneWords words); every written plane stays masked to
+/// mask block (prog.words words); every written plane stays masked to
 /// it (the lane-plane invariant).
 void eval_plane_program(const PlaneProgram& prog, std::uint64_t* planes, std::uint64_t* state,
                         const std::uint64_t* ones);

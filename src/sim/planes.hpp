@@ -13,7 +13,9 @@
 // intrinsics, so the portable std::uint64_t[4] build is the same code
 // compiled without vector ISA flags and produces bit-identical
 // statistics — the block width only changes how many lanes one pass
-// carries, never what any lane computes.
+// carries, never what any lane computes. A run of at most 64 lanes
+// uses one-word blocks instead (the same kernels instantiated for one
+// word), so a one-lane or 64-lane run does not pay for idle words.
 //
 // -DOPISO_FORCE_SCALAR_PLANES=ON (CMake) pins the portable 4-word
 // layout and refuses vector -march flags for these kernels, so CI can
