@@ -5,6 +5,7 @@
 // multiplier path is selected only rarely. Operand isolation recovers
 // the power the unused modes burn.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "isolation/algorithm.hpp"
@@ -60,8 +61,11 @@ int main() {
     return [mul_mode_prob]() -> std::unique_ptr<Stimulus> {
       auto comp = std::make_unique<CompositeStimulus>(std::make_unique<UniformStimulus>(11));
       comp->route("op0", std::make_unique<ControlledBitStimulus>(0.05, 0.05, 12));
+      // A stationary bit stream toggles at most 2*min(p, 1-p) per cycle,
+      // so the rarest mode keeps its op1 bit steadier.
+      const double op1_toggle = std::min(0.05, 2.0 * std::min(mul_mode_prob, 1.0 - mul_mode_prob));
       comp->route("op1",
-                  std::make_unique<ControlledBitStimulus>(mul_mode_prob, 0.05, 13));
+                  std::make_unique<ControlledBitStimulus>(mul_mode_prob, op1_toggle, 13));
       comp->route("en", std::make_unique<ControlledBitStimulus>(0.5, 0.4, 14));
       return comp;
     };

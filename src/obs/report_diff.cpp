@@ -270,7 +270,7 @@ class Differ {
 ToleranceSpec ToleranceSpec::parse(const JsonValue& doc) {
   if (!doc.is_object() || !doc.contains("schema") ||
       doc.at("schema").as_string() != "opiso.report_tolerances/v1") {
-    throw Error("tolerance file: expected schema opiso.report_tolerances/v1");
+    throw ParseError("tolerance file: expected schema opiso.report_tolerances/v1");
   }
   ToleranceSpec spec;
   if (!doc.contains("rules")) return spec;
@@ -278,7 +278,7 @@ ToleranceSpec ToleranceSpec::parse(const JsonValue& doc) {
   for (std::size_t i = 0; i < rules.size(); ++i) {
     const JsonValue& r = rules.at(i);
     if (!r.is_object() || !r.contains("path")) {
-      throw Error("tolerance file: rule " + std::to_string(i) + " needs a \"path\"");
+      throw ParseError("tolerance file: rule " + std::to_string(i) + " needs a \"path\"");
     }
     ToleranceRule rule;
     rule.pattern = split_path(r.at("path").as_string());
