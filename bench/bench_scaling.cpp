@@ -105,15 +105,21 @@ void BM_SweepThreads(benchmark::State& state) {
     t.design = "design2";
     t.make_design = [] { return make_design2(); };
     t.seed = seed;
-    t.cycles = 1024;
+    t.options.sim_lanes = ParallelSimulator::kMaxLanes;
+    t.options.sim_cycles = 1024 * ParallelSimulator::kMaxLanes;  // 1024 cycles per lane
+    t.options.warmup_cycles = 0;
     tasks.push_back(t);
   }
   SweepRunner runner(static_cast<unsigned>(state.range(0)));
   std::uint64_t lane_cycles = 0;
   for (auto _ : state) {
-    const std::vector<SweepResult> results = runner.run(tasks);
-    benchmark::DoNotOptimize(results.data());
-    for (const SweepResult& r : results) lane_cycles += r.lane_cycles;
+    const SweepOutcome out = runner.run(tasks);
+    if (!out.ok()) {
+      state.SkipWithError(("sweep task failed: " + out.failures[0].message).c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(out.results.data());
+    for (const SweepResult& r : out.results) lane_cycles += r.lane_cycles;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(lane_cycles));
   state.counters["threads"] = static_cast<double>(state.range(0));

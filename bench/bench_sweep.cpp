@@ -66,6 +66,8 @@ BenchRow time_bench(const std::string& name,
   return row;
 }
 
+/// Sweep of two designs and two seeds, `cycles` per lane; exits 1 on a
+/// failed task so a broken sweep cannot pass as a fast one.
 std::uint64_t run_sweep_once(unsigned lanes, std::uint64_t cycles) {
   std::vector<SweepTask> tasks;
   for (std::uint64_t seed : {1ull, 2ull}) {
@@ -73,16 +75,23 @@ std::uint64_t run_sweep_once(unsigned lanes, std::uint64_t cycles) {
     t.design = "design1";
     t.make_design = [] { return make_design1(8); };
     t.seed = seed;
-    t.cycles = cycles;
-    t.lanes = lanes;
+    t.options.sim_lanes = lanes;
+    t.options.sim_cycles = cycles * lanes;
+    t.options.warmup_cycles = 0;
     tasks.push_back(t);
     t.design = "design2";
     t.make_design = [] { return make_design2(8, 4); };
     tasks.push_back(t);
   }
-  SweepRunner runner(1);
+  const SweepOutcome out = SweepRunner(1).run(tasks);
+  for (const SweepTaskFailure& f : out.failures) {
+    std::fprintf(stderr, "bench: sweep task %zu (%s seed %llu) failed [%s]: %s\n", f.task_index,
+                 f.design.c_str(), static_cast<unsigned long long>(f.seed), f.code.c_str(),
+                 f.message.c_str());
+  }
+  if (!out.ok()) std::exit(1);
   std::uint64_t total = 0;
-  for (const SweepResult& r : runner.run(tasks)) total += r.lane_cycles;
+  for (const SweepResult& r : out.results) total += r.lane_cycles;
   return total;
 }
 

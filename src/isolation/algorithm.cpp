@@ -353,15 +353,10 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
     result.coverage = build_coverage_section(nl, stats, exercise);
     if (opt.confidence.enabled) {
       const PowerEstimator estimator(opt.power);
-      const std::vector<double> weights = estimator.net_toggle_weights(nl);
-      result.confidence = build_confidence_section(nl, stats, opt.confidence, weights,
-                                                   estimator.static_mw(nl));
-      if (opt.confidence.min_power_ci_halfwidth_mw >= 0.0 && stats.net_batches.enabled()) {
-        const obs::SeriesInterval pw = obs::weighted_interval(
-            stats.net_batches, weights, stats_lanes(stats), opt.confidence.level);
-        result.confidence_converged =
-            pw.batches >= 2 && pw.halfwidth <= opt.confidence.min_power_ci_halfwidth_mw;
-      }
+      result.confidence =
+          build_confidence_section(nl, stats, opt.confidence, estimator.net_toggle_weights(nl),
+                                   estimator.static_mw(nl));
+      result.confidence_converged = confidence_converged(result.confidence);
     }
   }
   if (!measured_before) {

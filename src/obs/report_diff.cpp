@@ -268,25 +268,39 @@ class Differ {
 }  // namespace
 
 ToleranceSpec ToleranceSpec::parse(const JsonValue& doc) {
-  if (!doc.is_object() || !doc.contains("schema") ||
+  if (!doc.is_object() || !doc.contains("schema") || !doc.at("schema").is_string() ||
       doc.at("schema").as_string() != "opiso.report_tolerances/v1") {
     throw ParseError("tolerance file: expected schema opiso.report_tolerances/v1");
   }
   ToleranceSpec spec;
   if (!doc.contains("rules")) return spec;
   const JsonValue& rules = doc.at("rules");
+  if (!rules.is_array()) throw ParseError("tolerance file: \"rules\" must be an array");
   for (std::size_t i = 0; i < rules.size(); ++i) {
     const JsonValue& r = rules.at(i);
-    if (!r.is_object() || !r.contains("path")) {
-      throw ParseError("tolerance file: rule " + std::to_string(i) + " needs a \"path\"");
-    }
+    const std::string where = "tolerance file: rule " + std::to_string(i);
+    if (!r.is_object() || !r.contains("path")) throw ParseError(where + " needs a \"path\"");
+    // The rule's field `key`, checked to hold the JSON type `is` tests
+    // for; null when absent.
+    const auto field = [&](const char* key, bool (JsonValue::*is)() const,
+                           const char* type) -> const JsonValue* {
+      if (!r.contains(key)) return nullptr;
+      const JsonValue& v = r.at(key);
+      if (!(v.*is)()) throw ParseError(where + ": \"" + key + "\" must be a " + type);
+      return &v;
+    };
+    const auto number = [&](const char* key, double& out) {
+      if (const JsonValue* v = field(key, &JsonValue::is_number, "number")) out = v->as_number();
+    };
     ToleranceRule rule;
-    rule.pattern = split_path(r.at("path").as_string());
-    if (r.contains("ignore")) rule.ignore = r.at("ignore").as_bool();
-    if (r.contains("abs")) rule.abs_tol = r.at("abs").as_number();
-    if (r.contains("rel")) rule.rel_tol = r.at("rel").as_number();
-    if (r.contains("rel_increase")) rule.rel_increase = r.at("rel_increase").as_number();
-    if (r.contains("rel_decrease")) rule.rel_decrease = r.at("rel_decrease").as_number();
+    rule.pattern = split_path(field("path", &JsonValue::is_string, "string")->as_string());
+    if (const JsonValue* v = field("ignore", &JsonValue::is_bool, "boolean")) {
+      rule.ignore = v->as_bool();
+    }
+    number("abs", rule.abs_tol);
+    number("rel", rule.rel_tol);
+    number("rel_increase", rule.rel_increase);
+    number("rel_decrease", rule.rel_decrease);
     spec.add_rule(std::move(rule));
   }
   return spec;

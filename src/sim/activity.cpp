@@ -119,6 +119,12 @@ obs::JsonValue build_confidence_section(const Netlist& nl, const ActivityStats& 
   return obs::build_confidence_section(input);
 }
 
+bool confidence_converged(const obs::JsonValue& section) {
+  if (!section.contains("power_mw")) return true;
+  const obs::JsonValue& power = section.at("power_mw");
+  return !power.contains("converged") || power.at("converged").as_bool();
+}
+
 obs::JsonValue build_coverage_section(const Netlist& nl, const ActivityStats& stats,
                                       const std::vector<CandidateExercise>& candidates) {
   obs::CoverageInput input;

@@ -101,6 +101,11 @@ struct CandidateExercise {
 [[nodiscard]] obs::JsonValue build_confidence_section(
     const Netlist& nl, const ActivityStats& stats, const obs::ConfidenceConfig& config,
     const std::vector<double>& net_power_weights_mw, double static_power_mw);
+/// The convergence verdict of a section build_confidence_section
+/// built: false iff its config set a minimum power CI half-width and
+/// the design-power interval (`power_mw`, which carries the half-width
+/// and batch count) missed it. True for a null section.
+[[nodiscard]] bool confidence_converged(const obs::JsonValue& section);
 [[nodiscard]] obs::JsonValue build_coverage_section(
     const Netlist& nl, const ActivityStats& stats,
     const std::vector<CandidateExercise>& candidates);

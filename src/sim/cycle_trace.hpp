@@ -33,6 +33,9 @@ namespace opiso {
 /// between the previous and this cycle summed over the engine's active
 /// lanes (all zero on the first observed cycle), `lanes` is that lane
 /// count, and `net_values` points at lane 0's per-net settled values.
+/// An exception thrown from on_cycle ends the run: it propagates out of
+/// ParallelSimulator::run, leaving that run's statistics incomplete
+/// (the sweep's wall-clock budget stops a runaway task this way).
 class CycleSink {
  public:
   virtual ~CycleSink() = default;

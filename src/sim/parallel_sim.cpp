@@ -465,14 +465,6 @@ void ParallelSimulator::run(std::uint64_t cycles) {
   }
 }
 
-void ParallelSimulator::reset_state() {
-  std::fill(planes_.begin(), planes_.end(), 0);
-  std::fill(prev_.begin(), prev_.end(), 0);
-  std::fill(state_.begin(), state_.end(), 0);
-  has_prev_ = false;
-  cycle_ = 0;
-}
-
 std::uint64_t ParallelSimulator::lane_value(NetId net, unsigned lane) const {
   OPISO_REQUIRE(net.valid() && net.value() < nl_.num_nets(), "lane_value: invalid net");
   OPISO_REQUIRE(lane < lanes_, "lane_value: lane out of range");

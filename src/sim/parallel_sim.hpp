@@ -81,8 +81,6 @@ class ParallelSimulator : public ProbeHost {
   }
 
   void reset_stats() { stats_.reset(); }
-  /// Reset circuit state in all lanes (keeps stimulus streams).
-  void reset_state();
   /// Attach a per-cycle observer (null detaches). Each macro-cycle the
   /// sink receives the per-net toggle counts folded over all lanes
   /// (popcount per plane, summed) and, when it wants them, lane 0's

@@ -6,10 +6,11 @@
 #include <mutex>
 #include <numeric>
 
-#include "isolation/algorithm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "power/estimator.hpp"
+#include "sim/cycle_trace.hpp"
+#include "sim/parallel_sim.hpp"
 #include "support/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -17,27 +18,24 @@ namespace opiso {
 
 namespace {
 
-std::unique_ptr<Stimulus> make_task_stimulus(const SweepTask& task, std::uint64_t lane_seed) {
-  if (task.make_stimulus) return task.make_stimulus(lane_seed);
-  return std::make_unique<UniformStimulus>(lane_seed);
-}
-
-// Cycles simulated between wall-clock checks: small enough that a
+// Measured macro-cycles between wall-clock checks: small enough that a
 // runaway task stops promptly, large enough that the clock reads stay
 // off the hot path.
 constexpr std::uint64_t kBudgetChunkCycles = 1024;
 
-// Enforces the wall-clock budget between simulation chunks and keeps
-// `elapsed_lane_cycles` (the deterministic progress measure recorded in
-// failure reports) up to date as chunks complete.
-class TaskGuard {
+// Enforces the wall-clock budget and keeps `elapsed` (the deterministic
+// progress measure recorded in failure reports) up to date. A plain
+// task's round drives it as a cycle sink, which checks the clock every
+// kBudgetChunkCycles measured macro-cycles; an isolate task advances it
+// once per measurement round.
+class TaskGuard final : public CycleSink {
  public:
-  TaskGuard(const SweepTask& task, const SweepBudget& budget, std::uint64_t* elapsed)
+  TaskGuard(const SweepTask& task, const SweepBudget& budget, std::uint64_t& elapsed)
       : task_(task), budget_(budget), elapsed_(elapsed),
         start_(std::chrono::steady_clock::now()) {}
 
   void advance(std::uint64_t lane_cycles) {
-    if (elapsed_ != nullptr) *elapsed_ += lane_cycles;
+    elapsed_ += lane_cycles;
     check_clock();
   }
 
@@ -52,84 +50,70 @@ class TaskGuard {
     }
   }
 
-  /// Chunked only when a clock budget is armed; otherwise one full run
-  /// (the historical single-call path, with zero extra clock reads).
-  [[nodiscard]] std::uint64_t chunk(std::uint64_t remaining) const {
-    if (budget_.task_wall_clock_sec <= 0.0) return remaining;
-    return std::min(remaining, kBudgetChunkCycles);
+  void on_cycle(const Netlist&, std::uint64_t, unsigned lanes, std::span<const std::uint32_t>,
+                const std::uint64_t*) override {
+    if (++cycles_ % kBudgetChunkCycles == 0) advance(kBudgetChunkCycles * lanes);
   }
+  [[nodiscard]] bool wants_values() const override { return false; }
 
  private:
   const SweepTask& task_;
   const SweepBudget& budget_;
-  std::uint64_t* elapsed_;
+  std::uint64_t& elapsed_;
+  std::uint64_t cycles_ = 0;  ///< measured macro-cycles seen by on_cycle
   std::chrono::steady_clock::time_point start_;
 };
 
 SweepResult run_sweep_task_impl(const SweepTask& task, const SweepBudget& budget,
-                                std::uint64_t* elapsed_lane_cycles,
+                                std::uint64_t& elapsed,
                                 const std::function<void(const SweepTask&, const Netlist&)>&
                                     preflight = nullptr) {
   OPISO_SPAN("sweep.task");
   OPISO_REQUIRE(task.make_design != nullptr, "sweep task '" + task.design + "': no design");
-  OPISO_REQUIRE(task.lanes >= 1 && task.lanes <= ParallelSimulator::kMaxLanes,
+  IsolationOptions opt = task.options;
+  const unsigned lanes = opt.sim_lanes;
+  OPISO_REQUIRE(lanes >= 1 && lanes <= ParallelSimulator::kMaxLanes,
                 "sweep task '" + task.design + "': lanes must be in [1," +
                     std::to_string(ParallelSimulator::kMaxLanes) + "]");
-  // The stimulus volume is known before anything runs, so this check is
-  // deterministic — the same task fails the same way on every schedule.
-  if (budget.task_max_lane_cycles != 0 &&
-      task.cycles > budget.task_max_lane_cycles / task.lanes) {
+  // The stimulus volume of a round is known before anything runs, so
+  // this check is deterministic — the same task fails the same way on
+  // every schedule.
+  const std::uint64_t lane_round = std::max<std::uint64_t>(1, opt.sim_cycles / lanes);
+  if (budget.task_max_lane_cycles != 0 && lane_round > budget.task_max_lane_cycles / lanes) {
     throw ResourceError(ErrCode::ResourceStimulus,
-                        "sweep task '" + task.design + "': " + std::to_string(task.cycles) +
-                            " cycles x " + std::to_string(task.lanes) +
+                        "sweep task '" + task.design + "': " + std::to_string(lane_round) +
+                            " cycles x " + std::to_string(lanes) +
                             " lanes exceeds the stimulus budget of " +
                             std::to_string(budget.task_max_lane_cycles) + " lane-cycles");
   }
-  TaskGuard guard(task, budget, elapsed_lane_cycles);
+  TaskGuard guard(task, budget, elapsed);
   const Netlist nl = task.make_design();
   // Pre-flight before any simulator touches the design: a rejection
   // throws here, before lane state is allocated, so bad inputs cost
   // milliseconds and surface with the rejecting check's own error code.
   if (preflight != nullptr) preflight(task, nl);
   guard.check_clock();
+  opt.lane_stimuli = [seed = task.seed](unsigned lane) {
+    return std::make_unique<UniformStimulus>(sweep_lane_seed(seed, lane));
+  };
 
+  SweepResult r;
+  r.design = task.design;
+  r.seed = task.seed;
+  r.lanes = lanes;
   if (task.isolate) {
-    // Isolate mode: the task runs Algorithm 1 instead of a plain
-    // measurement. The shared options are copied and the task's own
-    // lanes/cycles/warmup and seed are installed, so the result is a
-    // pure function of the task fields — the report stays bitwise
-    // identical for any --threads value.
-    IsolationOptions opt = *task.isolate;
-    opt.sim_lanes = task.lanes;
-    if (task.confidence.enabled) opt.confidence = task.confidence;
-    opt.sim_cycles = task.cycles * task.lanes;
-    opt.warmup_cycles = task.warmup * task.lanes;
-    opt.lane_stimuli = [&task](unsigned lane) {
-      return make_task_stimulus(task, sweep_lane_seed(task.seed, lane));
-    };
-    // The wall-clock budget is enforced between iterations (the loop's
+    // The wall-clock budget is checked between iterations (the loop's
     // natural chunk); elapsed progress counts one measurement round per
-    // iteration, a deterministic measure like the plain path's.
+    // iteration.
+    const std::uint64_t round = lane_round * lanes;
     const std::function<void(const IterationLog&)> chained = opt.on_iteration;
-    opt.on_iteration = [&guard, &opt, &chained](const IterationLog& log) {
-      guard.advance(opt.sim_cycles);
+    opt.on_iteration = [&guard, round, &chained](const IterationLog& log) {
+      guard.advance(round);
       if (chained) chained(log);
     };
     const IsolationResult res = run_operand_isolation(nl, nullptr, opt);
-    guard.advance(opt.sim_cycles);  // the final post-loop measurement
-    if (opt.confidence.enabled && !res.confidence_converged) {
-      throw Error(ErrCode::ConfidenceUnconverged,
-                  "sweep task '" + task.design +
-                      "': power CI half-width misses the requested gate of " +
-                      std::to_string(opt.confidence.min_power_ci_halfwidth_mw) +
-                      " mW (simulate more cycles or widen the gate)");
-    }
-
-    SweepResult r;
-    r.design = task.design;
-    r.seed = task.seed;
-    r.lanes = task.lanes;
-    r.lane_cycles = (res.iterations.size() + 1) * opt.sim_cycles;
+    guard.advance(round);  // the final post-loop measurement
+    r.lane_cycles = (res.iterations.size() + 1) * round;
     r.isolated_mode = true;
     r.power_before_mw = res.power_before_mw;
     r.power_after_mw = res.power_after_mw;
@@ -137,67 +121,47 @@ SweepResult run_sweep_task_impl(const SweepTask& task, const SweepBudget& budget
     r.iterations = res.iterations.size();
     r.modules_isolated = res.records.size();
     r.power_mw = res.power_after_mw;
-    if (opt.confidence.enabled) r.confidence = res.confidence;
+    r.confidence = res.confidence;
     r.coverage = res.coverage;
-    return r;
-  }
-
-  ParallelSimulator sim(nl, task.lanes);
-  if (task.confidence.enabled) sim.enable_batch_stats(task.confidence.batch_frames);
-  sim.set_stimulus([&](unsigned lane) {
-    return make_task_stimulus(task, sweep_lane_seed(task.seed, lane));
-  });
-  if (task.warmup > 0) {
-    sim.warmup(task.warmup);
-    guard.check_clock();
-  }
-  for (std::uint64_t done = 0; done < task.cycles;) {
-    const std::uint64_t step = guard.chunk(task.cycles - done);
-    sim.run(step);
-    done += step;
-    guard.advance(step * task.lanes);
-  }
-  const ActivityStats& stats = sim.stats();
-
-  SweepResult r;
-  r.design = task.design;
-  r.seed = task.seed;
-  r.lanes = task.lanes;
-  r.lane_cycles = stats.cycles;
-  r.toggles = std::accumulate(stats.toggles.begin(), stats.toggles.end(), std::uint64_t{0});
-  r.power_mw = PowerEstimator().estimate(nl, stats).total_mw;
-  if (task.confidence.enabled) {
-    const PowerEstimator estimator;
-    const std::vector<double> weights = estimator.net_toggle_weights(nl);
-    r.confidence =
-        build_confidence_section(nl, stats, task.confidence, weights, estimator.static_mw(nl));
-    r.coverage = build_coverage_section(nl, stats, {});
-    if (task.confidence.min_power_ci_halfwidth_mw >= 0.0) {
-      const std::uint64_t frames = stats.net_batches.num_frames();
-      const std::uint64_t lanes = frames > 0 ? stats.cycles / frames : 0;
-      const obs::SeriesInterval pw =
-          obs::weighted_interval(stats.net_batches, weights, lanes, task.confidence.level);
-      if (pw.batches < 2 || pw.halfwidth > task.confidence.min_power_ci_halfwidth_mw) {
-        throw Error(ErrCode::ConfidenceUnconverged,
-                    "sweep task '" + task.design + "': power CI half-width " +
-                        std::to_string(pw.halfwidth) + " mW after " +
-                        std::to_string(pw.batches) + " batches misses the requested gate of " +
-                        std::to_string(task.confidence.min_power_ci_halfwidth_mw) +
-                        " mW (simulate more cycles or widen the gate)");
-      }
+  } else {
+    const bool timed = budget.task_wall_clock_sec > 0.0;
+    const ActivityStats stats =
+        measure_activity(nl, nullptr, nullptr, opt, nullptr, timed ? &guard : nullptr);
+    guard.advance(stats.cycles - elapsed);  // the cycles since the last check
+    r.lane_cycles = stats.cycles;
+    r.toggles = std::accumulate(stats.toggles.begin(), stats.toggles.end(), std::uint64_t{0});
+    const PowerEstimator estimator(opt.power);
+    r.power_mw = estimator.estimate(nl, stats).total_mw;
+    if (opt.confidence.enabled) {
+      r.confidence = build_confidence_section(nl, stats, opt.confidence,
+                                              estimator.net_toggle_weights(nl),
+                                              estimator.static_mw(nl));
+      r.coverage = build_coverage_section(nl, stats, {});
     }
+  }
+  if (!confidence_converged(r.confidence)) {
+    // A plain task's message names the interval it measured; an isolate
+    // task's message leaves it to the confidence section of its report.
+    const obs::JsonValue& power = r.confidence.at("power_mw");
+    const std::string measured =
+        task.isolate ? ""
+                     : " " + std::to_string(power.at("ci_halfwidth_mw").as_number()) +
+                           " mW after " + std::to_string(power.at("batches").as_uint64()) +
+                           " batches";
+    throw Error(ErrCode::ConfidenceUnconverged,
+                "sweep task '" + task.design + "': power CI half-width" + measured +
+                    " misses the requested gate of " +
+                    std::to_string(opt.confidence.min_power_ci_halfwidth_mw) +
+                    " mW (simulate more cycles or widen the gate)");
   }
   return r;
 }
 
 }  // namespace
 
-SweepResult run_sweep_task(const SweepTask& task) {
-  return run_sweep_task_impl(task, SweepBudget{}, nullptr);
-}
-
 SweepResult run_sweep_task(const SweepTask& task, const SweepBudget& budget) {
-  return run_sweep_task_impl(task, budget, nullptr);
+  std::uint64_t elapsed = 0;
+  return run_sweep_task_impl(task, budget, elapsed);
 }
 
 bool SweepOutcome::failed(std::size_t task_index) const {
@@ -216,52 +180,9 @@ SweepRunner::SweepRunner(unsigned threads) : impl_(std::make_shared<Impl>(thread
 
 unsigned SweepRunner::threads() const { return impl_->pool.size(); }
 
-std::vector<SweepResult> SweepRunner::run(const std::vector<SweepTask>& tasks,
-                                          const SweepProgressFn& progress) {
+SweepOutcome SweepRunner::run(const std::vector<SweepTask>& tasks, const SweepRunOptions& options,
+                              const SweepProgressFn& progress) {
   OPISO_SPAN("sweep.run");
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::vector<SweepResult> results(tasks.size());
-  std::mutex progress_mu;
-  std::size_t completed = 0;
-  // Ordered reduction: worker i writes slot i, nothing else. Progress
-  // reporting is a side channel and never touches the results.
-  impl_->pool.parallel_for(tasks.size(), [&](std::size_t i) {
-    results[i] = run_sweep_task(tasks[i]);
-    if (!progress) return;
-    std::lock_guard<std::mutex> lock(progress_mu);
-    SweepProgress p;
-    p.completed = ++completed;
-    p.total = tasks.size();
-    p.task_index = i;
-    p.elapsed_sec = std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
-                        .count();
-    p.eta_sec = p.elapsed_sec / static_cast<double>(p.completed) *
-                static_cast<double>(p.total - p.completed);
-    progress(p);
-  });
-
-  const std::uint64_t run_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                           wall_start)
-          .count());
-  std::uint64_t lane_cycles = 0;
-  for (const SweepResult& r : results) lane_cycles += r.lane_cycles;
-  obs::MetricsRegistry& m = obs::metrics();
-  m.counter("sweep.runs").add(1);
-  m.counter("sweep.tasks").add(tasks.size());
-  m.counter("sweep.lane_cycles").add(lane_cycles);
-  m.counter("sweep.run_ns").add(run_ns);
-  if (run_ns > 0) {
-    m.gauge("sweep.lane_cycles_per_sec")
-        .set(static_cast<double>(lane_cycles) * 1e9 / static_cast<double>(run_ns));
-  }
-  return results;
-}
-
-SweepOutcome SweepRunner::run_isolated(const std::vector<SweepTask>& tasks,
-                                       const SweepRunOptions& options,
-                                       const SweepProgressFn& progress) {
-  OPISO_SPAN("sweep.run_isolated");
   const auto wall_start = std::chrono::steady_clock::now();
   SweepOutcome out;
   out.results.resize(tasks.size());
@@ -278,8 +199,8 @@ SweepOutcome SweepRunner::run_isolated(const std::vector<SweepTask>& tasks,
       failure.message = "skipped after an earlier failure (--fail-fast)";
     } else {
       try {
-        out.results[i] = run_sweep_task_impl(tasks[i], options.budget, &elapsed,
-                                             options.preflight);
+        out.results[i] =
+            run_sweep_task_impl(tasks[i], options.budget, elapsed, options.preflight);
       } catch (const OpisoError& e) {
         failed = true;
         failure.code = e.code_name();
@@ -343,12 +264,6 @@ SweepOutcome SweepRunner::run_isolated(const std::vector<SweepTask>& tasks,
         .set(static_cast<double>(lane_cycles) * 1e9 / static_cast<double>(run_ns));
   }
   return out;
-}
-
-obs::JsonValue build_sweep_report(const std::vector<SweepResult>& results) {
-  SweepOutcome outcome;
-  outcome.results = results;
-  return build_sweep_report(outcome);
 }
 
 obs::JsonValue build_sweep_report(const SweepOutcome& outcome) {

@@ -1,15 +1,17 @@
 #pragma once
 // Multithreaded design sweep.
 //
-// A sweep fans independent (design × stimulus seed × lane count)
-// simulation tasks across a deterministic thread pool and reduces the
-// results in task order. Each task derives its lane RNG streams from
-// its own seed (sweep_lane_seed), no task shares mutable state with
-// another, and the result vector is indexed by task — so the output is
-// bitwise identical for any --threads value. CI diffs the emitted
-// reports across thread counts and plane widths to hold the runner to
-// this; the tests compare each task against one reference run per lane,
-// merged.
+// A sweep fans independent (design × stimulus seed) tasks across a
+// deterministic thread pool and reduces the results in task order.
+// Every task is one measurement round of the discipline the
+// isolate-family commands share: a plain task is one measure_activity
+// call, an isolate task one run_operand_isolation call, both on the
+// task's own IsolationOptions with lane streams derived from the task
+// seed (sweep_lane_seed). No task shares mutable state with another,
+// and the result vector is indexed by task — so the output is bitwise
+// identical for any --threads value. CI diffs the emitted reports
+// across thread counts and plane widths to hold the runner to this; the
+// tests compare each task against one reference run per lane, merged.
 
 #include <cstdint>
 #include <functional>
@@ -17,14 +19,11 @@
 #include <string>
 #include <vector>
 
+#include "isolation/algorithm.hpp"
 #include "netlist/netlist.hpp"
-#include "obs/confidence.hpp"
 #include "obs/json.hpp"
-#include "sim/parallel_sim.hpp"
 
 namespace opiso {
-
-struct IsolationOptions;  // isolation/algorithm.hpp (linked via opiso_isolation)
 
 /// Deterministic per-lane RNG stream seed for a task seed.
 [[nodiscard]] constexpr std::uint64_t sweep_lane_seed(std::uint64_t task_seed, unsigned lane) {
@@ -35,27 +34,20 @@ struct SweepTask {
   std::string design;                    ///< label used in the report
   std::function<Netlist()> make_design;  ///< must be pure (called on a worker)
   std::uint64_t seed = 1;
-  std::uint64_t cycles = 4096;  ///< cycles per lane
-  unsigned lanes = ParallelSimulator::kMaxLanes;
-  std::uint64_t warmup = 0;  ///< per-lane warmup cycles (discarded)
-  /// Stimulus per lane seed; defaults to UniformStimulus when unset.
-  std::function<std::unique_ptr<Stimulus>(std::uint64_t lane_seed)> make_stimulus;
-  /// When set, the task runs Algorithm 1 (run_operand_isolation) on the
-  /// design instead of a plain activity measurement: the options are
-  /// copied and the task's lanes/cycles/warmup and seed-derived
-  /// stimulus factories are installed on the copy, so every task stays
-  /// a pure function of its own fields. Shared across tasks (the sweep
-  /// never mutates it).
-  std::shared_ptr<const IsolationOptions> isolate;
-  /// Batch-means confidence collection (obs/confidence.hpp). When
-  /// enabled the task's report row gains opiso.confidence/v1 and
-  /// opiso.coverage/v1 sections — bitwise identical across --threads
-  /// values and plane widths, because the accumulated window
-  /// moments are exact integers. A min_power_ci_halfwidth_mw >= 0 gate
-  /// *fails* an under-converged task (confidence.under-converged in
-  /// opiso.task_failures/v1) instead of silently extending it. In
-  /// isolate mode this is installed on the IsolationOptions copy.
-  obs::ConfidenceConfig confidence{};
+  /// The task's measurement round. sim_cycles and warmup_cycles count
+  /// cycles summed over sim_lanes lanes, as for isolate; the task
+  /// replaces lane_stimuli with UniformStimulus(sweep_lane_seed(seed,
+  /// lane)) streams, so it stays a pure function of its own fields.
+  /// With confidence enabled the report row gains opiso.confidence/v1
+  /// and opiso.coverage/v1 sections — bitwise identical across
+  /// --threads values and plane widths, because the accumulated window
+  /// moments are exact integers — and a min_power_ci_halfwidth_mw >= 0
+  /// gate *fails* an under-converged task (confidence.under-converged
+  /// in opiso.task_failures/v1) instead of silently extending it.
+  IsolationOptions options;
+  /// Run Algorithm 1 (run_operand_isolation) on the design instead of
+  /// one plain measure_activity round.
+  bool isolate = false;
 };
 
 struct SweepResult {
@@ -74,32 +66,32 @@ struct SweepResult {
   std::uint64_t iterations = 0;         ///< Algorithm-1 iterations run
   std::uint64_t modules_isolated = 0;   ///< banks committed
 
-  // -- confidence extras (task.confidence.enabled); null otherwise ----------
+  // -- confidence extras (options.confidence.enabled); null otherwise -------
   obs::JsonValue confidence;  ///< opiso.confidence/v1 section
-  obs::JsonValue coverage;    ///< opiso.coverage/v1 section
+  obs::JsonValue coverage;    ///< opiso.coverage/v1 section (always set in isolate mode)
 };
 
 /// Per-task resource budget. Zero fields are unlimited. The stimulus
 /// budget is checked up front (cycles × lanes is known before the task
 /// runs, so the check is deterministic); the wall-clock budget is
-/// enforced between simulation chunks, so a runaway task stops within
-/// one chunk of the limit instead of holding a worker forever.
+/// checked every 1024 measured macro-cycles of a plain task and between
+/// the iterations of an isolate task, so a runaway task stops promptly
+/// instead of holding a worker forever.
 struct SweepBudget {
   double task_wall_clock_sec = 0.0;        ///< per-task wall-clock limit
   std::uint64_t task_max_lane_cycles = 0;  ///< per-task cycles × lanes limit
 };
 
-/// Execute one task synchronously (also the per-worker body).
-[[nodiscard]] SweepResult run_sweep_task(const SweepTask& task);
-/// Budget-enforcing variant: throws ResourceError (resource.stimulus /
-/// resource.wall-clock) when a limit is exceeded.
-[[nodiscard]] SweepResult run_sweep_task(const SweepTask& task, const SweepBudget& budget);
+/// Execute one task synchronously (also the per-worker body). Throws
+/// ResourceError (resource.stimulus / resource.wall-clock) when a limit
+/// is exceeded.
+[[nodiscard]] SweepResult run_sweep_task(const SweepTask& task, const SweepBudget& budget = {});
 
-/// Record of one task that threw or blew its budget during a
-/// fault-isolated sweep. `elapsed_lane_cycles` counts the simulated
-/// lane-cycles completed before the failure — a deterministic elapsed
-/// measure, unlike wall time, so reports with failures still diff
-/// bitwise identical across --threads values.
+/// Record of one task that threw or blew its budget during a sweep.
+/// `elapsed_lane_cycles` counts the simulated lane-cycles completed
+/// before the failure — a deterministic elapsed measure, unlike wall
+/// time, so reports with failures still diff bitwise identical across
+/// --threads values.
 struct SweepTaskFailure {
   std::size_t task_index = 0;
   std::string design;
@@ -125,9 +117,9 @@ struct SweepRunOptions {
   std::function<void(const SweepTask&, const Netlist&)> preflight;
 };
 
-/// Result of a fault-isolated sweep: per-task results in task order
-/// (failed slots carry only design/seed), plus the failure records
-/// sorted by task index.
+/// Result of a sweep: per-task results in task order (failed slots
+/// carry only design/seed), plus the failure records sorted by task
+/// index.
 struct SweepOutcome {
   std::vector<SweepResult> results;
   std::vector<SweepTaskFailure> failures;
@@ -154,20 +146,14 @@ class SweepRunner {
   explicit SweepRunner(unsigned threads = 0);
 
   /// Fan all tasks across the pool; results come back in task order.
-  /// `progress`, when set, is invoked once per completed task from the
-  /// finishing worker, serialized by an internal mutex (safe to write
-  /// to a stream from it).
-  [[nodiscard]] std::vector<SweepResult> run(const std::vector<SweepTask>& tasks,
-                                             const SweepProgressFn& progress = nullptr);
-
-  /// Fault-isolated variant: a throwing or over-budget task becomes a
+  /// Fault-isolated: a throwing or over-budget task becomes a
   /// SweepTaskFailure record while every other task still completes
-  /// (nothing propagates out of the pool). This is the production entry
-  /// point for untrusted/batch sweeps; `run` keeps the fail-loud
-  /// semantics for programmatic callers.
-  [[nodiscard]] SweepOutcome run_isolated(const std::vector<SweepTask>& tasks,
-                                          const SweepRunOptions& options = {},
-                                          const SweepProgressFn& progress = nullptr);
+  /// (nothing propagates out of the pool). `progress`, when set, is
+  /// invoked once per completed task from the finishing worker,
+  /// serialized by an internal mutex (safe to write to a stream from it).
+  [[nodiscard]] SweepOutcome run(const std::vector<SweepTask>& tasks,
+                                 const SweepRunOptions& options = {},
+                                 const SweepProgressFn& progress = nullptr);
 
   [[nodiscard]] unsigned threads() const;
 
@@ -179,13 +165,11 @@ class SweepRunner {
 /// Deterministic JSON report (schema opiso.sweep/v1). Contains no
 /// wall-clock or thread-count fields so reports from different
 /// --threads runs diff clean; throughput lives in the metrics registry
-/// ("sweep.*", "sim.*", "pool.*") instead. The report always
-/// carries a `task_failures` section (schema opiso.task_failures/v1;
-/// empty array on a clean run), so its presence never depends on
-/// whether anything failed.
-[[nodiscard]] obs::JsonValue build_sweep_report(const std::vector<SweepResult>& results);
-/// Fault-isolated form: failed task slots are omitted from `tasks` and
-/// recorded under `task_failures` instead; totals cover successes only.
+/// ("sweep.*", "sim.*", "pool.*") instead. Failed task slots are
+/// omitted from `tasks` and recorded under `task_failures` (schema
+/// opiso.task_failures/v1; an empty array on a clean run, so its
+/// presence never depends on whether anything failed); totals cover
+/// successes only.
 [[nodiscard]] obs::JsonValue build_sweep_report(const SweepOutcome& outcome);
 
 }  // namespace opiso

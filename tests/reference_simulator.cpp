@@ -203,14 +203,6 @@ void Simulator::run(Stimulus& stim, std::uint64_t cycles) {
 
 void Simulator::reset_stats() { stats_.reset(); }
 
-void Simulator::reset_state() {
-  std::fill(value_.begin(), value_.end(), 0);
-  std::fill(prev_.begin(), prev_.end(), 0);
-  std::fill(state_.begin(), state_.end(), 0);
-  has_prev_ = false;
-  cycle_ = 0;
-}
-
 std::uint64_t Simulator::net_value(NetId net) const {
   OPISO_REQUIRE(net.valid() && net.value() < value_.size(), "net_value: invalid net");
   return value_[net.value()];

@@ -56,8 +56,6 @@ class Simulator : public ProbeHost {
 
   /// Clear statistics but keep circuit state.
   void reset_stats();
-  /// Reset circuit state (registers, latches, previous values) to zero.
-  void reset_state();
 
   [[nodiscard]] const ActivityStats& stats() const { return stats_; }
   [[nodiscard]] std::uint64_t net_value(NetId net) const;

@@ -180,28 +180,30 @@ TEST(SweepConfidence, SectionsMatchMergedReferenceRunsOnAnyThreadCount) {
     t.design = "design1";
     t.make_design = [] { return make_design1(); };
     t.seed = seed;
-    t.cycles = 128;
-    t.lanes = 16;
-    t.confidence.enabled = true;
-    t.confidence.batch_frames = 2;
+    t.options.sim_lanes = 16;
+    t.options.sim_cycles = 16 * 128;  // 128 cycles per lane
+    t.options.warmup_cycles = 0;
+    t.options.confidence.enabled = true;
+    t.options.confidence.batch_frames = 2;
     tasks.push_back(t);
   }
-  const std::vector<SweepResult> par1 = SweepRunner(1).run(tasks);
-  const std::vector<SweepResult> par8 = SweepRunner(8).run(tasks);
+  const std::vector<SweepResult> par1 = SweepRunner(1).run(tasks).results;
+  const std::vector<SweepResult> par8 = SweepRunner(8).run(tasks).results;
   ASSERT_EQ(par1.size(), tasks.size());
   const Netlist design = make_design1();
   const std::vector<double> weights = PowerEstimator().net_toggle_weights(design);
   for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const IsolationOptions& opt = tasks[i].options;
     ActivityStats merged;
-    for (unsigned lane = 0; lane < tasks[i].lanes; ++lane) {
+    for (unsigned lane = 0; lane < opt.sim_lanes; ++lane) {
       Simulator sim(design);
-      sim.enable_batch_stats(tasks[i].confidence.batch_frames);
+      sim.enable_batch_stats(opt.confidence.batch_frames);
       UniformStimulus stim(sweep_lane_seed(tasks[i].seed, lane));
-      sim.run(stim, tasks[i].cycles);
+      sim.run(stim, opt.sim_cycles / opt.sim_lanes);
       merged.merge(sim.stats());
     }
     const obs::JsonValue confidence = build_confidence_section(
-        design, merged, tasks[i].confidence, weights, PowerEstimator().static_mw(design));
+        design, merged, opt.confidence, weights, PowerEstimator().static_mw(design));
     EXPECT_FALSE(par1[i].confidence.is_null());
     EXPECT_EQ(par1[i].confidence.dump(), par8[i].confidence.dump());
     EXPECT_EQ(par1[i].confidence.dump(), confidence.dump());
@@ -237,9 +239,10 @@ TEST(SweepConfidence, MeanIsTheRowPower) {
   SweepTask t;
   t.design = "design1";
   t.make_design = [] { return make_design1(); };
-  t.cycles = 256;
-  t.lanes = 16;
-  t.confidence.enabled = true;
+  t.options.sim_lanes = 16;
+  t.options.sim_cycles = 16 * 256;  // 256 cycles per lane
+  t.options.warmup_cycles = 0;
+  t.options.confidence.enabled = true;
   const SweepResult r = run_sweep_task(t);
   const double mean = r.confidence.at("power_mw").at("mean_mw").as_number();
   EXPECT_NEAR(mean, r.power_mw, 1e-9 * r.power_mw);

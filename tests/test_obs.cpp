@@ -15,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
+#include "sim/parallel_sim.hpp"
 #include "sim/sweep.hpp"
 #include "support/error.hpp"
 
@@ -220,13 +221,16 @@ TEST(Trace, ConcurrentSweepWorkerSpansProduceValidChromeTrace) {
     t.design = "fig1";
     t.make_design = [] { return make_fig1(); };
     t.seed = seed;
-    t.cycles = 64;
+    t.options.sim_lanes = ParallelSimulator::kMaxLanes;
+    t.options.sim_cycles = 64 * ParallelSimulator::kMaxLanes;  // 64 cycles per lane
+    t.options.warmup_cycles = 0;
     tasks.push_back(std::move(t));
   }
   SweepRunner runner(4);
-  const std::vector<SweepResult> results = runner.run(tasks);
+  const SweepOutcome out = runner.run(tasks);
   tracer.set_enabled(false);
-  ASSERT_EQ(results.size(), tasks.size());
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out.results.size(), tasks.size());
 
   // One sweep.task span per task (worker threads) + the caller's
   // sweep.run span, with per-thread lanes: the caller never executes

@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "designs/designs.hpp"
+#include "isolation/algorithm.hpp"
 #include "obs/metrics.hpp"
 #include "power/estimator.hpp"
 #include "reference_simulator.hpp"
@@ -53,24 +54,38 @@ TEST(ThreadPool, PropagatesTheSmallestFailingIndex) {
   EXPECT_EQ(ok.load(), 3);
 }
 
+/// A plain task on `lanes` lanes of `cycles` cycles each, after
+/// `warmup` discarded cycles per lane (the options count both summed
+/// over the lanes).
+SweepTask plain_task(const std::string& design, std::function<Netlist()> make,
+                     std::uint64_t seed, unsigned lanes, std::uint64_t cycles,
+                     std::uint64_t warmup = 0) {
+  SweepTask t;
+  t.design = design;
+  t.make_design = std::move(make);
+  t.seed = seed;
+  t.options.sim_lanes = lanes;
+  t.options.sim_cycles = cycles * lanes;
+  t.options.warmup_cycles = warmup * lanes;
+  return t;
+}
+
 std::vector<SweepTask> demo_tasks() {
   std::vector<SweepTask> tasks;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    SweepTask t;
-    t.design = "design2";
-    t.make_design = [] { return make_design2(); };
-    t.seed = seed;
-    t.cycles = 64;
-    t.lanes = 64;
-    tasks.push_back(t);
+    tasks.push_back(plain_task("design2", [] { return make_design2(); }, seed, 64, 64));
   }
   return tasks;
 }
 
 TEST(SweepRunner, ResultsIndependentOfThreadCount) {
   const std::vector<SweepTask> tasks = demo_tasks();
-  const std::vector<SweepResult> one = SweepRunner(1).run(tasks);
-  const std::vector<SweepResult> eight = SweepRunner(8).run(tasks);
+  const SweepOutcome out1 = SweepRunner(1).run(tasks);
+  const SweepOutcome out8 = SweepRunner(8).run(tasks);
+  ASSERT_TRUE(out1.ok());
+  ASSERT_TRUE(out8.ok());
+  const std::vector<SweepResult>& one = out1.results;
+  const std::vector<SweepResult>& eight = out8.results;
   ASSERT_EQ(one.size(), tasks.size());
   ASSERT_EQ(eight.size(), tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
@@ -83,21 +98,23 @@ TEST(SweepRunner, ResultsIndependentOfThreadCount) {
 }
 
 /// What a plain task must report: one reference-interpreter run per
-/// lane on the lane's stream, merged in lane order.
+/// lane on the lane's stream, merged in lane order. The tasks above
+/// split their cycles and warmup evenly across the lanes.
 SweepResult reference_result(const SweepTask& t) {
   const Netlist nl = t.make_design();
+  const unsigned lanes = t.options.sim_lanes;
   ActivityStats merged;
-  for (unsigned lane = 0; lane < t.lanes; ++lane) {
+  for (unsigned lane = 0; lane < lanes; ++lane) {
     Simulator sim(nl);
     UniformStimulus stim(sweep_lane_seed(t.seed, lane));
-    if (t.warmup > 0) sim.warmup(stim, t.warmup);
-    sim.run(stim, t.cycles);
+    if (t.options.warmup_cycles > 0) sim.warmup(stim, t.options.warmup_cycles / lanes);
+    sim.run(stim, t.options.sim_cycles / lanes);
     merged.merge(sim.stats());
   }
   SweepResult r;
   r.design = t.design;
   r.seed = t.seed;
-  r.lanes = t.lanes;
+  r.lanes = lanes;
   r.lane_cycles = merged.cycles;
   for (std::uint64_t n : merged.toggles) r.toggles += n;
   r.power_mw = PowerEstimator().estimate(nl, merged).total_mw;
@@ -106,7 +123,7 @@ SweepResult reference_result(const SweepTask& t) {
 
 TEST(SweepRunner, MatchesMergedReferenceRuns) {
   const std::vector<SweepTask> tasks = demo_tasks();
-  const std::vector<SweepResult> got = SweepRunner(2).run(tasks);
+  const std::vector<SweepResult> got = SweepRunner(2).run(tasks).results;
   ASSERT_EQ(got.size(), tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const SweepResult want = reference_result(tasks[i]);
@@ -117,12 +134,8 @@ TEST(SweepRunner, MatchesMergedReferenceRuns) {
 }
 
 TEST(SweepRunner, PartialLaneCountsAndWarmupMatchReference) {
-  SweepTask t;
-  t.design = "fig1";
-  t.make_design = [] { return make_fig1(); };
-  t.cycles = 128;
-  t.lanes = 5;  // not a multiple of anything convenient
-  t.warmup = 7;
+  // 5 lanes: not a multiple of anything convenient.
+  const SweepTask t = plain_task("fig1", [] { return make_fig1(); }, 1, 5, 128, 7);
   const SweepResult p = run_sweep_task(t);
   const SweepResult want = reference_result(t);
   EXPECT_EQ(p.lane_cycles, 5u * 128u);
@@ -132,8 +145,8 @@ TEST(SweepRunner, PartialLaneCountsAndWarmupMatchReference) {
 
 TEST(SweepReport, EqualsTheReportOfMergedReferenceRuns) {
   const std::vector<SweepTask> tasks = demo_tasks();
-  std::vector<SweepResult> want;
-  for (const SweepTask& t : tasks) want.push_back(reference_result(t));
+  SweepOutcome want;
+  for (const SweepTask& t : tasks) want.results.push_back(reference_result(t));
   std::ostringstream a, b;
   build_sweep_report(SweepRunner(4).run(tasks)).write(a, 1);
   build_sweep_report(want).write(b, 1);
@@ -146,6 +159,33 @@ TEST(SweepReport, CarriesSchemaAndTotals) {
   EXPECT_EQ(doc.at("totals").at("tasks").as_number(), 3.0);
   EXPECT_EQ(doc.at("tasks").at(0).at("design").as_string(), "design2");
   EXPECT_GT(doc.at("totals").at("toggles").as_number(), 0.0);
+}
+
+// An isolate task is one run_operand_isolation call on the task's
+// options with the seed's lane streams; each of its rounds measures
+// max(1, sim_cycles / lanes) cycles per lane.
+TEST(SweepTask, IsolateTaskIsOneAlgorithm1Run) {
+  SweepTask t;
+  t.design = "design1";
+  t.make_design = [] { return make_design1(); };
+  t.seed = 3;
+  t.options.sim_lanes = 64;
+  t.options.sim_cycles = 1000;  // 15 cycles per lane, 40 left over
+  t.isolate = true;
+  const SweepResult got = run_sweep_task(t);
+
+  IsolationOptions opt = t.options;
+  opt.lane_stimuli = [](unsigned lane) {
+    return std::make_unique<UniformStimulus>(sweep_lane_seed(3, lane));
+  };
+  const IsolationResult want = run_operand_isolation(make_design1(), nullptr, opt);
+  ASSERT_GT(want.records.size(), 0u);
+  EXPECT_TRUE(got.isolated_mode);
+  EXPECT_EQ(got.iterations, want.iterations.size());
+  EXPECT_EQ(got.lane_cycles, (want.iterations.size() + 1) * 64u * 15u);
+  EXPECT_EQ(got.modules_isolated, want.records.size());
+  EXPECT_EQ(got.power_before_mw, want.power_before_mw);  // bitwise, not approximate
+  EXPECT_EQ(got.power_after_mw, want.power_after_mw);
 }
 
 TEST(SweepLaneSeed, StreamsAreDistinct) {
@@ -194,16 +234,10 @@ TEST(ThreadPool, SurvivesFailureStorms) {
   }
 }
 
-TEST(SweepRunner, RunStillPropagatesWithoutIsolation) {
-  std::vector<SweepTask> tasks = demo_tasks();
-  tasks[1].make_design = []() -> Netlist { throw SimError("deliberate"); };
-  EXPECT_THROW((void)SweepRunner(2).run(tasks), SimError);
-}
-
 TEST(SweepRunner, IsolatedSweepRecordsFailureAndCompletes) {
   std::vector<SweepTask> tasks = demo_tasks();
   tasks[1].make_design = []() -> Netlist { throw SimError("deliberate sabotage"); };
-  const SweepOutcome out = SweepRunner(4).run_isolated(tasks);
+  const SweepOutcome out = SweepRunner(4).run(tasks);
   EXPECT_FALSE(out.ok());
   ASSERT_EQ(out.failures.size(), 1u);
   const SweepTaskFailure& f = out.failures[0];
@@ -218,7 +252,7 @@ TEST(SweepRunner, IsolatedSweepRecordsFailureAndCompletes) {
   EXPECT_GT(out.results[0].toggles, 0u);
   EXPECT_GT(out.results[2].toggles, 0u);
   // And they match a clean failure-free run bit for bit.
-  const std::vector<SweepResult> clean = SweepRunner(1).run(demo_tasks());
+  const std::vector<SweepResult> clean = SweepRunner(1).run(demo_tasks()).results;
   EXPECT_EQ(out.results[0].toggles, clean[0].toggles);
   EXPECT_EQ(out.results[2].toggles, clean[2].toggles);
   EXPECT_EQ(out.results[0].power_mw, clean[0].power_mw);
@@ -236,8 +270,8 @@ TEST(SweepRunner, IsolatedReportIdenticalAcrossThreadCounts) {
     return tasks;
   };
   std::ostringstream one, eight;
-  build_sweep_report(SweepRunner(1).run_isolated(sabotaged())).write(one, 1);
-  build_sweep_report(SweepRunner(8).run_isolated(sabotaged())).write(eight, 1);
+  build_sweep_report(SweepRunner(1).run(sabotaged())).write(one, 1);
+  build_sweep_report(SweepRunner(8).run(sabotaged())).write(eight, 1);
   EXPECT_EQ(one.str(), eight.str());
   const obs::JsonValue doc = obs::JsonValue::parse(one.str());
   EXPECT_EQ(doc.at("task_failures").at("schema").as_string(), "opiso.task_failures/v1");
@@ -255,7 +289,7 @@ TEST(SweepRunner, IsolatedReportIdenticalAcrossThreadCounts) {
 TEST(SweepRunner, CleanReportCarriesEmptyFailureSection) {
   // Always present, so report consumers can key on the section without
   // probing and clean/failed reports share one shape.
-  const obs::JsonValue doc = build_sweep_report(SweepRunner(2).run_isolated(demo_tasks()));
+  const obs::JsonValue doc = build_sweep_report(SweepRunner(2).run(demo_tasks()));
   EXPECT_EQ(doc.at("task_failures").at("schema").as_string(), "opiso.task_failures/v1");
   EXPECT_EQ(doc.at("task_failures").at("failures").size(), 0u);
   EXPECT_EQ(doc.at("totals").at("failed_tasks").as_number(), 0.0);
@@ -265,7 +299,7 @@ TEST(SweepBudgetTest, StimulusBudgetFailsUpFrontAndDeterministically) {
   std::vector<SweepTask> tasks = demo_tasks();  // 64 cycles x 64 lanes each
   SweepRunOptions options;
   options.budget.task_max_lane_cycles = 64 * 64 - 1;
-  const SweepOutcome out = SweepRunner(3).run_isolated(tasks, options);
+  const SweepOutcome out = SweepRunner(3).run(tasks, options);
   ASSERT_EQ(out.failures.size(), tasks.size());
   for (const SweepTaskFailure& f : out.failures) {
     EXPECT_EQ(f.code, "resource.stimulus");
@@ -273,15 +307,14 @@ TEST(SweepBudgetTest, StimulusBudgetFailsUpFrontAndDeterministically) {
   }
   // One lane-cycle more of budget and everything passes.
   options.budget.task_max_lane_cycles = 64 * 64;
-  EXPECT_TRUE(SweepRunner(3).run_isolated(tasks, options).ok());
+  EXPECT_TRUE(SweepRunner(3).run(tasks, options).ok());
 }
 
 TEST(SweepBudgetTest, OverflowProofStimulusCheck) {
-  SweepTask t;
-  t.design = "fig1";
-  t.make_design = [] { return make_fig1(); };
-  t.cycles = ~std::uint64_t{0} / 2;  // cycles * lanes would overflow
-  t.lanes = 64;
+  // The largest request: per-lane cycles times lanes must not overflow
+  // the comparison.
+  SweepTask t = plain_task("fig1", [] { return make_fig1(); }, 1, 64, 1);
+  t.options.sim_cycles = ~std::uint64_t{0};
   SweepBudget budget;
   budget.task_max_lane_cycles = 1000;
   try {
@@ -293,11 +326,8 @@ TEST(SweepBudgetTest, OverflowProofStimulusCheck) {
 }
 
 TEST(SweepBudgetTest, WallClockBudgetStopsRunawayTask) {
-  SweepTask t;
-  t.design = "design2";
-  t.make_design = [] { return make_design2(); };
-  t.cycles = 1u << 30;  // would take minutes unbudgeted
-  t.lanes = 64;
+  // 2^30 cycles per lane would take minutes unbudgeted.
+  const SweepTask t = plain_task("design2", [] { return make_design2(); }, 1, 64, 1u << 30);
   SweepBudget budget;
   budget.task_wall_clock_sec = 0.05;
   try {
@@ -310,7 +340,7 @@ TEST(SweepBudgetTest, WallClockBudgetStopsRunawayTask) {
   // with deterministic identity fields (elapsed varies with load).
   SweepRunOptions options;
   options.budget = budget;
-  const SweepOutcome out = SweepRunner(2).run_isolated({t}, options);
+  const SweepOutcome out = SweepRunner(2).run({t}, options);
   ASSERT_EQ(out.failures.size(), 1u);
   EXPECT_EQ(out.failures[0].code, "resource.wall-clock");
   EXPECT_EQ(out.failures[0].design, "design2");
@@ -323,13 +353,13 @@ TEST(SweepRunner, FailFastSkipsRemainingTasks) {
   tasks[0].make_design = []() -> Netlist { throw SimError("first fails"); };
   SweepRunOptions options;
   options.fail_fast = true;
-  const SweepOutcome out = SweepRunner(1).run_isolated(tasks, options);
+  const SweepOutcome out = SweepRunner(1).run(tasks, options);
   ASSERT_EQ(out.failures.size(), 3u);
   EXPECT_EQ(out.failures[0].code, "sim.misuse");
   EXPECT_EQ(out.failures[1].code, "task.skipped");
   EXPECT_EQ(out.failures[2].code, "task.skipped");
   // Without fail-fast the healthy tasks complete.
-  const SweepOutcome patient = SweepRunner(1).run_isolated(tasks);
+  const SweepOutcome patient = SweepRunner(1).run(tasks);
   EXPECT_EQ(patient.failures.size(), 1u);
 }
 

@@ -473,28 +473,22 @@ Outcome run_lint(const Args& args, const Input& in) {
 /// The designs were loaded once up front only to fail fast on a bad
 /// operand before the pool spins up; every task loads its own copy.
 Outcome run_sweep(const Args& args, const Input& in) {
+  // One options block for every task; each task installs its own
+  // seed's lane streams. Sweeps default to all compiled lanes
+  // (throughput) and no warmup.
   SweepTask base;
-  base.lanes = args.lanes ? args.lanes : ParallelSimulator::kMaxLanes;
-  base.cycles = std::max<std::uint64_t>(1, args.cycles / base.lanes);
-  // --warmup counts cycles summed over the lanes; each lane rounds its
-  // share up, as measure_activity does.
-  const std::uint64_t warmup = args.warmup.value_or(0);
-  base.warmup = warmup / base.lanes + (warmup % base.lanes != 0);
+  base.options = isolate_options(args);
+  base.options.sim_lanes = args.lanes ? args.lanes : ParallelSimulator::kMaxLanes;
+  base.options.warmup_cycles = args.warmup.value_or(0);
   // Confidence is opt-in for sweeps: any confidence flag turns it on, so
   // plain throughput sweeps keep their report shape.
-  if (!args.no_confidence &&
+  base.options.confidence.enabled =
+      !args.no_confidence &&
       (in.given.contains("--confidence-level") || in.given.contains("--batch-frames") ||
-       in.given.contains("--min-ci-halfwidth"))) {
-    base.confidence = isolate_options(args).confidence;
-  }
-  if (args.sweep_isolate) {
-    // Every task runs Algorithm 1 under its own seed instead of a plain
-    // measurement. One shared options block; the sweep layer installs
-    // the per-task engine config, stimulus factories and confidence.
-    IsolationOptions o = isolate_options(args);
-    o.confidence = {};
-    base.isolate = std::make_shared<const IsolationOptions>(std::move(o));
-  }
+       in.given.contains("--min-ci-halfwidth"));
+  // --isolate: every task runs Algorithm 1 under its own seed instead
+  // of a plain measurement.
+  base.isolate = args.sweep_isolate;
   std::vector<SweepTask> tasks;
   for (const std::string& name : args.positional) {
     for (std::uint64_t seed = 1; seed <= args.seeds; ++seed) {
@@ -541,7 +535,7 @@ Outcome run_sweep(const Args& args, const Input& in) {
       lint::throw_on_findings(lint::run_lint(nl), Severity::Error, task.design);
     };
   }
-  const SweepOutcome outcome = runner.run_isolated(tasks, options, progress);
+  const SweepOutcome outcome = runner.run(tasks, options, progress);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
