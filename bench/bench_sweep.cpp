@@ -134,6 +134,22 @@ std::uint64_t run_isolate_once() {
   return (res.iterations.size() + 1) * opt.sim_cycles;
 }
 
+/// Algorithm 1 with default options on a wide parametric datapath
+/// (64 lanes x 4 stages: 2240 cells, 768 candidates) and a short
+/// simulation (256 macro-cycles per round), so set-up work that scales
+/// with candidates x netlist, such as a whole-netlist pass per
+/// candidate, would dominate this row.
+std::uint64_t run_isolate_wide_once() {
+  const Netlist nl = make_parametric_datapath({64, 4, 8, true});
+  IsolationOptions opt;
+  opt.sim_cycles = 64 * 256;
+  opt.lane_stimuli = [](unsigned lane) {
+    return std::make_unique<UniformStimulus>(sweep_lane_seed(7, lane));
+  };
+  const IsolationResult res = run_operand_isolation(nl, nullptr, opt);
+  return (res.iterations.size() + 1) * opt.sim_cycles;
+}
+
 obs::JsonValue row_to_json(const BenchRow& r) {
   obs::JsonValue row = obs::JsonValue::object();
   row["wall_ms"] = r.wall_ms;
@@ -175,6 +191,7 @@ int main() {
   std::vector<BenchRow> rows;
   rows.push_back(time_bench("sweep_parallel", [] { return run_sweep_once(64, 16384); }));
   rows.push_back(time_bench("isolate_full", run_isolate_once));
+  rows.push_back(time_bench("isolate_wide", run_isolate_wide_once));
   emit(rows);
   return 0;
 }

@@ -69,6 +69,24 @@ ActivityStats measure_activity(const Netlist& nl, const ExprPool* pool, const Ne
   return sim.stats();
 }
 
+CoverageRound measure_coverage(const Netlist& nl, const IsolationOptions& opt) {
+  ExprPool pool;
+  NetVarMap vars;
+  const ActivationAnalysis analysis = derive_activation(nl, pool, vars, opt.activation);
+  const std::vector<IsolationCandidate> cands =
+      identify_candidates(nl, combinational_blocks(nl), analysis, pool, opt.candidates);
+  std::vector<CandidateExercise> exercise;
+  exercise.reserve(cands.size());
+  CoverageRound round;
+  round.stats = measure_activity(nl, &pool, &vars, opt, [&](ProbeHost& sim) {
+    for (const IsolationCandidate& c : cands) {
+      exercise.push_back({nl.cell(c.cell).name, sim.add_probe(c.activation)});
+    }
+  });
+  round.coverage = build_coverage_section(nl, round.stats, exercise);
+  return round;
+}
+
 double estimate_slack_after_isolation(const Netlist& nl, const DelayModel& dm,
                                       const TimingReport& timing, const ExprPool& pool,
                                       const NetVarMap& vars, CellId cell, ExprRef activation,
@@ -209,6 +227,7 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
             : std::vector<IsolationStyle>{opt.style};
     std::vector<CandidateEvaluation> evals;
     obs::Span span_evaluate("isolate.evaluate");
+    const double total_area = std::max(opt.area.total_area_um2(nl), 1e-12);
     for (std::size_t i = 0; i < cands.size(); ++i) {
       const IsolationCandidate& cand = cands[i];
       if (cand.already_isolated || pool_ids.find(cand.cell.value()) == pool_ids.end()) continue;
@@ -244,7 +263,7 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
         }
         const double logic_area = static_cast<double>(pool.literal_count(cand.activation)) *
                                   opt.area.cell_area_um2(CellKind::And, 1);
-        ev.r_area = (bank_area + logic_area) / std::max(opt.area.total_area_um2(nl), 1e-12);
+        ev.r_area = (bank_area + logic_area) / total_area;
         ev.h = opt.omega_p * ev.r_power - opt.omega_a * ev.r_area;
         ev.slack_before_ns = cell_slack(nl, timing, cand.cell);
         ev.est_slack_after_ns = estimate_slack_after_isolation(
@@ -327,35 +346,19 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
     if (isolated_count == 0) break;  // until !isolation (line 30)
   }
 
-  // Final metrics on the transformed design. Candidates are re-derived
-  // on the final netlist so the coverage section can report activation-
-  // signal exercise counts for every candidate (the isolated ones
-  // included) from the same measurement round that sets power_after.
+  // Final metrics on the transformed design: the coverage round sets
+  // power_after and reports activation-signal exercise counts for every
+  // candidate of the final netlist (the isolated ones included).
   {
     OPISO_SPAN("isolate.final_measure");
-    ExprPool fpool;
-    NetVarMap fvars;
-    const ActivationAnalysis fanalysis = derive_activation(nl, fpool, fvars, opt.activation);
-    const std::vector<CombBlock> fblocks = combinational_blocks(nl);
-    const std::vector<IsolationCandidate> fcands =
-        identify_candidates(nl, fblocks, fanalysis, fpool, opt.candidates);
-    SavingsEstimator festimator(nl, fpool, fvars, fcands, opt.power);
-    const ActivityStats stats = measure_activity(
-        nl, &fpool, &fvars, opt,
-        [&festimator](ProbeHost& sim) { festimator.register_probes(sim); });
-    result.power_after_mw = PowerEstimator(opt.power).estimate(nl, stats).total_mw;
-
-    std::vector<CandidateExercise> exercise;
-    exercise.reserve(fcands.size());
-    for (std::size_t i = 0; i < fcands.size(); ++i) {
-      exercise.push_back({nl.cell(fcands[i].cell).name, festimator.activation_probe(i)});
-    }
-    result.coverage = build_coverage_section(nl, stats, exercise);
+    CoverageRound round = measure_coverage(nl, opt);
+    const PowerEstimator estimator(opt.power);
+    result.power_after_mw = estimator.estimate(nl, round.stats).total_mw;
+    result.coverage = std::move(round.coverage);
     if (opt.confidence.enabled) {
-      const PowerEstimator estimator(opt.power);
       result.confidence =
-          build_confidence_section(nl, stats, opt.confidence, estimator.net_toggle_weights(nl),
-                                   estimator.static_mw(nl));
+          build_confidence_section(nl, round.stats, opt.confidence,
+                                   estimator.net_toggle_weights(nl), estimator.static_mw(nl));
       result.confidence_converged = confidence_converged(result.confidence);
     }
   }

@@ -213,6 +213,17 @@ using StimulusFactory = std::function<std::unique_ptr<Stimulus>()>;
     const IsolationOptions& options,
     const std::function<void(ProbeHost&)>& register_on = nullptr, CycleSink* sink = nullptr);
 
+/// One coverage round on `nl`: the measure_activity round with one
+/// activation probe per isolation candidate of `nl` (derived under
+/// options.activation and options.candidates) and no other probe, plus
+/// the opiso.coverage/v1 section built from it. This is
+/// run_operand_isolation's final measure and `opiso coverage`.
+struct CoverageRound {
+  ActivityStats stats;
+  obs::JsonValue coverage;  ///< opiso.coverage/v1
+};
+[[nodiscard]] CoverageRound measure_coverage(const Netlist& nl, const IsolationOptions& options);
+
 /// Run the full Algorithm-1 flow on a copy of `design`. Without
 /// options.lane_stimuli every round runs one lane on a stream from
 /// `stimuli`.

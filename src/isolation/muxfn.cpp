@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "netlist/traversal.hpp"
 
@@ -37,53 +38,57 @@ ExprRef edge_condition(const Netlist& nl, ExprPool& pool, NetVarMap& vars, const
 
 }  // namespace
 
-FaninNetwork derive_fanin_network(const Netlist& nl, ExprPool& pool, NetVarMap& vars,
-                                  CellId cell, int port,
-                                  const CandidatePredicate& is_candidate) {
-  FaninNetwork fn;
-  const NetId pin_net = nl.cell(cell).ins.at(static_cast<size_t>(port));
-
-  // cond[n] = condition under which a toggle on net n propagates to the
-  // pin through the steering network (invalid = unreached).
-  std::vector<ExprRef> cond(nl.num_nets(), ExprRef::invalid());
-  cond[pin_net.value()] = pool.const1();
-
-  // Position of each cell in topological order, to process the fanin
-  // cone strictly from the pin backwards.
+SteeringNetwork::SteeringNetwork(const Netlist& nl, ExprPool& pool, NetVarMap& vars,
+                                 CandidatePredicate is_candidate)
+    : nl_(nl),
+      pool_(pool),
+      vars_(vars),
+      is_candidate_(std::move(is_candidate)),
+      pos_(nl.num_cells(), 0),
+      cond_(nl.num_nets(), ExprRef::invalid()),
+      net_seen_(nl.num_nets(), false),
+      cell_seen_(nl.num_cells(), false) {
   const std::vector<CellId> order = topological_order(nl);
-  std::vector<std::size_t> pos(nl.num_cells(), 0);
-  for (std::size_t i = 0; i < order.size(); ++i) pos[order[i].value()] = i;
+  for (std::size_t i = 0; i < order.size(); ++i) pos_[order[i].value()] = i;
+}
+
+FaninNetwork SteeringNetwork::fanin(CellId cell, int port) {
+  FaninNetwork fn;
+  const NetId pin_net = nl_.cell(cell).ins.at(static_cast<size_t>(port));
+
+  // cond_[n] = condition under which a toggle on net n propagates to the
+  // pin through the steering network (invalid = unreached).
+  cond_[pin_net.value()] = pool_.const1();
 
   // Collect the cone of nets that can reach the pin (stop at candidates
   // and structural sources), then process drivers in reverse topo order.
   std::vector<NetId> cone{pin_net};
-  std::vector<bool> seen(nl.num_nets(), false);
-  seen[pin_net.value()] = true;
+  net_seen_[pin_net.value()] = true;
   for (std::size_t i = 0; i < cone.size(); ++i) {
-    const CellId drv = nl.net(cone[i]).driver;
-    const Cell& d = nl.cell(drv);
-    if (is_candidate(drv) || is_structural_source(d.kind)) continue;
+    const CellId drv = nl_.net(cone[i]).driver;
+    const Cell& d = nl_.cell(drv);
+    if (is_candidate_(drv) || is_structural_source(d.kind)) continue;
     for (int p = 0; p < static_cast<int>(d.ins.size()); ++p) {
-      if (!edge_condition(nl, pool, vars, d, p).valid()) continue;
+      if (!edge_condition(nl_, pool_, vars_, d, p).valid()) continue;
       NetId in = d.ins[static_cast<size_t>(p)];
-      if (!seen[in.value()]) {
-        seen[in.value()] = true;
+      if (!net_seen_[in.value()]) {
+        net_seen_[in.value()] = true;
         cone.push_back(in);
       }
     }
   }
   std::sort(cone.begin(), cone.end(), [&](NetId a, NetId b) {
-    return pos[nl.net(a).driver.value()] > pos[nl.net(b).driver.value()];
+    return pos_[nl_.net(a).driver.value()] > pos_[nl_.net(b).driver.value()];
   });
 
   std::map<CellId, ExprRef> found;
   for (NetId n : cone) {
-    if (!cond[n.value()].valid()) continue;  // unreachable under any condition
-    const CellId drv = nl.net(n).driver;
-    const Cell& d = nl.cell(drv);
-    if (is_candidate(drv)) {
-      auto [it, inserted] = found.emplace(drv, cond[n.value()]);
-      if (!inserted) it->second = pool.lor(it->second, cond[n.value()]);
+    if (!cond_[n.value()].valid()) continue;  // unreachable under any condition
+    const CellId drv = nl_.net(n).driver;
+    const Cell& d = nl_.cell(drv);
+    if (is_candidate_(drv)) {
+      auto [it, inserted] = found.emplace(drv, cond_[n.value()]);
+      if (!inserted) it->second = pool_.lor(it->second, cond_[n.value()]);
       continue;
     }
     if (is_structural_source(d.kind)) {
@@ -91,51 +96,81 @@ FaninNetwork derive_fanin_network(const Netlist& nl, ExprPool& pool, NetVarMap& 
       continue;
     }
     for (int p = 0; p < static_cast<int>(d.ins.size()); ++p) {
-      ExprRef edge = edge_condition(nl, pool, vars, d, p);
+      ExprRef edge = edge_condition(nl_, pool_, vars_, d, p);
       if (!edge.valid()) continue;
       NetId in = d.ins[static_cast<size_t>(p)];
-      ExprRef path = pool.land(cond[n.value()], edge);
-      cond[in.value()] = cond[in.value()].valid() ? pool.lor(cond[in.value()], path) : path;
+      ExprRef path = pool_.land(cond_[n.value()], edge);
+      cond_[in.value()] = cond_[in.value()].valid() ? pool_.lor(cond_[in.value()], path) : path;
     }
+  }
+  // Reset the work arrays for the next query: every net this query marked
+  // or gave a condition is in the cone.
+  for (NetId n : cone) {
+    cond_[n.value()] = ExprRef::invalid();
+    net_seen_[n.value()] = false;
   }
   for (const auto& [cand, g] : found) fn.candidates.push_back(ConnectedCandidate{cand, g});
   return fn;
 }
 
-std::vector<FanoutConnection> derive_fanout_candidates(const Netlist& nl, ExprPool& pool,
-                                                       NetVarMap& vars, CellId cell,
-                                                       const CandidatePredicate& is_candidate) {
+std::vector<FanoutConnection> SteeringNetwork::fanouts(CellId cell) {
   std::vector<FanoutConnection> result;
-  const Cell& c = nl.cell(cell);
-  OPISO_REQUIRE(c.out.valid(), "derive_fanout_candidates: cell has no output");
+  const Cell& c = nl_.cell(cell);
+  OPISO_REQUIRE(c.out.valid(), "SteeringNetwork::fanouts: cell has no output");
 
-  const std::vector<CellId> order = topological_order(nl);
-  std::vector<ExprRef> cond(nl.num_nets(), ExprRef::invalid());
-  cond[c.out.value()] = pool.const1();
+  // The cells a toggle on c's output can reach through non-candidate
+  // combinational cells; candidates end a path, so they are collected
+  // but not expanded. No other cell can see a valid condition below.
+  std::vector<CellId> cone;
+  const auto collect_sinks = [&](NetId net) {
+    for (const Pin& pin : nl_.net(net).fanouts) {
+      const CellKind kind = nl_.cell(pin.cell).kind;
+      if (pin.cell == cell || cell_seen_[pin.cell.value()] || is_structural_source(kind) ||
+          kind == CellKind::PrimaryOutput) {
+        continue;
+      }
+      cell_seen_[pin.cell.value()] = true;
+      cone.push_back(pin.cell);
+    }
+  };
+  collect_sinks(c.out);
+  for (std::size_t i = 0; i < cone.size(); ++i) {
+    const NetId out = nl_.cell(cone[i]).out;
+    if (!is_candidate_(cone[i]) && out.valid()) collect_sinks(out);
+  }
+  std::sort(cone.begin(), cone.end(),
+            [&](CellId a, CellId b) { return pos_[a.value()] < pos_[b.value()]; });
 
-  for (CellId id : order) {
-    const Cell& y = nl.cell(id);
-    if (is_structural_source(y.kind) || y.kind == CellKind::PrimaryOutput) continue;
-    if (id == cell) continue;
+  cond_[c.out.value()] = pool_.const1();
+  for (CellId id : cone) {
+    const Cell& y = nl_.cell(id);
     // Gather conditions arriving at y's inputs; candidates terminate
     // paths, everything else composes into y's output condition.
     ExprRef out_cond = ExprRef::invalid();
     for (int p = 0; p < static_cast<int>(y.ins.size()); ++p) {
       const NetId in = y.ins[static_cast<size_t>(p)];
-      if (!cond[in.value()].valid()) continue;
-      if (is_candidate(id)) {
-        result.push_back(FanoutConnection{id, p, cond[in.value()]});
+      if (!cond_[in.value()].valid()) continue;
+      if (is_candidate_(id)) {
+        result.push_back(FanoutConnection{id, p, cond_[in.value()]});
         continue;
       }
-      ExprRef edge = edge_condition(nl, pool, vars, y, p);
+      ExprRef edge = edge_condition(nl_, pool_, vars_, y, p);
       if (!edge.valid()) continue;
-      ExprRef path = pool.land(cond[in.value()], edge);
-      out_cond = out_cond.valid() ? pool.lor(out_cond, path) : path;
+      ExprRef path = pool_.land(cond_[in.value()], edge);
+      out_cond = out_cond.valid() ? pool_.lor(out_cond, path) : path;
     }
     if (out_cond.valid() && y.out.valid()) {
-      cond[y.out.value()] =
-          cond[y.out.value()].valid() ? pool.lor(cond[y.out.value()], out_cond) : out_cond;
+      cond_[y.out.value()] =
+          cond_[y.out.value()].valid() ? pool_.lor(cond_[y.out.value()], out_cond) : out_cond;
     }
+  }
+  // Reset the work arrays: conditions were set only on c's output and on
+  // the outputs of cone cells.
+  cond_[c.out.value()] = ExprRef::invalid();
+  for (CellId id : cone) {
+    const NetId out = nl_.cell(id).out;
+    if (out.valid()) cond_[out.value()] = ExprRef::invalid();
+    cell_seen_[id.value()] = false;
   }
   return result;
 }

@@ -15,6 +15,7 @@
 // multiply their enable; other combinational cells pass the condition
 // through unchanged. Conditions of parallel paths OR together.
 
+#include <functional>
 #include <vector>
 
 #include "boolfn/expr.hpp"
@@ -42,20 +43,42 @@ struct FaninNetwork {
 /// candidate identification so the traversal stops at the right cells.)
 using CandidatePredicate = std::function<bool(CellId)>;
 
-/// Derive the fanin network of input pin `port` of `cell`.
-[[nodiscard]] FaninNetwork derive_fanin_network(const Netlist& nl, ExprPool& pool,
-                                                NetVarMap& vars, CellId cell, int port,
-                                                const CandidatePredicate& is_candidate);
-
-/// Derive the fanout candidates C+ of `cell` with connection conditions
-/// and, per fanout candidate, the input port of that candidate reached.
+/// One fanout candidate c_j reached from a module's output, with the
+/// input port of c_j the path reaches and its connection condition.
 struct FanoutConnection {
   CellId candidate;  ///< the fanout candidate c_j
   int port;          ///< which input of c_j the path reaches
   ExprRef condition; ///< connection condition g
 };
-[[nodiscard]] std::vector<FanoutConnection> derive_fanout_candidates(
-    const Netlist& nl, ExprPool& pool, NetVarMap& vars, CellId cell,
-    const CandidatePredicate& is_candidate);
+
+/// The steering analysis of one netlist. It sorts the netlist once, at
+/// construction; each query then walks only the cone it analyses, so a
+/// query costs the size of that cone, not of the netlist. Conditions
+/// are built in `pool` over `vars` in the same order a walk over the
+/// whole topological order would build them. Every reference must
+/// outlive the object, and the netlist must not change while it lives.
+class SteeringNetwork {
+ public:
+  SteeringNetwork(const Netlist& nl, ExprPool& pool, NetVarMap& vars,
+                  CandidatePredicate is_candidate);
+
+  /// Fanin network of input pin `port` of `cell`.
+  [[nodiscard]] FaninNetwork fanin(CellId cell, int port);
+
+  /// Fanout candidates C+ of `cell` with their connection conditions.
+  [[nodiscard]] std::vector<FanoutConnection> fanouts(CellId cell);
+
+ private:
+  const Netlist& nl_;
+  ExprPool& pool_;
+  NetVarMap& vars_;
+  CandidatePredicate is_candidate_;
+  std::vector<std::size_t> pos_;  ///< per cell: position in topological order
+  // Per-query work arrays, indexed by net (cond_, net_seen_) or cell
+  // (cell_seen_); each query clears the entries its cone touched.
+  std::vector<ExprRef> cond_;
+  std::vector<bool> net_seen_;
+  std::vector<bool> cell_seen_;
+};
 
 }  // namespace opiso

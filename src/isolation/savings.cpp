@@ -8,9 +8,17 @@ SavingsEstimator::SavingsEstimator(const Netlist& nl, ExprPool& pool, NetVarMap&
                                    const std::vector<IsolationCandidate>& candidates,
                                    const MacroPowerModel& power)
     : nl_(nl), pool_(pool), vars_(vars), cands_(candidates), power_(power) {
-  std::vector<bool> is_cand(nl.num_cells(), false);
-  for (const IsolationCandidate& c : cands_) is_cand[c.cell.value()] = true;
-  const CandidatePredicate pred = [&is_cand](CellId id) { return is_cand[id.value()]; };
+  constexpr std::size_t kNotCandidate = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> index_of_cell(nl.num_cells(), kNotCandidate);
+  for (std::size_t i = 0; i < cands_.size(); ++i) index_of_cell[cands_[i].cell.value()] = i;
+  const auto index_of = [&index_of_cell](CellId cell) {
+    const std::size_t i = index_of_cell[cell.value()];
+    if (i == kNotCandidate) throw Error("SavingsEstimator: cell is not a candidate");
+    return i;
+  };
+  SteeringNetwork steering(nl_, pool_, vars_, [&index_of_cell](CellId id) {
+    return index_of_cell[id.value()] != kNotCandidate;
+  });
 
   models_.resize(cands_.size());
   for (std::size_t i = 0; i < cands_.size(); ++i) {
@@ -21,7 +29,7 @@ SavingsEstimator::SavingsEstimator(const Netlist& nl, ExprPool& pool, NetVarMap&
     m.port_events.resize(cell.ins.size());
     for (int p = 0; p < static_cast<int>(cell.ins.size()); ++p) {
       auto& events = m.port_events[static_cast<size_t>(p)];
-      const FaninNetwork fan = derive_fanin_network(nl_, pool_, vars_, cands_[i].cell, p, pred);
+      const FaninNetwork fan = steering.fanin(cands_[i].cell, p);
       ExprRef any_candidate = pool_.const0();
       for (const ConnectedCandidate& cc : fan.candidates) {
         const std::size_t k = index_of(cc.candidate);
@@ -34,24 +42,18 @@ SavingsEstimator::SavingsEstimator(const Netlist& nl, ExprPool& pool, NetVarMap&
       events.push_back(PortEvent{pool_.lnot(any_candidate), 1.0, kBackground, false});
     }
 
-    // --- event-pair probes for two-input modules
+    // --- event-pair probes for two-input modules (probes assigned in
+    // register_probes)
     if (cell.ins.size() == 2) {
-      const ExprRef not_f = pool_.lnot(cands_[i].activation);
       for (std::size_t a = 0; a < m.port_events[0].size(); ++a) {
         for (std::size_t b = 0; b < m.port_events[1].size(); ++b) {
-          PairProbe pp;
-          pp.a_event = a;
-          pp.b_event = b;
-          pp.probe = 0;  // assigned in register_probes
-          m.pair_probes.push_back(pp);
-          (void)not_f;
+          m.pair_probes.push_back(PairProbe{a, b, 0});
         }
       }
     }
 
     // --- fanout terms (secondary model)
-    for (const FanoutConnection& fc :
-         derive_fanout_candidates(nl_, pool_, vars_, cands_[i].cell, pred)) {
+    for (const FanoutConnection& fc : steering.fanouts(cands_[i].cell)) {
       FanoutTerm term;
       term.j = index_of(fc.candidate);
       term.port = fc.port;
@@ -59,13 +61,6 @@ SavingsEstimator::SavingsEstimator(const Netlist& nl, ExprPool& pool, NetVarMap&
       m.fanouts.push_back(term);
     }
   }
-}
-
-std::size_t SavingsEstimator::index_of(CellId cell) const {
-  for (std::size_t i = 0; i < cands_.size(); ++i) {
-    if (cands_[i].cell == cell) return i;
-  }
-  throw Error("SavingsEstimator: cell is not a candidate");
 }
 
 void SavingsEstimator::register_probes(ProbeHost& sim) {

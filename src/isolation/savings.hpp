@@ -75,8 +75,9 @@ struct SavingsTerm {
 
 class SavingsEstimator {
  public:
-  /// Derives fanin/fanout networks for all candidates. Every reference
-  /// must outlive the estimator.
+  /// Derives fanin/fanout networks for all candidates (one
+  /// SteeringNetwork over `nl`). Every reference must outlive the
+  /// estimator.
   SavingsEstimator(const Netlist& nl, ExprPool& pool, NetVarMap& vars,
                    const std::vector<IsolationCandidate>& candidates,
                    const MacroPowerModel& power);
@@ -157,7 +158,6 @@ class SavingsEstimator {
   [[nodiscard]] SourceRate source_rate(const PortEvent& ev, const ActivityStats& stats,
                                        NetId pin_net) const;
   [[nodiscard]] std::string source_name(const PortEvent& ev) const;
-  [[nodiscard]] std::size_t index_of(CellId cell) const;
 
   const Netlist& nl_;
   ExprPool& pool_;

@@ -35,6 +35,10 @@ void ThreadPool::worker_loop() {
       work_cv_.wait(lock, [&] { return stop_ || generation_ != seen_generation; });
       if (stop_) return;
       seen_generation = generation_;
+      // A worker that wakes after its generation completed must not
+      // join it: the caller may already be rewriting n_/fn_ for the
+      // next parallel_for, which this worker would read unlocked.
+      if (done_ >= n_) continue;
       ++active_;
     }
     const auto t0 = std::chrono::steady_clock::now();

@@ -27,9 +27,9 @@
 
 #include "designs/designs.hpp"
 #include "frontend/rtl_parser.hpp"
-#include "isolation/candidates.hpp"
+#include "isolation/activation.hpp"
+#include "isolation/algorithm.hpp"
 #include "isolation/report.hpp"
-#include "isolation/savings.hpp"
 #include "lint/lint.hpp"
 #include "lower/gate_level.hpp"
 #include "netlist/stats.hpp"
@@ -578,32 +578,13 @@ Outcome run_sweep(const Args& args, const Input& in) {
   return out;
 }
 
-/// `opiso coverage <design>`: one measurement round under the identical
-/// discipline run_operand_isolation's final measure uses (same engine
-/// split, same probes), rendered as the standalone opiso.coverage/v1
-/// document — so a raw design's coverage matches the section an isolate
-/// run would embed for it.
+/// `opiso coverage <design>`: the coverage round run_operand_isolation's
+/// final measure runs (measure_coverage), rendered as the standalone
+/// opiso.coverage/v1 document — so a raw design's coverage matches the
+/// section an isolate run would embed for it.
 Outcome run_coverage(const Args& args, const Input& in) {
   const Netlist& design = in.designs[0];
-  const IsolationOptions opt = isolate_options(args);
-
-  ExprPool pool;
-  NetVarMap vars;
-  const ActivationAnalysis analysis = derive_activation(design, pool, vars, opt.activation);
-  const std::vector<CombBlock> blocks = combinational_blocks(design);
-  const std::vector<IsolationCandidate> cands =
-      identify_candidates(design, blocks, analysis, pool, opt.candidates);
-  SavingsEstimator estimator(design, pool, vars, cands, opt.power);
-  const ActivityStats stats =
-      measure_activity(design, &pool, &vars, opt,
-                       [&estimator](ProbeHost& sim) { estimator.register_probes(sim); });
-
-  std::vector<CandidateExercise> exercise;
-  exercise.reserve(cands.size());
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    exercise.push_back({design.cell(cands[i].cell).name, estimator.activation_probe(i)});
-  }
-  Outcome out{0, build_coverage_section(design, stats, exercise)};
+  Outcome out{0, measure_coverage(design, isolate_options(args)).coverage};
   const obs::JsonValue& doc = out.metrics;
 
   std::ostream& os = human_out(args);
