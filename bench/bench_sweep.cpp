@@ -25,7 +25,10 @@
 
 #include "bench_util.hpp"
 #include "designs/designs.hpp"
+#include "isolation/activation.hpp"
 #include "isolation/algorithm.hpp"
+#include "isolation/savings.hpp"
+#include "netlist/traversal.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "sim/sweep.hpp"
@@ -150,6 +153,36 @@ std::uint64_t run_isolate_wide_once() {
   return (res.iterations.size() + 1) * opt.sim_cycles;
 }
 
+/// One measure_activity round with the savings model's probes on the
+/// isolate_wide design: 64 lanes of 256 macro-cycles, no warmup, about
+/// 3.6k probes over 5.9k Expr nodes, so this row watches probe
+/// evaluation, which the isolate_* rows dilute. The activation
+/// analysis and candidates are derived once, outside the timed body.
+struct ProbeRound {
+  Netlist nl = make_parametric_datapath({64, 4, 8, true});
+  ExprPool pool;
+  NetVarMap vars;
+  IsolationOptions opt;
+  std::vector<IsolationCandidate> cands;
+
+  ProbeRound() {
+    const ActivationAnalysis analysis = derive_activation(nl, pool, vars, opt.activation);
+    cands = identify_candidates(nl, combinational_blocks(nl), analysis, pool, opt.candidates);
+    opt.sim_cycles = 64 * 256;
+    opt.warmup_cycles = 0;
+    opt.lane_stimuli = [](unsigned lane) {
+      return std::make_unique<UniformStimulus>(sweep_lane_seed(7, lane));
+    };
+  }
+
+  std::uint64_t run() {
+    SavingsEstimator estimator(nl, pool, vars, cands, opt.power);
+    return measure_activity(nl, &pool, &vars, opt, [&](ProbeHost& sim) {
+             estimator.register_probes(sim);
+           }).cycles;
+  }
+};
+
 obs::JsonValue row_to_json(const BenchRow& r) {
   obs::JsonValue row = obs::JsonValue::object();
   row["wall_ms"] = r.wall_ms;
@@ -192,6 +225,8 @@ int main() {
   rows.push_back(time_bench("sweep_parallel", [] { return run_sweep_once(64, 16384); }));
   rows.push_back(time_bench("isolate_full", run_isolate_once));
   rows.push_back(time_bench("isolate_wide", run_isolate_wide_once));
+  ProbeRound probe_round;
+  rows.push_back(time_bench("probe_round", [&] { return probe_round.run(); }));
   emit(rows);
   return 0;
 }

@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "boolfn/expr.hpp"
-#include "support/error.hpp"
 #include "support/strong_id.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 

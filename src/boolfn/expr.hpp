@@ -20,8 +20,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "support/error.hpp"
 #include "support/strong_id.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 

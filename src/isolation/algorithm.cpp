@@ -7,7 +7,6 @@
 #include "sim/parallel_sim.hpp"
 
 #include <algorithm>
-#include <iostream>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -328,10 +327,6 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
         ++isolated_count;
         obs::metrics().counter("isolate.candidates_isolated").add(1);
         obs::metrics().histogram("isolate.h_accepted").record(best->h);
-        if (opt.verbose) {
-          std::cerr << "[opiso] iter " << iteration << ": isolated " << best->cell_name
-                    << " (h=" << best->h << ", AS = " << best->activation_str << ")\n";
-        }
       } else {
         obs::metrics().counter("isolate.candidates_rejected").add(1);
       }

@@ -79,7 +79,6 @@ struct IsolationOptions {
   unsigned sim_lanes = 64;
   std::function<std::unique_ptr<Stimulus>(unsigned)> lane_stimuli;
   int max_iterations = 32;
-  bool verbose = false;
 
   /// Batch-means confidence collection (obs/confidence.hpp). When
   /// enabled, every measurement round accumulates per-net and per-probe

@@ -48,8 +48,4 @@ std::string format_iteration_log(const IsolationResult& result) {
   return os.str();
 }
 
-void write_isolation_report(std::ostream& os, const IsolationResult& result) {
-  os << format_isolation_summary(result) << "\n" << format_iteration_log(result);
-}
-
 }  // namespace opiso

@@ -3,7 +3,6 @@
 // listing, and per-iteration candidate evaluations — the bits a user
 // pastes into a review when deciding whether to accept the transform.
 
-#include <iosfwd>
 #include <string>
 
 #include "isolation/algorithm.hpp"
@@ -16,7 +15,5 @@ namespace opiso {
 /// Per-iteration table of every candidate evaluation (cost terms, h,
 /// veto flags, decisions).
 [[nodiscard]] std::string format_iteration_log(const IsolationResult& result);
-
-void write_isolation_report(std::ostream& os, const IsolationResult& result);
 
 }  // namespace opiso

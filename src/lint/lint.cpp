@@ -56,30 +56,21 @@ int LintContext::net_line(NetId id) const {
   return source_map_ == nullptr ? 0 : source_map_->net_line(nl_.net(id).name);
 }
 
-PassRegistry& PassRegistry::instance() {
-  static PassRegistry registry;
-  return registry;
-}
-
-PassRegistry::PassRegistry() {
+const std::vector<std::unique_ptr<LintPass>>& builtin_passes() {
   // Explicit construction: these live in the same static library, and a
   // self-registering static initializer in an otherwise unreferenced
   // object file would be dropped by the linker.
-  register_pass(make_comb_loop_pass());
-  register_pass(make_width_pass());
-  register_pass(make_drivers_pass());
-  register_pass(make_dead_logic_pass());
-  register_pass(make_isolation_soundness_pass());
-  register_pass(make_isolation_overhead_pass());
-}
-
-void PassRegistry::register_pass(std::unique_ptr<LintPass> pass) {
-  OPISO_REQUIRE(pass != nullptr, "null lint pass");
-  for (const auto& existing : passes_) {
-    OPISO_REQUIRE(existing->name() != pass->name(),
-                  "duplicate lint pass '" + std::string(pass->name()) + "'");
-  }
-  passes_.push_back(std::move(pass));
+  static const std::vector<std::unique_ptr<LintPass>> passes = [] {
+    std::vector<std::unique_ptr<LintPass>> v;
+    v.push_back(make_comb_loop_pass());
+    v.push_back(make_width_pass());
+    v.push_back(make_drivers_pass());
+    v.push_back(make_dead_logic_pass());
+    v.push_back(make_isolation_soundness_pass());
+    v.push_back(make_isolation_overhead_pass());
+    return v;
+  }();
+  return passes;
 }
 
 LintReport run_lint(const Netlist& nl, const LintOptions& options,
@@ -94,7 +85,7 @@ LintReport run_lint(const Netlist& nl, const LintOptions& options,
                        [&](const std::string& s) { return s == name; });
   };
 
-  for (const auto& pass : PassRegistry::instance().passes()) {
+  for (const auto& pass : builtin_passes()) {
     if (!selected(pass->name())) continue;
     PassResult result;
     result.pass = std::string(pass->name());

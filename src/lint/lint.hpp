@@ -19,7 +19,6 @@
 //                        budgets degrade to "unproven" warnings)
 //   isolation_overhead   AS gating depth cross-checked against STA slack
 //
-// The framework is open: PassRegistry accepts external passes, and
 // LintContext shares the lazily computed artifacts (SCCs, topological
 // order, observability functions, timing report) between passes so a
 // full lint of a design stays well under a second.
@@ -143,7 +142,7 @@ class LintContext {
 };
 
 /// One analysis pass. Implementations must be stateless across runs
-/// (the registry instantiates each pass once and reuses it).
+/// (builtin_passes() instantiates each pass once and reuses it).
 class LintPass {
  public:
   virtual ~LintPass() = default;
@@ -156,20 +155,10 @@ class LintPass {
   virtual void run(LintContext& ctx, std::vector<Finding>& out, std::string& note) = 0;
 };
 
-/// Registry of available passes, in registration order. Built-in passes
-/// are registered on first access; custom passes may be added after.
-class PassRegistry {
- public:
-  static PassRegistry& instance();
-  void register_pass(std::unique_ptr<LintPass> pass);
-  [[nodiscard]] const std::vector<std::unique_ptr<LintPass>>& passes() const { return passes_; }
+/// The built-in passes, in the order listed above and run by run_lint.
+[[nodiscard]] const std::vector<std::unique_ptr<LintPass>>& builtin_passes();
 
- private:
-  PassRegistry();
-  std::vector<std::unique_ptr<LintPass>> passes_;
-};
-
-/// Run all (or options.only_passes) registered passes over `nl`.
+/// Run all (or options.only_passes) built-in passes over `nl`.
 [[nodiscard]] LintReport run_lint(const Netlist& nl, const LintOptions& options = {},
                                   const SourceMap* source_map = nullptr);
 

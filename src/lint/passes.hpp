@@ -1,7 +1,7 @@
 #pragma once
-// Internal: factories for the built-in lint passes. PassRegistry calls
-// these explicitly — static-initializer registration would be dropped by
-// the linker for unreferenced objects in a static library.
+// Internal: factories for the built-in lint passes. builtin_passes()
+// calls these explicitly — static-initializer registration would be
+// dropped by the linker for unreferenced objects in a static library.
 
 #include <memory>
 

@@ -4,12 +4,15 @@
 // comb_loop pass has findings.
 
 #include <algorithm>
+#include <array>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
 #include "lint/passes.hpp"
+#include "verify/equiv.hpp"
 
 namespace opiso::lint {
 
@@ -111,29 +114,10 @@ class NetGrounder {
 
   static bool expandable(const Netlist& nl, const Cell& c) {
     if (!c.out.valid() || nl.net(c.out).width != 1 || !one_bit_ins(nl, c)) return false;
-    switch (c.kind) {
-      case CellKind::Not:
-      case CellKind::Buf:
-      case CellKind::And:
-      case CellKind::Or:
-      case CellKind::Xor:
-      case CellKind::Nand:
-      case CellKind::Nor:
-      case CellKind::Xnor:
-      case CellKind::Eq:
-      case CellKind::Lt:
-      case CellKind::Add:
-      case CellKind::Sub:
-      case CellKind::Mux2:
-      case CellKind::IsoAnd:
-      case CellKind::IsoOr:
-      case CellKind::Constant:
-        return true;
-      default:
-        // PI / Reg / Latch / IsoLatch carry state or stimulus; wide
-        // arithmetic and shifts stay opaque.
-        return false;
-    }
+    // PI / Reg / Latch / IsoLatch carry state or stimulus and constants
+    // are leaves; multipliers and shifts stay opaque.
+    return cell_kind_is_operator(c.kind) && c.kind != CellKind::Mul &&
+           c.kind != CellKind::Shl && c.kind != CellKind::Shr;
   }
 
   BddRef leaf(NetId net, const Cell& drv) {
@@ -144,29 +128,9 @@ class NetGrounder {
   }
 
   BddRef combine(const Cell& c) {
-    auto in = [&](std::size_t i) { return net_memo_.at(c.ins[i].value()); };
-    switch (c.kind) {
-      case CellKind::Constant: return (c.param & 1u) != 0 ? mgr_.one() : mgr_.zero();
-      case CellKind::Not: return mgr_.bnot(in(0));
-      case CellKind::Buf: return in(0);
-      case CellKind::And: return mgr_.band(in(0), in(1));
-      case CellKind::Or: return mgr_.bor(in(0), in(1));
-      case CellKind::Xor: return mgr_.bxor(in(0), in(1));
-      case CellKind::Nand: return mgr_.bnot(mgr_.band(in(0), in(1)));
-      case CellKind::Nor: return mgr_.bnot(mgr_.bor(in(0), in(1)));
-      case CellKind::Xnor: return mgr_.bnot(mgr_.bxor(in(0), in(1)));
-      case CellKind::Eq: return mgr_.bnot(mgr_.bxor(in(0), in(1)));
-      case CellKind::Lt: return mgr_.band(mgr_.bnot(in(0)), in(1));
-      // 1-bit modular add/sub are XOR.
-      case CellKind::Add:
-      case CellKind::Sub: return mgr_.bxor(in(0), in(1));
-      case CellKind::Mux2: return mgr_.ite(in(0), in(2), in(1));
-      case CellKind::IsoAnd: return mgr_.band(in(0), in(1));
-      case CellKind::IsoOr: return mgr_.bor(in(0), mgr_.bnot(in(1)));
-      default: break;
-    }
-    OPISO_REQUIRE(false, "NetGrounder::combine on non-expandable cell");
-    return mgr_.zero();
+    std::array<BddRef, 3> ins;
+    for (std::size_t i = 0; i < c.ins.size(); ++i) ins[i] = net_memo_.at(c.ins[i].value());
+    return one_bit_cell_bdd(mgr_, c.kind, std::span<const BddRef>(ins.data(), c.ins.size()));
   }
 
   LintContext& ctx_;

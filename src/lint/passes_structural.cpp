@@ -128,7 +128,7 @@ class WidthPass final : public LintPass {
       // hand-mutated or future-deserialized netlist may disagree with
       // the width rules — that is data corruption, not style.
       if (c.out.valid() && c.kind != CellKind::PrimaryInput && c.kind != CellKind::Constant) {
-        const unsigned expected = nl.infer_width(c.kind, c.ins, c.param);
+        const unsigned expected = nl.infer_width(c.kind, c.ins);
         if (nl.net(c.out).width != expected) {
           report(ErrCode::LintWidth, Severity::Error,
                  "cell '" + c.name + "' output " + wname(nl, c.out) + " contradicts inferred width " +

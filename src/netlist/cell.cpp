@@ -1,5 +1,6 @@
 #include "netlist/cell.hpp"
 
+#include <algorithm>
 #include <array>
 #include <string>
 
@@ -56,6 +57,75 @@ int cell_kind_num_inputs(CellKind kind) {
       return 3;
   }
   throw Error("cell_kind_num_inputs: invalid kind");
+}
+
+unsigned cell_kind_width(CellKind kind, std::span<const unsigned> in_widths) {
+  const auto w = [&](std::size_t i) {
+    OPISO_REQUIRE(i < in_widths.size(), "cell_kind_width: missing input width");
+    return in_widths[i];
+  };
+  switch (kind) {
+    case CellKind::PrimaryInput:
+    case CellKind::Constant:
+      throw Error("cell_kind_width: source kinds carry their own width");
+    case CellKind::Add:
+    case CellKind::Sub:
+    case CellKind::And:
+    case CellKind::Or:
+    case CellKind::Xor:
+    case CellKind::Nand:
+    case CellKind::Nor:
+    case CellKind::Xnor:
+      return std::max(w(0), w(1));
+    case CellKind::Mul:
+      return std::min(64u, w(0) + w(1));
+    case CellKind::Eq:
+    case CellKind::Lt:
+      return 1;
+    case CellKind::Mux2:
+      return std::max(w(1), w(2));
+    case CellKind::PrimaryOutput:
+    case CellKind::Shl:
+    case CellKind::Shr:
+    case CellKind::Not:
+    case CellKind::Buf:
+    case CellKind::Reg:
+    case CellKind::Latch:
+    case CellKind::IsoAnd:
+    case CellKind::IsoOr:
+    case CellKind::IsoLatch:
+      return w(0);
+  }
+  throw Error("cell_kind_width: invalid kind");
+}
+
+std::uint64_t cell_kind_eval(CellKind kind, std::uint64_t param, unsigned out_width,
+                             std::span<const std::uint64_t> in) {
+  std::uint64_t out = 0;
+  switch (kind) {
+    case CellKind::Add: out = in[0] + in[1]; break;
+    case CellKind::Sub: out = in[0] - in[1]; break;
+    case CellKind::Mul: out = in[0] * in[1]; break;
+    case CellKind::Eq: out = in[0] == in[1]; break;
+    case CellKind::Lt: out = in[0] < in[1]; break;
+    case CellKind::Shl: out = param >= 64 ? 0 : in[0] << param; break;
+    case CellKind::Shr: out = param >= 64 ? 0 : in[0] >> param; break;
+    case CellKind::Not: out = ~in[0]; break;
+    case CellKind::Buf: out = in[0]; break;
+    case CellKind::And: out = in[0] & in[1]; break;
+    case CellKind::Or: out = in[0] | in[1]; break;
+    case CellKind::Xor: out = in[0] ^ in[1]; break;
+    case CellKind::Nand: out = ~(in[0] & in[1]); break;
+    case CellKind::Nor: out = ~(in[0] | in[1]); break;
+    case CellKind::Xnor: out = ~(in[0] ^ in[1]); break;
+    case CellKind::Mux2: out = (in[0] & 1) ? in[2] : in[1]; break;
+    case CellKind::IsoAnd: out = (in[1] & 1) ? in[0] : 0; break;
+    case CellKind::IsoOr: out = (in[1] & 1) ? in[0] : ~std::uint64_t{0}; break;
+    default:
+      throw NetlistError("cell_kind_eval: '" + std::string(cell_kind_name(kind)) +
+                         "' is not an operator");
+  }
+  return out & width_mask(out_width);
 }
 
 std::string_view cell_port_name(CellKind kind, int port) {

@@ -8,9 +8,10 @@
 // of the ordinary estimators.
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 
@@ -98,22 +99,39 @@ inline constexpr int kNumCellKinds = static_cast<int>(CellKind::IsoLatch) + 1;
   return kind == CellKind::IsoAnd || kind == CellKind::IsoOr || kind == CellKind::IsoLatch;
 }
 
-/// True for simple gates/buffers (used by the gate-level power model).
-[[nodiscard]] constexpr bool cell_kind_is_gate(CellKind kind) {
+/// True for the combinational operators: every kind with a word-level
+/// value rule (cell_kind_eval), i.e. all but the boundary cells,
+/// constants and the state-holding Reg/Latch/IsoLatch.
+[[nodiscard]] constexpr bool cell_kind_is_operator(CellKind kind) {
   switch (kind) {
-    case CellKind::Not:
-    case CellKind::Buf:
-    case CellKind::And:
-    case CellKind::Or:
-    case CellKind::Xor:
-    case CellKind::Nand:
-    case CellKind::Nor:
-    case CellKind::Xnor:
-      return true;
-    default:
+    case CellKind::PrimaryInput:
+    case CellKind::PrimaryOutput:
+    case CellKind::Constant:
+    case CellKind::Reg:
+    case CellKind::Latch:
+    case CellKind::IsoLatch:
       return false;
+    default:
+      return true;
   }
 }
+
+/// The low `width` bits of a word set (every bit from width 64 up).
+[[nodiscard]] constexpr std::uint64_t width_mask(unsigned width) {
+  return width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
+}
+
+/// Output width of a cell of `kind` over input nets of `in_widths`
+/// (one per input pin). Source kinds (PrimaryInput, Constant) carry
+/// their own width and throw.
+[[nodiscard]] unsigned cell_kind_width(CellKind kind, std::span<const unsigned> in_widths);
+
+/// Word-level value of an operator (cell_kind_is_operator) over input
+/// words already masked to their nets' widths, masked to `out_width`.
+/// Shift amounts are `param`. Throws on any other kind.
+[[nodiscard]] std::uint64_t cell_kind_eval(CellKind kind, std::uint64_t param,
+                                           unsigned out_width,
+                                           std::span<const std::uint64_t> in);
 
 /// Conventional port names per kind, used by the text format and error
 /// messages: e.g. Mux2 -> {"S","A","B"}, Reg -> {"D","EN"}.

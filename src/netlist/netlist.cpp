@@ -1,6 +1,7 @@
 #include "netlist/netlist.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "netlist/traversal.hpp"
 
@@ -54,47 +55,11 @@ NetId Netlist::add_net(std::string name, unsigned width) {
   return id;
 }
 
-unsigned Netlist::infer_width(CellKind kind, const std::vector<NetId>& ins,
-                              std::uint64_t param) const {
-  switch (kind) {
-    case CellKind::PrimaryInput:
-    case CellKind::Constant:
-      throw Error("infer_width: source kinds carry their own width");
-    case CellKind::PrimaryOutput:
-      return net(ins.at(0)).width;
-    case CellKind::Add:
-    case CellKind::Sub:
-      return std::max(net(ins.at(0)).width, net(ins.at(1)).width);
-    case CellKind::Mul:
-      return std::min(64u, net(ins.at(0)).width + net(ins.at(1)).width);
-    case CellKind::Eq:
-    case CellKind::Lt:
-      return 1;
-    case CellKind::Shl:
-    case CellKind::Shr:
-      (void)param;
-      return net(ins.at(0)).width;
-    case CellKind::Not:
-    case CellKind::Buf:
-      return net(ins.at(0)).width;
-    case CellKind::And:
-    case CellKind::Or:
-    case CellKind::Xor:
-    case CellKind::Nand:
-    case CellKind::Nor:
-    case CellKind::Xnor:
-      return std::max(net(ins.at(0)).width, net(ins.at(1)).width);
-    case CellKind::Mux2:
-      return std::max(net(ins.at(1)).width, net(ins.at(2)).width);
-    case CellKind::Reg:
-    case CellKind::Latch:
-      return net(ins.at(0)).width;
-    case CellKind::IsoAnd:
-    case CellKind::IsoOr:
-    case CellKind::IsoLatch:
-      return net(ins.at(0)).width;
-  }
-  throw Error("infer_width: invalid kind");
+unsigned Netlist::infer_width(CellKind kind, const std::vector<NetId>& ins) const {
+  OPISO_REQUIRE(ins.size() <= 3, "infer_width: no cell kind has more than 3 inputs");
+  std::array<unsigned, 3> widths{};
+  for (std::size_t i = 0; i < ins.size(); ++i) widths[i] = net(ins[i]).width;
+  return cell_kind_width(kind, std::span<const unsigned>(widths.data(), ins.size()));
 }
 
 void Netlist::check_new_cell(CellKind kind, const std::string& name,
@@ -155,7 +120,7 @@ CellId Netlist::add_cell(CellKind kind, std::string name, const std::vector<NetI
     onet.driver = id;
     c.width = onet.width;
     if (kind != CellKind::PrimaryInput && kind != CellKind::Constant) {
-      const unsigned inferred = infer_width(kind, ins, param);
+      const unsigned inferred = infer_width(kind, ins);
       OPISO_REQUIRE(onet.width == inferred,
                     "cell '" + name + "': output net '" + onet.name + "' width " +
                         std::to_string(onet.width) + " != inferred width " +
@@ -186,34 +151,33 @@ CellId Netlist::add_output(const std::string& name, NetId src) {
 
 NetId Netlist::add_const(const std::string& name, std::uint64_t value, unsigned width) {
   OPISO_REQUIRE(width >= 1 && width <= 64, "constant width must be in [1,64]");
-  const std::uint64_t mask = width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
-  OPISO_REQUIRE((value & ~mask) == 0, "constant value does not fit its width");
+  OPISO_REQUIRE((value & ~width_mask(width)) == 0, "constant value does not fit its width");
   NetId out = add_net(name, width);
   add_cell(CellKind::Constant, "const:" + name, {}, out, value);
   return out;
 }
 
 NetId Netlist::add_unop(CellKind kind, const std::string& name, NetId a) {
-  NetId out = add_net(name, infer_width(kind, {a}, 0));
+  NetId out = add_net(name, infer_width(kind, {a}));
   add_cell(kind, "u:" + name, {a}, out);
   return out;
 }
 
 NetId Netlist::add_binop(CellKind kind, const std::string& name, NetId a, NetId b) {
-  NetId out = add_net(name, infer_width(kind, {a, b}, 0));
+  NetId out = add_net(name, infer_width(kind, {a, b}));
   add_cell(kind, "b:" + name, {a, b}, out);
   return out;
 }
 
 NetId Netlist::add_shift(CellKind kind, const std::string& name, NetId a, unsigned amount) {
   OPISO_REQUIRE(kind == CellKind::Shl || kind == CellKind::Shr, "add_shift: not a shift kind");
-  NetId out = add_net(name, infer_width(kind, {a}, amount));
+  NetId out = add_net(name, infer_width(kind, {a}));
   add_cell(kind, "s:" + name, {a}, out, amount);
   return out;
 }
 
 NetId Netlist::add_mux2(const std::string& name, NetId sel, NetId a, NetId b) {
-  NetId out = add_net(name, infer_width(CellKind::Mux2, {sel, a, b}, 0));
+  NetId out = add_net(name, infer_width(CellKind::Mux2, {sel, a, b}));
   add_cell(CellKind::Mux2, "m:" + name, {sel, a, b}, out);
   return out;
 }

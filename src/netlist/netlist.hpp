@@ -120,8 +120,7 @@ class Netlist {
   void validate() const;
 
   /// Output width the kind would produce from these input nets.
-  [[nodiscard]] unsigned infer_width(CellKind kind, const std::vector<NetId>& ins,
-                                     std::uint64_t param) const;
+  [[nodiscard]] unsigned infer_width(CellKind kind, const std::vector<NetId>& ins) const;
 
  private:
   void check_new_cell(CellKind kind, const std::string& name, const std::vector<NetId>& ins,

@@ -120,12 +120,6 @@ Netlist netlist_from_string(const std::string& text) {
   return read_netlist(is);
 }
 
-void save_netlist(const std::string& path, const Netlist& nl) {
-  std::ofstream os(path);
-  if (!os.good()) throw IoError("cannot open '" + path + "' for writing");
-  write_netlist(os, nl);
-}
-
 Netlist load_netlist(const std::string& path) {
   std::ifstream is(path);
   if (!is.good()) throw IoError("cannot open '" + path + "' for reading");

@@ -35,9 +35,8 @@ struct NetlistReadOptions {
                                    SourceMap* source_map = nullptr);
 [[nodiscard]] Netlist netlist_from_string(const std::string& text);
 
-/// File wrappers around write_netlist/read_netlist; a path that cannot
-/// be opened throws IoError.
-void save_netlist(const std::string& path, const Netlist& nl);
+/// File wrapper around read_netlist; a path that cannot be opened
+/// throws IoError.
 [[nodiscard]] Netlist load_netlist(const std::string& path);
 [[nodiscard]] Netlist load_netlist(const std::string& path, const NetlistReadOptions& options,
                                    SourceMap* source_map = nullptr);

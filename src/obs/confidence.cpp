@@ -9,7 +9,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso::obs {
 

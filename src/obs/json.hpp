@@ -22,7 +22,7 @@
 #include <utility>
 #include <vector>
 
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso::obs {
 

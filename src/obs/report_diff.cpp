@@ -3,7 +3,7 @@
 #include <cmath>
 #include <ostream>
 
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso::obs {
 

@@ -4,7 +4,7 @@
 #include <ostream>
 #include <unordered_map>
 
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso::obs {
 

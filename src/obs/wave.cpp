@@ -6,7 +6,7 @@
 #include <ostream>
 #include <string>
 
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso::obs {
 

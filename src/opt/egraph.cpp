@@ -1,10 +1,10 @@
 #include "opt/egraph.hpp"
 
-#include <algorithm>
 #include <set>
 #include <tuple>
+#include <utility>
 
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 
@@ -128,42 +128,6 @@ std::size_t EGraph::num_classes() const {
     if (find(c) == c) ++n;
   }
   return n;
-}
-
-unsigned EGraph::node_width(CellKind kind, std::uint64_t param,
-                            const std::vector<unsigned>& child_widths) {
-  const auto w = [&](std::size_t i) { return child_widths.at(i); };
-  switch (kind) {
-    case CellKind::Add:
-    case CellKind::Sub:
-    case CellKind::And:
-    case CellKind::Or:
-    case CellKind::Xor:
-    case CellKind::Nand:
-    case CellKind::Nor:
-    case CellKind::Xnor:
-      return std::max(w(0), w(1));
-    case CellKind::Mul:
-      return std::min(64u, w(0) + w(1));
-    case CellKind::Eq:
-    case CellKind::Lt:
-      return 1;
-    case CellKind::Shl:
-    case CellKind::Shr:
-      (void)param;
-      return w(0);
-    case CellKind::Not:
-    case CellKind::Buf:
-      return w(0);
-    case CellKind::Mux2:
-      return std::max(w(1), w(2));
-    case CellKind::IsoAnd:
-    case CellKind::IsoOr:
-      return w(0);
-    default:
-      throw NetlistError("egraph: node_width on non-operator kind '" +
-                         std::string(cell_kind_name(kind)) + "'");
-  }
 }
 
 }  // namespace opiso

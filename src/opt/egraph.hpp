@@ -22,7 +22,7 @@
 // equal constants share a class and constant folding is a merge.
 //
 // Widths are first-class: every e-node carries the inferred output
-// width of its operator (identical rules to Netlist::infer_width), and
+// width of its operator (cell_kind_width, the netlist's own rule), and
 // merge() refuses to union classes of different widths. Word-level
 // rewrites that change an intermediate width are therefore impossible
 // to express by accident — the rule set must introduce an explicit
@@ -93,11 +93,6 @@ class EGraph {
   /// Live (canonical) class count / total stored e-node count.
   [[nodiscard]] std::size_t num_classes() const;
   [[nodiscard]] std::size_t num_nodes() const { return total_nodes_; }
-
-  /// Output width of an operator over child widths — same rules as
-  /// Netlist::infer_width, usable before the node exists.
-  [[nodiscard]] static unsigned node_width(CellKind kind, std::uint64_t param,
-                                           const std::vector<unsigned>& child_widths);
 
  private:
   struct EClass {

@@ -9,52 +9,6 @@ namespace opiso {
 
 namespace {
 
-std::uint64_t width_mask(unsigned width) {
-  return width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
-}
-
-/// Pure word-level semantics of a combinational cell (mirrors the
-/// simulator's evaluation; constants only).
-std::uint64_t eval_cell(const Cell& c, unsigned out_width, const std::vector<std::uint64_t>& in) {
-  std::uint64_t out = 0;
-  switch (c.kind) {
-    case CellKind::Add: out = in[0] + in[1]; break;
-    case CellKind::Sub: out = in[0] - in[1]; break;
-    case CellKind::Mul: out = in[0] * in[1]; break;
-    case CellKind::Eq: out = in[0] == in[1]; break;
-    case CellKind::Lt: out = in[0] < in[1]; break;
-    case CellKind::Shl: out = c.param >= 64 ? 0 : in[0] << c.param; break;
-    case CellKind::Shr: out = c.param >= 64 ? 0 : in[0] >> c.param; break;
-    case CellKind::Not: out = ~in[0]; break;
-    case CellKind::Buf: out = in[0]; break;
-    case CellKind::And: out = in[0] & in[1]; break;
-    case CellKind::Or: out = in[0] | in[1]; break;
-    case CellKind::Xor: out = in[0] ^ in[1]; break;
-    case CellKind::Nand: out = ~(in[0] & in[1]); break;
-    case CellKind::Nor: out = ~(in[0] | in[1]); break;
-    case CellKind::Xnor: out = ~(in[0] ^ in[1]); break;
-    case CellKind::Mux2: out = (in[0] & 1) ? in[2] : in[1]; break;
-    case CellKind::IsoAnd: out = (in[1] & 1) ? in[0] : 0; break;
-    case CellKind::IsoOr: out = (in[1] & 1) ? in[0] : ~std::uint64_t{0}; break;
-    default: throw Error("eval_cell: not a foldable kind");
-  }
-  return out & width_mask(out_width);
-}
-
-bool is_foldable(CellKind kind) {
-  switch (kind) {
-    case CellKind::Reg:
-    case CellKind::Latch:
-    case CellKind::IsoLatch:  // state-holding: folding needs history
-    case CellKind::PrimaryInput:
-    case CellKind::PrimaryOutput:
-    case CellKind::Constant:
-      return false;
-    default:
-      return true;
-  }
-}
-
 struct Rebuilder {
   const Netlist& old_nl;
   const OptimizeOptions& opt;
@@ -280,7 +234,7 @@ Netlist optimize(const Netlist& nl, const OptimizeOptions& opt, OptimizeStats* s
         for (NetId old_in : c.ins) in.push_back(rb.mapped(old_in));
 
         // Constant folding.
-        if (opt.constant_fold && is_foldable(c.kind)) {
+        if (opt.constant_fold && cell_kind_is_operator(c.kind)) {
           bool all_const = true;
           std::vector<std::uint64_t> vals;
           for (NetId n : in) {
@@ -293,7 +247,8 @@ Netlist optimize(const Netlist& nl, const OptimizeOptions& opt, OptimizeStats* s
           }
           if (all_const) {
             rb.net_map[c.out.value()] =
-                rb.make_const(eval_cell(c, c.width, vals), c.width, nl.net(c.out).name);
+                rb.make_const(cell_kind_eval(c.kind, c.param, c.width, vals), c.width,
+                            nl.net(c.out).name);
             ++stats.folded_constants;
             break;
           }
@@ -307,7 +262,7 @@ Netlist optimize(const Netlist& nl, const OptimizeOptions& opt, OptimizeStats* s
           }
         }
         // Common-subexpression elimination (combinational only).
-        if (opt.cse && is_foldable(c.kind) && c.kind != CellKind::IsoLatch) {
+        if (opt.cse && cell_kind_is_operator(c.kind)) {
           std::vector<std::uint32_t> key_ins;
           for (NetId n : in) key_ins.push_back(n.value());
           const auto key =

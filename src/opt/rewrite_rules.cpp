@@ -14,55 +14,16 @@
 #include "sim/cycle_trace.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/stimulus.hpp"
-#include "support/error.hpp"
+#include "util/error.hpp"
 #include "verify/equiv.hpp"
 
 namespace opiso {
 namespace {
 
-std::uint64_t width_mask(unsigned width) {
-  return width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
-}
-
 /// Sequential/boundary cells whose outputs the rewriter treats as
 /// opaque leaves: the e-graph never looks through state.
 bool is_leaf_kind(CellKind kind) {
   return kind == CellKind::PrimaryInput || kind == CellKind::Reg || cell_kind_is_latch(kind);
-}
-
-bool is_op_kind(CellKind kind) {
-  return !is_leaf_kind(kind) && kind != CellKind::Constant && kind != CellKind::PrimaryOutput;
-}
-
-/// Word-level evaluation of one operator — identical semantics to the
-/// plane engine and the optimizer's constant folder: inputs are
-/// masked to their own widths already, the result is masked to the
-/// node's width.
-std::uint64_t eval_node(CellKind kind, std::uint64_t param, unsigned out_width,
-                        const std::vector<std::uint64_t>& in) {
-  std::uint64_t out = 0;
-  switch (kind) {
-    case CellKind::Add: out = in[0] + in[1]; break;
-    case CellKind::Sub: out = in[0] - in[1]; break;
-    case CellKind::Mul: out = in[0] * in[1]; break;
-    case CellKind::Eq: out = in[0] == in[1]; break;
-    case CellKind::Lt: out = in[0] < in[1]; break;
-    case CellKind::Shl: out = param >= 64 ? 0 : in[0] << param; break;
-    case CellKind::Shr: out = param >= 64 ? 0 : in[0] >> param; break;
-    case CellKind::Not: out = ~in[0]; break;
-    case CellKind::Buf: out = in[0]; break;
-    case CellKind::And: out = in[0] & in[1]; break;
-    case CellKind::Or: out = in[0] | in[1]; break;
-    case CellKind::Xor: out = in[0] ^ in[1]; break;
-    case CellKind::Nand: out = ~(in[0] & in[1]); break;
-    case CellKind::Nor: out = ~(in[0] | in[1]); break;
-    case CellKind::Xnor: out = ~(in[0] ^ in[1]); break;
-    case CellKind::Mux2: out = (in[0] & 1) ? in[2] : in[1]; break;
-    case CellKind::IsoAnd: out = (in[1] & 1) ? in[0] : 0; break;
-    case CellKind::IsoOr: out = (in[1] & 1) ? in[0] : ~std::uint64_t{0}; break;
-    default: throw NetlistError("rewrite: eval_node on non-operator kind");
-  }
-  return out & width_mask(out_width);
 }
 
 // ---------------------------------------------------------------------
@@ -174,7 +135,7 @@ struct Saturator {
     ENode n;
     n.kind = kind;
     n.param = param;
-    n.width = EGraph::node_width(kind, param, ws);
+    n.width = cell_kind_width(kind, ws);
     n.children = std::move(children);
     return g.add(std::move(n));
   }
@@ -220,7 +181,7 @@ struct Saturator {
   }
 
   void apply_rules(EClassId cls, const ENode& n) {
-    if (!is_op_kind(n.kind)) return;
+    if (!cell_kind_is_operator(n.kind)) return;
     const unsigned W = n.width;
     const auto ch = [&](std::size_t i) { return g.find(n.children[i]); };
     const auto cw = [&](std::size_t i) { return g.width(n.children[i]); };
@@ -239,7 +200,9 @@ struct Saturator {
         }
         vals.push_back(*v);
       }
-      if (all_const) unite(cls, mk_const(eval_node(n.kind, n.param, W, vals), W), "const-fold");
+      if (all_const) {
+        unite(cls, mk_const(cell_kind_eval(n.kind, n.param, W, vals), W), "const-fold");
+      }
     }
 
     // -- commutativity.
@@ -508,7 +471,7 @@ struct CostModel {
   unsigned iso_min_width = 2;
 
   double node_cost(const EGraph& g, const ENode& n, const std::vector<double>& rate) const {
-    if (!is_op_kind(n.kind)) return 0.0;
+    if (!cell_kind_is_operator(n.kind)) return 0.0;
     std::vector<double> rates;
     rates.reserve(n.children.size());
     for (EClassId c : n.children) rates.push_back(rate[g.find(c)]);
@@ -552,7 +515,7 @@ Extraction extract(const EGraph& g, const GraphBuild& b, const Profile& prof,
       if (evaluated[c]) continue;
       for (const ENode& n : g.nodes(c)) {
         bool ready = true;
-        if (is_op_kind(n.kind)) {
+        if (cell_kind_is_operator(n.kind)) {
           for (EClassId chc : n.children) {
             if (!evaluated[g.find(chc)]) {
               ready = false;
@@ -575,7 +538,7 @@ Extraction extract(const EGraph& g, const GraphBuild& b, const Profile& prof,
             for (std::size_t i = 0; i < n.children.size(); ++i) {
               ins[i] = vals[g.find(n.children[i])][t];
             }
-            v[t] = eval_node(n.kind, n.param, n.width, ins);
+            v[t] = cell_kind_eval(n.kind, n.param, n.width, ins);
           }
         }
         evaluated[c] = 1;
@@ -668,7 +631,7 @@ struct Emitter {
     if (n.kind == CellKind::Constant) {
       net = out.add_const(out.fresh_net_name(hint_name(c)), n.param, n.width);
     } else {
-      OPISO_REQUIRE(is_op_kind(n.kind), "rewrite: leaf class was not pre-seeded");
+      OPISO_REQUIRE(cell_kind_is_operator(n.kind), "rewrite: leaf class was not pre-seeded");
       std::vector<NetId> ins;
       ins.reserve(n.children.size());
       for (EClassId chc : n.children) ins.push_back(emit(chc));
@@ -806,7 +769,7 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
     double cost_before = 0.0;
     for (CellId id : nl.cell_ids()) {
       const Cell& c = nl.cell(id);
-      if (!is_op_kind(c.kind) || c.kind == CellKind::PrimaryOutput) continue;
+      if (!cell_kind_is_operator(c.kind)) continue;
       ENode n;
       n.kind = c.kind;
       n.param = (c.kind == CellKind::Shl || c.kind == CellKind::Shr) ? c.param : 0;

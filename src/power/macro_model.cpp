@@ -2,7 +2,7 @@
 
 #include <array>
 
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 

@@ -4,7 +4,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 

@@ -1,6 +1,6 @@
 #include "sim/activity.hpp"
 
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 
@@ -18,11 +18,6 @@ BoolVar NetVarMap::var_of(const Netlist& nl, NetId net) {
 NetId NetVarMap::net_of(BoolVar v) const {
   OPISO_REQUIRE(v < nets_.size(), "NetVarMap: unknown variable");
   return nets_[v];
-}
-
-BoolVar NetVarMap::try_var_of(NetId net) const {
-  if (net.value() >= var_by_net_.size()) return kNoVar;
-  return var_by_net_[net.value()];
 }
 
 double ActivityStats::toggle_rate(NetId net) const {

@@ -33,8 +33,6 @@ class NetVarMap {
   /// Net of an allocated variable.
   [[nodiscard]] NetId net_of(BoolVar v) const;
   [[nodiscard]] std::size_t num_vars() const { return nets_.size(); }
-  /// Variable for the net, or kNoVar if never allocated.
-  [[nodiscard]] BoolVar try_var_of(NetId net) const;
   static constexpr BoolVar kNoVar = 0xFFFFFFFFu;
 
  private:

@@ -1,6 +1,6 @@
 #include "sim/cycle_trace.hpp"
 
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 

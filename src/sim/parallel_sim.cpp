@@ -9,7 +9,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/cycle_trace.hpp"
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 
@@ -92,18 +92,60 @@ ParallelSimulator::ParallelSimulator(const Netlist& nl, unsigned lanes, const Ex
 std::size_t ParallelSimulator::add_probe(ExprRef expr) {
   OPISO_REQUIRE(pool_ != nullptr && vars_ != nullptr,
                 "ParallelSimulator: probes require an ExprPool and NetVarMap");
+  // A probe added mid-run would take its first previous value from
+  // prev_: a real one when its root shares a net's or an earlier
+  // probe's plane, 0 when the plane is new. Probes come first, so toggle
+  // counts never depend on sharing.
+  OPISO_REQUIRE(cycle_ == 0, "ParallelSimulator: add probes before the first simulated cycle");
   for (BoolVar v : pool_->support(expr)) {
     NetId net = vars_->net_of(v);
     OPISO_REQUIRE(net.value() < nl_.num_nets(), "probe variable bound to foreign net");
   }
-  probes_.push_back(expr);
-  prev_probe_.insert(prev_probe_.end(), words_, 0);
+  expr_plane_.resize(pool_->num_nodes(), kUncompiled);
+  probe_plane_.push_back(compile_expr(expr));
   stats_.probe_true.push_back(0);
   stats_.probe_toggles.push_back(0);
   if (stats_.net_batches.enabled()) {
-    stats_.probe_batches.configure(probes_.size(), stats_.net_batches.batch_frames());
+    stats_.probe_batches.configure(probe_plane_.size(), stats_.net_batches.batch_frames());
   }
-  return probes_.size() - 1;
+  return probe_plane_.size() - 1;
+}
+
+std::size_t ParallelSimulator::compile_expr(ExprRef r) {
+  if (expr_plane_[r.value()] != kUncompiled) return expr_plane_[r.value()];
+  const ExprNode& n = pool_->node(r);
+  PlaneOp op;
+  op.w = 1;
+  const auto operand = [&](ExprRef child) {
+    return static_cast<std::uint32_t>(compile_expr(child) * words_);
+  };
+  switch (n.op) {
+    case ExprOp::Var:  // no gate: bit 0 of the net's planes
+      return expr_plane_[r.value()] = plane_off_[vars_->net_of(n.var).value()];
+    case ExprOp::Const0:
+    case ExprOp::Const1:
+      op.kind = CellKind::Constant;
+      op.param = n.op == ExprOp::Const1 ? 1 : 0;
+      break;
+    case ExprOp::Not:
+      op.kind = CellKind::Not;
+      op.a = operand(n.a);
+      op.wa = 1;
+      break;
+    case ExprOp::And:
+    case ExprOp::Or:
+      op.kind = n.op == ExprOp::And ? CellKind::And : CellKind::Or;
+      op.a = operand(n.a);
+      op.b = operand(n.b);
+      op.wa = op.wb = 1;
+      break;
+  }
+  const std::size_t plane = planes_.size() / words_;
+  planes_.resize(planes_.size() + words_, 0);
+  prev_.resize(planes_.size(), 0);
+  op.out = static_cast<std::uint32_t>(plane * words_);
+  program_.ops.push_back(op);
+  return expr_plane_[r.value()] = plane;
 }
 
 void ParallelSimulator::set_stimulus(const LaneStimulusFactory& make) {
@@ -137,8 +179,7 @@ void ParallelSimulator::set_stimulus(const LaneStimulusFactory& make) {
     }
     pi_masks_.clear();
     for (CellId pi : nl_.primary_inputs()) {
-      const unsigned w = nl_.cell(pi).width;
-      pi_masks_.push_back(w >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << w) - 1));
+      pi_masks_.push_back(width_mask(nl_.cell(pi).width));
     }
     uniform_buf_.assign(pi_masks_.size() * lanes_padded_, 0);
   } else {
@@ -158,7 +199,7 @@ void ParallelSimulator::enable_bit_stats() {
 
 void ParallelSimulator::enable_batch_stats(std::uint32_t batch_frames) {
   stats_.net_batches.configure(nl_.num_nets(), batch_frames);
-  stats_.probe_batches.configure(probes_.size(), batch_frames);
+  stats_.probe_batches.configure(probe_plane_.size(), batch_frames);
 }
 
 namespace {
@@ -264,8 +305,7 @@ void ParallelSimulator::drive_inputs() {
     if (uniform_fast_) {
       lane_words = uniform_buf_.data() + pi_index * lanes_padded_;
     } else {
-      const std::uint64_t wmask =
-          width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
+      const std::uint64_t wmask = width_mask(width);
       for (unsigned l = 0; l < lanes_; ++l) {
         tmp[l] = lane_stims_[l]->next(nl_, pi, cycle_) & wmask;
       }
@@ -306,53 +346,6 @@ void ParallelSimulator::drive_inputs() {
       }
     }
   }
-}
-
-template <unsigned W>
-void ParallelSimulator::eval_expr_lanes(ExprRef r, std::uint64_t* out) {
-  const std::size_t idx = r.value();
-  if (idx * W < expr_val_.size() && expr_gen_[idx] == gen_) {
-    for (unsigned k = 0; k < W; ++k) out[k] = expr_val_[idx * W + k];
-    return;
-  }
-  const ExprNode& n = pool_->node(r);
-  std::uint64_t v[W] = {};
-  std::uint64_t tmp_b[W];
-  switch (n.op) {
-    case ExprOp::Const0:
-      break;
-    case ExprOp::Const1:
-      for (unsigned k = 0; k < W; ++k) v[k] = lane_mask_[k];
-      break;
-    case ExprOp::Var: {
-      const std::size_t off = plane_off_[vars_->net_of(n.var).value()] * W;  // plane 0 = bit 0
-      for (unsigned k = 0; k < W; ++k) v[k] = planes_[off + k];
-      break;
-    }
-    case ExprOp::Not:
-      eval_expr_lanes<W>(n.a, v);
-      for (unsigned k = 0; k < W; ++k) v[k] = ~v[k] & lane_mask_[k];
-      break;
-    case ExprOp::And:
-      eval_expr_lanes<W>(n.a, v);
-      eval_expr_lanes<W>(n.b, tmp_b);
-      for (unsigned k = 0; k < W; ++k) v[k] &= tmp_b[k];
-      break;
-    case ExprOp::Or:
-      eval_expr_lanes<W>(n.a, v);
-      eval_expr_lanes<W>(n.b, tmp_b);
-      for (unsigned k = 0; k < W; ++k) v[k] |= tmp_b[k];
-      break;
-  }
-  if (idx * W >= expr_val_.size()) {
-    expr_val_.resize(pool_->num_nodes() * W, 0);
-    expr_gen_.resize(pool_->num_nodes(), 0);
-  }
-  for (unsigned k = 0; k < W; ++k) {
-    expr_val_[idx * W + k] = v[k];
-    out[k] = v[k];
-  }
-  expr_gen_[idx] = gen_;
 }
 
 void ParallelSimulator::set_cycle_sink(CycleSink* sink) {
@@ -398,22 +391,17 @@ void ParallelSimulator::record_stats() {
     if (!has_prev_) std::fill(sink_toggles_.begin(), sink_toggles_.end(), 0);
     sink_->on_cycle(nl_, cycle_, lanes_, sink_toggles_, values ? sink_values_.data() : nullptr);
   }
-  if (!probes_.empty()) {
-    ++gen_;
-    std::uint64_t hold[W];
-    for (std::size_t p = 0; p < probes_.size(); ++p) {
-      eval_expr_lanes<W>(probes_[p], hold);
-      std::uint64_t pc_true = 0;
-      std::uint64_t pc_tog = 0;
-      for (unsigned k = 0; k < W; ++k) {
-        pc_true += popcount64(hold[k]);
-        pc_tog += popcount64(hold[k] ^ prev_probe_[p * W + k]);
-        prev_probe_[p * W + k] = hold[k];
-      }
-      stats_.probe_true[p] += pc_true;
-      if (batches) stats_.probe_batches.add(p, pc_true);
-      if (has_prev_) stats_.probe_toggles[p] += pc_tog;
+  for (std::size_t p = 0; p < probe_plane_.size(); ++p) {
+    const std::size_t off = probe_plane_[p] * W;
+    std::uint64_t pc_true = 0;
+    std::uint64_t pc_tog = 0;
+    for (unsigned k = 0; k < W; ++k) {
+      pc_true += popcount64(planes_[off + k]);
+      pc_tog += popcount64(planes_[off + k] ^ prev_[off + k]);
     }
+    stats_.probe_true[p] += pc_true;
+    if (batches) stats_.probe_batches.add(p, pc_true);
+    if (has_prev_) stats_.probe_toggles[p] += pc_tog;
   }
   stats_.cycles += lanes_;
 }
@@ -421,9 +409,10 @@ void ParallelSimulator::record_stats() {
 template <unsigned W>
 void ParallelSimulator::advance(std::uint64_t cycles) {
   for (std::uint64_t i = 0; i < cycles; ++i) {
-    // Every net plane is rewritten below (PO cells drive no net), so
-    // last cycle's values are retired into prev_ by pointer swap rather
-    // than a copy; planes_ keeps the final values once run() returns.
+    // Every plane is rewritten below (PO cells drive no net; each probe
+    // gate writes its own slot), so last cycle's values are retired
+    // into prev_ by pointer swap rather than a copy; planes_ keeps the
+    // final values once run() returns.
     if (has_prev_) std::swap(prev_, planes_);
     drive_inputs<W>();
     eval_plane_program(program_, planes_.data(), state_.data(), lane_mask_.data());

@@ -30,8 +30,12 @@
 // per-lane virtual dispatch — so stimulus generation vectorizes along
 // with the plane kernels.
 //
-// Probes evaluate lane-parallel over plane 0 of their variables'
-// nets: one memoized DAG walk per cycle instead of one per lane.
+// Probes are gates of the same program: add_probe compiles a probe's
+// Expr DAG into one-bit And/Or/Not/Constant ops appended after the
+// netlist's ops, each writing a plane slot of its own (a Var reads
+// bit 0 of its net, and nodes shared between probes compile once). The
+// cell kernels then evaluate every probe, and the statistics pass
+// counts a probe's root plane the way it counts a net's.
 
 #include <cstdint>
 #include <functional>
@@ -64,6 +68,8 @@ class ParallelSimulator : public ProbeHost {
   explicit ParallelSimulator(const Netlist& nl, unsigned lanes = kMaxLanes,
                              const ExprPool* pool = nullptr, const NetVarMap* vars = nullptr);
 
+  /// Compile `expr` into the plane program. Probes must be added
+  /// before the first simulated cycle (run or warmup).
   std::size_t add_probe(ExprRef expr) override;
 
   /// Instantiate one stimulus stream per lane (replacing any previous
@@ -108,7 +114,9 @@ class ParallelSimulator : public ProbeHost {
   template <unsigned W> void advance(std::uint64_t cycles);
   template <unsigned W> void drive_inputs();
   template <unsigned W> void record_stats();
-  template <unsigned W> void eval_expr_lanes(ExprRef r, std::uint64_t* out);
+  /// Plane index of Expr node `r`, appending its gate (and those of
+  /// its uncompiled children) to the program first.
+  std::size_t compile_expr(ExprRef r);
 
   const Netlist& nl_;
   const ExprPool* pool_;
@@ -117,11 +125,11 @@ class ParallelSimulator : public ProbeHost {
   unsigned words_;          ///< block width: 1 word up to 64 lanes, else kPlaneWords
   PlaneBlock lane_mask_{};  ///< active-lane mask, one block
   std::vector<CellId> order_;  ///< topological order
-  PlaneProgram program_;       ///< SoA compilation of order_
+  PlaneProgram program_;       ///< SoA compilation of order_, then the probe gates
 
   std::vector<std::size_t> plane_off_;   ///< per net: bit-plane index (x words_ = word)
   std::vector<unsigned> net_width_;      ///< per net: width (bit planes)
-  std::vector<std::uint64_t> planes_;    ///< current value, one block per net bit
+  std::vector<std::uint64_t> planes_;    ///< current value: net bits, then probe gates
   std::vector<std::uint64_t> prev_;      ///< previous-cycle planes
   std::vector<std::size_t> state_off_;   ///< per cell: bit-plane index into state_
   std::vector<std::uint64_t> state_;     ///< reg/latch held planes
@@ -135,14 +143,9 @@ class ParallelSimulator : public ProbeHost {
   std::vector<std::uint64_t> pi_masks_;     ///< per PI: width mask (fast path)
   std::vector<std::uint64_t> uniform_buf_;  ///< per cycle: PI p draws at [p*lanes_padded_..]
 
-  std::vector<ExprRef> probes_;
-  std::vector<std::uint64_t> prev_probe_;  ///< per probe: previous lane block
-
-  // Per-cycle probe memoization over the hash-consed Expr DAG
-  // (block-valued: node r at expr_val_[r * words_ ..]).
-  std::vector<std::uint64_t> expr_val_;
-  std::vector<std::uint64_t> expr_gen_;
-  std::uint64_t gen_ = 0;
+  static constexpr std::size_t kUncompiled = ~std::size_t{0};
+  std::vector<std::size_t> expr_plane_;   ///< per Expr node: its plane, or kUncompiled
+  std::vector<std::size_t> probe_plane_;  ///< per probe: its root's plane
 
   ActivityStats stats_;
   std::uint64_t cycle_ = 0;

@@ -1,6 +1,6 @@
 #include "sim/plane_program.hpp"
 
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 

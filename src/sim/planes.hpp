@@ -40,20 +40,6 @@ static_assert(kPlaneWords == 4 || kPlaneWords == 8, "plane block must be 4 or 8 
 /// [64k, 64k+64); lane l lives in word l/64, bit l%64.
 using PlaneBlock = std::array<std::uint64_t, kPlaneWords>;
 
-/// Instruction set the plane kernels were compiled for (diagnostics and
-/// the CI SIMD-matrix assertion; never changes results).
-[[nodiscard]] inline constexpr const char* plane_isa_name() {
-#if defined(OPISO_FORCE_SCALAR_PLANES)
-  return "scalar-forced";
-#elif defined(__AVX512F__)
-  return "avx512";
-#elif defined(__AVX2__)
-  return "avx2";
-#else
-  return "scalar";
-#endif
-}
-
 /// All-zero block plane accessors return for bits past a net's width.
 /// Sized for the widest block so a pointer to it is valid for any
 /// kPlaneWords.

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 
 namespace {
-std::uint64_t width_mask(unsigned width) {
-  return width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
-}
 const std::string& pi_net_name(const Netlist& nl, CellId pi) {
   return nl.net(nl.cell(pi).out).name;
 }

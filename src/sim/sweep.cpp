@@ -11,7 +11,7 @@
 #include "power/estimator.hpp"
 #include "sim/cycle_trace.hpp"
 #include "sim/parallel_sim.hpp"
-#include "support/error.hpp"
+#include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace opiso {

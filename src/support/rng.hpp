@@ -56,13 +56,9 @@ class Rng {
   }
 
   /// Raw xoshiro state, for engines that advance many Rngs in lockstep
-  /// structure-of-arrays form (sim/parallel_sim.cpp). Round-tripping
-  /// through state()/set_state() preserves the output sequence exactly.
+  /// structure-of-arrays form (sim/parallel_sim.cpp).
   [[nodiscard]] std::array<std::uint64_t, 4> state() const {
     return {state_[0], state_[1], state_[2], state_[3]};
-  }
-  void set_state(const std::array<std::uint64_t, 4>& s) {
-    for (unsigned i = 0; i < 4; ++i) state_[i] = s[i];
   }
 
  private:

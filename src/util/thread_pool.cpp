@@ -3,7 +3,7 @@
 #include <chrono>
 
 #include "obs/metrics.hpp"
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 

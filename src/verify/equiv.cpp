@@ -1,5 +1,6 @@
 #include "verify/equiv.hpp"
 
+#include <array>
 #include <map>
 #include <unordered_map>
 
@@ -84,36 +85,12 @@ std::vector<BddRef> build_net_bdds(const Netlist& g, BddManager& mgr, VarSpace& 
       case CellKind::Constant:
         f = (c.param & 1) ? mgr.one() : mgr.zero();
         break;
-      case CellKind::Buf:
-        f = in(0);
+      default: {
+        std::array<BddRef, 3> ins;
+        for (std::size_t p = 0; p < c.ins.size(); ++p) ins[p] = in(static_cast<int>(p));
+        f = one_bit_cell_bdd(mgr, c.kind, std::span<const BddRef>(ins.data(), c.ins.size()));
         break;
-      case CellKind::Not:
-        f = mgr.bnot(in(0));
-        break;
-      case CellKind::And:
-        f = mgr.band(in(0), in(1));
-        break;
-      case CellKind::Or:
-        f = mgr.bor(in(0), in(1));
-        break;
-      case CellKind::Xor:
-        f = mgr.bxor(in(0), in(1));
-        break;
-      case CellKind::Nand:
-        f = mgr.bnot(mgr.band(in(0), in(1)));
-        break;
-      case CellKind::Nor:
-        f = mgr.bnot(mgr.bor(in(0), in(1)));
-        break;
-      case CellKind::Xnor:
-        f = mgr.bnot(mgr.bxor(in(0), in(1)));
-        break;
-      case CellKind::Mux2:
-        f = mgr.ite(in(0), in(2), in(1));
-        break;
-      default:
-        throw NetlistError("equiv: unexpected cell kind '" +
-                           std::string(cell_kind_name(c.kind)) + "' in lowered netlist");
+      }
     }
     fn[c.out.value()] = f;
   }
@@ -121,6 +98,29 @@ std::vector<BddRef> build_net_bdds(const Netlist& g, BddManager& mgr, VarSpace& 
 }
 
 }  // namespace
+
+BddRef one_bit_cell_bdd(BddManager& mgr, CellKind kind, std::span<const BddRef> in) {
+  switch (kind) {
+    case CellKind::Buf: return in[0];
+    case CellKind::Not: return mgr.bnot(in[0]);
+    case CellKind::And:
+    case CellKind::IsoAnd: return mgr.band(in[0], in[1]);
+    case CellKind::Or: return mgr.bor(in[0], in[1]);
+    case CellKind::Xor:
+    case CellKind::Add:
+    case CellKind::Sub: return mgr.bxor(in[0], in[1]);
+    case CellKind::Nand: return mgr.bnot(mgr.band(in[0], in[1]));
+    case CellKind::Nor: return mgr.bnot(mgr.bor(in[0], in[1]));
+    case CellKind::Xnor:
+    case CellKind::Eq: return mgr.bnot(mgr.bxor(in[0], in[1]));
+    case CellKind::Lt: return mgr.band(mgr.bnot(in[0]), in[1]);
+    case CellKind::Mux2: return mgr.ite(in[0], in[2], in[1]);
+    case CellKind::IsoOr: return mgr.bor(in[0], mgr.bnot(in[1]));
+    default:
+      throw NetlistError("no one-bit BDD rule for cell kind '" +
+                         std::string(cell_kind_name(kind)) + "'");
+  }
+}
 
 EquivResult check_isolation_equivalence(const Netlist& original, const Netlist& transformed) {
   return check_isolation_equivalence(original, transformed, BddBudget{});

@@ -20,6 +20,7 @@
 // transparent latches have no single-cut combinational semantics; the
 // latch style remains covered by the simulation-based lock-step tests.
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,14 @@ struct EquivResult {
   std::size_t obligations_checked = 0;
   std::size_t bdd_nodes = 0;  ///< manager size after all checks
 };
+
+/// BDD of a one-bit cell of `kind` over its input pins' BDDs: the one
+/// rule the equivalence checker and lint's isolation-soundness proof
+/// share. At one bit Add and Sub are Xor, Eq is Xnor and Lt is !a & b.
+/// Sources and state (PrimaryInput, Constant, Reg) stay with the
+/// caller; any other kind without a one-bit rule throws.
+[[nodiscard]] BddRef one_bit_cell_bdd(BddManager& mgr, CellKind kind,
+                                      std::span<const BddRef> in);
 
 /// Prove that `transformed` is observationally equivalent to `original`
 /// (same PO streams for every input stream from the all-zero state).

@@ -5,12 +5,12 @@
 
 #include "netlist/traversal.hpp"
 #include "sim/cycle_trace.hpp"
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 
 namespace {
-std::uint64_t width_mask(unsigned width) {
+std::uint64_t net_mask(unsigned width) {
   return width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
 }
 
@@ -83,7 +83,7 @@ Simulator::Simulator(const Netlist& nl, const ExprPool* pool, const NetVarMap* v
   prev_.assign(nl_.num_nets(), 0);
   state_.assign(nl_.num_cells(), 0);
   mask_.resize(nl_.num_nets());
-  for (NetId id : nl_.net_ids()) mask_[id.value()] = width_mask(nl_.net(id).width);
+  for (NetId id : nl_.net_ids()) mask_[id.value()] = net_mask(nl_.net(id).width);
   stats_.toggles.assign(nl_.num_nets(), 0);
   stats_.ones.assign(nl_.num_nets(), 0);
 }

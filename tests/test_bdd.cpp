@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "boolfn/bdd.hpp"
-#include "support/error.hpp"
 #include "support/rng.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 namespace {

@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "opt/egraph.hpp"
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 namespace {
@@ -111,13 +111,15 @@ TEST(EGraph, ConstValue) {
 }
 
 TEST(EGraph, NodeWidthMatchesNetlistRules) {
-  EXPECT_EQ(EGraph::node_width(CellKind::Add, 0, {4, 8}), 8u);
-  EXPECT_EQ(EGraph::node_width(CellKind::Mul, 0, {8, 8}), 16u);
-  EXPECT_EQ(EGraph::node_width(CellKind::Mul, 0, {40, 40}), 64u);
-  EXPECT_EQ(EGraph::node_width(CellKind::Eq, 0, {8, 8}), 1u);
-  EXPECT_EQ(EGraph::node_width(CellKind::Shl, 3, {8}), 8u);
-  EXPECT_EQ(EGraph::node_width(CellKind::Mux2, 0, {1, 4, 8}), 8u);
-  EXPECT_EQ(EGraph::node_width(CellKind::IsoAnd, 0, {8, 1}), 8u);
+  // Saturator::mk sizes new e-nodes with the netlist's own width rule.
+  using Widths = std::vector<unsigned>;
+  EXPECT_EQ(cell_kind_width(CellKind::Add, Widths{4, 8}), 8u);
+  EXPECT_EQ(cell_kind_width(CellKind::Mul, Widths{8, 8}), 16u);
+  EXPECT_EQ(cell_kind_width(CellKind::Mul, Widths{40, 40}), 64u);
+  EXPECT_EQ(cell_kind_width(CellKind::Eq, Widths{8, 8}), 1u);
+  EXPECT_EQ(cell_kind_width(CellKind::Shl, Widths{8}), 8u);
+  EXPECT_EQ(cell_kind_width(CellKind::Mux2, Widths{1, 4, 8}), 8u);
+  EXPECT_EQ(cell_kind_width(CellKind::IsoAnd, Widths{8, 1}), 8u);
 }
 
 TEST(EGraph, DeterministicIterationOrder) {

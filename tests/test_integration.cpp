@@ -143,9 +143,7 @@ TEST(Integration, ReportRendersTheFullStory) {
   IsolationOptions opt;
   opt.sim_cycles = 1024;
   const IsolationResult res = run_operand_isolation(make_fig1(8), stimuli, opt);
-  std::ostringstream os;
-  write_isolation_report(os, res);
-  const std::string report = os.str();
+  const std::string report = format_isolation_summary(res) + format_iteration_log(res);
   EXPECT_NE(report.find("operand isolation summary"), std::string::npos);
   EXPECT_NE(report.find("iteration 0"), std::string::npos);
 }

@@ -17,7 +17,7 @@
 #include "obs/trace.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/sweep.hpp"
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso::obs {
 namespace {

@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "obs/report_diff.hpp"
-#include "support/error.hpp"
+#include "util/error.hpp"
 
 namespace opiso::obs {
 namespace {

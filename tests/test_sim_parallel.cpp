@@ -6,7 +6,9 @@
 // single stream run one lane and get the plain cycle-by-cycle numbers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -23,18 +25,29 @@ namespace opiso {
 namespace {
 
 /// Probe expressions over the first few 1-bit nets, so probe counters
-/// are covered wherever the design has control signals.
+/// are covered wherever the design has control signals. The shapes
+/// cover every gate a probe compiles to: constant roots, a Var root,
+/// a root registered twice and nodes shared between probes.
 std::vector<ExprRef> make_probes(const Netlist& nl, ExprPool& pool, NetVarMap& vars) {
+  std::vector<ExprRef> probes = {pool.const1(), pool.const0()};
   std::vector<BoolVar> bits;
   for (NetId id : nl.net_ids()) {
     if (nl.net(id).width == 1) bits.push_back(vars.var_of(nl, id));
     if (bits.size() >= 3) break;
   }
-  std::vector<ExprRef> probes;
   if (bits.empty()) return probes;
-  probes.push_back(pool.var(bits[0]));
-  probes.push_back(pool.lnot(pool.var(bits[0])));
-  if (bits.size() >= 2) probes.push_back(pool.land(pool.var(bits[0]), pool.var(bits[1])));
+  const ExprRef v0 = pool.var(bits[0]);
+  const ExprRef nv0 = pool.lnot(v0);
+  probes.push_back(v0);
+  probes.push_back(nv0);
+  probes.push_back(nv0);  // the same root twice
+  if (bits.size() >= 2) {
+    const ExprRef v1 = pool.var(bits[1]);
+    probes.push_back(pool.land(v0, v1));
+    // Three levels whose two branches both reuse v0 and !v0.
+    probes.push_back(pool.lor(pool.land(pool.lor(v0, pool.lnot(v1)), nv0),
+                              pool.land(pool.lor(nv0, v1), v0)));
+  }
   if (bits.size() >= 3) {
     probes.push_back(pool.lor(pool.var(bits[1]), pool.lnot(pool.var(bits[2]))));
   }
@@ -148,7 +161,11 @@ TEST(SimParallel, MatchesReferenceOnParametric) {
 }
 
 TEST(SimParallel, MatchesReferenceWithWarmup) {
-  expect_matches_oracle(make_fig1(), 64, 100, 5, /*warmup=*/16);
+  // Probe planes carry their previous values across the warmup the same
+  // way net planes do.
+  for (unsigned lanes : {1u, 5u, 64u, 65u, ParallelSimulator::kMaxLanes}) {
+    expect_matches_oracle(make_fig1(), lanes, 100, 5, /*warmup=*/16);
+  }
 }
 
 TEST(SimParallel, MatchesReferenceOnAllRtlDesigns) {
@@ -319,6 +336,26 @@ TEST(SimParallel, ProbesRequirePoolAndVars) {
   EXPECT_THROW((void)sim.add_probe(pool.const1()), Error);
 }
 
+TEST(SimParallel, ProbesMustPrecedeTheFirstCycle) {
+  // A probe added late would start from a previous value of 0 while a
+  // plane it shares with a net or an earlier probe holds a real one.
+  const Netlist nl = make_fig1();
+  ExprPool pool;
+  NetVarMap vars;
+  const std::vector<ExprRef> probes = make_probes(nl, pool, vars);
+  for (bool warm : {false, true}) {
+    ParallelSimulator sim(nl, 4, &pool, &vars);
+    (void)sim.add_probe(probes.back());
+    sim.set_stimulus(uniform_lanes(3));
+    if (warm) {
+      sim.warmup(1);
+    } else {
+      sim.run(1);
+    }
+    EXPECT_THROW((void)sim.add_probe(probes.front()), Error) << "warmup=" << warm;
+  }
+}
+
 TEST(SimParallel, StatsAccumulateAcrossRunsAndReset) {
   const Netlist nl = make_fig1();
   ParallelSimulator sim(nl, 8);
@@ -331,6 +368,105 @@ TEST(SimParallel, StatsAccumulateAcrossRunsAndReset) {
   EXPECT_EQ(sim.stats().cycles, 160u);
   sim.reset_stats();
   EXPECT_EQ(sim.stats().cycles, 0u);
+}
+
+// ------------------------------------------------- the shared evaluator
+
+/// Output width of an operator over input widths, written out here
+/// apart from cell_kind_width so the test checks that rule instead of
+/// restating it.
+unsigned expected_width(CellKind kind, const std::vector<unsigned>& w) {
+  switch (kind) {
+    case CellKind::Eq:
+    case CellKind::Lt:
+      return 1;
+    case CellKind::Mul:
+      return std::min(64u, w[0] + w[1]);
+    case CellKind::Mux2:
+      return std::max(w[1], w[2]);
+    case CellKind::Add:
+    case CellKind::Sub:
+    case CellKind::And:
+    case CellKind::Or:
+    case CellKind::Xor:
+    case CellKind::Nand:
+    case CellKind::Nor:
+    case CellKind::Xnor:
+      return std::max(w[0], w[1]);
+    default:  // one-input kinds and the isolation banks: the data pin
+      return w[0];
+  }
+}
+
+/// One cell of `kind` over inputs of `widths` (with `shared`, a pin
+/// reads the first earlier input of its width), run on one lane: every
+/// cycle, lane 0's output must be cell_kind_eval of lane 0's inputs.
+void expect_eval_matches_engine(CellKind kind, const std::vector<unsigned>& widths,
+                                std::uint64_t param, bool shared, std::uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << cell_kind_name(kind) << " widths=" << widths[0] << ","
+                                  << (widths.size() > 1 ? widths[1] : 0) << ","
+                                  << (widths.size() > 2 ? widths[2] : 0) << " param=" << param
+                                  << " shared=" << shared);
+  Netlist nl("one_cell");
+  std::vector<NetId> ins;
+  for (std::size_t p = 0; p < widths.size(); ++p) {
+    NetId in = NetId::invalid();
+    for (std::size_t q = 0; shared && q < p && !in.valid(); ++q) {
+      if (widths[q] == widths[p]) in = ins[q];
+    }
+    ins.push_back(in.valid() ? in : nl.add_input("i" + std::to_string(p), widths[p]));
+  }
+  const unsigned out_w = expected_width(kind, widths);
+  ASSERT_EQ(cell_kind_width(kind, widths), out_w);
+  const NetId out = nl.add_net("o", out_w);
+  nl.add_cell(kind, "cell", ins, out, param);
+  nl.add_output("o", out);
+
+  RecordingSink sink;
+  ParallelSimulator sim(nl, 1);
+  sim.set_stimulus(uniform_lanes(seed));
+  sim.set_cycle_sink(&sink);
+  sim.run(64);
+  ASSERT_EQ(sink.values.size(), 64u);
+  std::vector<std::uint64_t> in(ins.size());
+  for (const std::vector<std::uint64_t>& v : sink.values) {
+    for (std::size_t p = 0; p < ins.size(); ++p) in[p] = v[ins[p].value()];
+    ASSERT_EQ(v[out.value()], cell_kind_eval(kind, param, out_w, in));
+  }
+}
+
+TEST(CellKindEval, MatchesPlaneEngine) {
+  const std::vector<unsigned> widths = {1, 5, 8, 33, 64};
+  std::uint64_t seed = 1;
+  const auto check = [&](CellKind kind, const std::vector<unsigned>& w, std::uint64_t param) {
+    expect_eval_matches_engine(kind, w, param, false, seed++);
+    if (w.size() > 1 && std::set<unsigned>(w.begin(), w.end()).size() < w.size()) {
+      expect_eval_matches_engine(kind, w, param, true, seed++);
+    }
+  };
+  int kinds = 0;
+  for (int k = 0; k < kNumCellKinds; ++k) {
+    const auto kind = static_cast<CellKind>(k);
+    if (!cell_kind_is_operator(kind)) continue;
+    ++kinds;
+    for (unsigned wa : widths) {
+      if (kind == CellKind::Shl || kind == CellKind::Shr) {
+        for (std::uint64_t sh : {std::uint64_t{0}, std::uint64_t{3}, std::uint64_t{wa - 1},
+                                 std::uint64_t{70}}) {
+          check(kind, {wa}, sh);
+        }
+      } else if (cell_kind_num_inputs(kind) == 1) {
+        check(kind, {wa}, 0);
+      } else if (cell_kind_is_isolation(kind)) {
+        check(kind, {wa, 1}, 0);  // data, one-bit AS
+      } else if (kind == CellKind::Mux2) {
+        for (unsigned wb : widths) check(kind, {1, wa, wb}, 0);  // one-bit select, legs
+      } else {
+        for (unsigned wb : widths) check(kind, {wa, wb}, 0);
+      }
+    }
+  }
+  EXPECT_EQ(kinds, 18);
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 
 #include "obs/json.hpp"
 #include "reference_simulator.hpp"
-#include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/strong_id.hpp"
+#include "util/error.hpp"
 
 namespace opiso {
 namespace {

@@ -188,10 +188,10 @@ void set_confidence_level(const Option& opt, Args& args, const std::string& valu
   }
 }
 
-/// --pass takes the name of a pass lint::PassRegistry holds.
+/// --pass takes the name of one of lint::builtin_passes().
 void add_lint_pass(const Option& opt, Args& args, const std::string& value) {
   std::string names;
-  for (const auto& pass : lint::PassRegistry::instance().passes()) {
+  for (const auto& pass : lint::builtin_passes()) {
     if (pass->name() == value) {
       args.only_passes.push_back(value);
       return;
@@ -926,7 +926,7 @@ void usage(const std::string& error) {
   os << "\nA <design> is a builtin (";
   for (const auto& builtin : kBuiltins) os << (&builtin == kBuiltins ? "" : ", ") << builtin.first;
   os << "), a .rtl RTL file or a .rtn netlist.\n--pass NAME is one of:";
-  for (const auto& pass : lint::PassRegistry::instance().passes()) os << ' ' << pass->name();
+  for (const auto& pass : lint::builtin_passes()) os << ' ' << pass->name();
   os << ".\n\n"
         "exit codes: 0 success; 1 failure (error, verify mismatch, report divergence,\n"
         "lint findings at --fail-on, coverage below --min-coverage-pct, candidate never\n"
