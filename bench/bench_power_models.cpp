@@ -57,16 +57,17 @@ Row measure(const Netlist& nl, bool correlated, std::uint64_t cycles) {
   Row row{};
   {
     ParallelSimulator sim(nl, 1);
-    sim.enable_bit_stats();
     sim.set_stimulus([&](unsigned) { return make_stim(); });
     sim.run(cycles);
     row.word_mw = PowerEstimator().estimate(nl, sim.stats()).total_mw;
-    row.bit_mw = BitLevelPowerEstimator().total_power_mw(nl, sim.stats());
   }
-  {
-    auto stim = make_stim();
-    row.gate_mw = measure_gate_level_power(nl, *stim, cycles).total_mw;
-  }
+  // The gate-level run sees the word run's stimulus, so its bit nets
+  // carry the per-bit rates the bit-level model reads.
+  auto stim = make_stim();
+  const GateRefPower ref = measure_gate_level_power(nl, *stim, cycles);
+  row.gate_mw = ref.total_mw;
+  row.bit_mw = BitLevelPowerEstimator().total_power_mw(
+      nl, [&ref](NetId net, unsigned bit) { return ref.bit_toggle_rate(net, bit); });
   return row;
 }
 

@@ -158,6 +158,8 @@ std::uint64_t run_isolate_wide_once() {
 /// 3.6k probes over 5.9k Expr nodes, so this row watches probe
 /// evaluation, which the isolate_* rows dilute. The activation
 /// analysis and candidates are derived once, outside the timed body.
+/// With opt.confidence enabled (the isolate-family CLI default) the
+/// round also fills the batch-means windows through a BatchSink.
 struct ProbeRound {
   Netlist nl = make_parametric_datapath({64, 4, 8, true});
   ExprPool pool;
@@ -225,8 +227,10 @@ int main() {
   rows.push_back(time_bench("sweep_parallel", [] { return run_sweep_once(64, 16384); }));
   rows.push_back(time_bench("isolate_full", run_isolate_once));
   rows.push_back(time_bench("isolate_wide", run_isolate_wide_once));
-  ProbeRound probe_round;
-  rows.push_back(time_bench("probe_round", [&] { return probe_round.run(); }));
+  ProbeRound round;
+  rows.push_back(time_bench("probe_round", [&] { return round.run(); }));
+  round.opt.confidence.enabled = true;
+  rows.push_back(time_bench("confidence_round", [&] { return round.run(); }));
   emit(rows);
   return 0;
 }

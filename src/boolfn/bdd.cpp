@@ -111,10 +111,6 @@ BddRef BddManager::exists(BddRef f, BoolVar v) {
   return bor(restrict_var(f, v, false), restrict_var(f, v, true));
 }
 
-BddRef BddManager::forall(BddRef f, BoolVar v) {
-  return band(restrict_var(f, v, false), restrict_var(f, v, true));
-}
-
 bool BddManager::implies(BddRef f, BddRef g) { return is_one(ite(f, g, one_)); }
 
 BddRef BddManager::restrict_to_care(BddRef f, BddRef care) {
@@ -156,13 +152,6 @@ double BddManager::probability(BddRef f, const std::function<double(BoolVar)>& p
     return result;
   };
   return go(f);
-}
-
-double BddManager::sat_count(BddRef f, unsigned num_vars) {
-  double prob = probability(f, [](BoolVar) { return 0.5; });
-  double count = prob;
-  for (unsigned i = 0; i < num_vars; ++i) count *= 2.0;
-  return count;
 }
 
 std::vector<BoolVar> BddManager::support(BddRef f) const {

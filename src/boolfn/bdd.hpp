@@ -71,8 +71,6 @@ class BddManager {
   [[nodiscard]] BddRef restrict_var(BddRef f, BoolVar v, bool value);
   /// ∃v. f
   [[nodiscard]] BddRef exists(BddRef f, BoolVar v);
-  /// ∀v. f
-  [[nodiscard]] BddRef forall(BddRef f, BoolVar v);
 
   /// Coudert–Madre restrict: returns g with g∧care = f∧care, using the
   /// don't-care space ¬care to (heuristically) shrink the BDD. Used for
@@ -89,10 +87,6 @@ class BddManager {
 
   /// Pr[f = 1] assuming independent variables with Pr[v = 1] = p(v).
   [[nodiscard]] double probability(BddRef f, const std::function<double(BoolVar)>& p);
-
-  /// Number of satisfying assignments over `num_vars` variables
-  /// (num_vars must cover the support).
-  [[nodiscard]] double sat_count(BddRef f, unsigned num_vars);
 
   [[nodiscard]] std::vector<BoolVar> support(BddRef f) const;
   [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }

@@ -42,14 +42,6 @@ std::size_t expr_depth(const ExprPool& pool, ExprRef r) {
   return go(r);
 }
 
-/// Lanes a round's statistics were folded over: frames of the batch
-/// accumulator times lanes equals measured cycles exactly, so the
-/// division is exact.
-std::uint64_t stats_lanes(const ActivityStats& stats) {
-  const std::uint64_t frames = stats.net_batches.num_frames();
-  return frames > 0 ? stats.cycles / frames : 0;
-}
-
 }  // namespace
 
 ActivityStats measure_activity(const Netlist& nl, const ExprPool* pool, const NetVarMap* vars,
@@ -210,7 +202,7 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
       log.power_mw_ci_halfwidth =
           obs::weighted_interval(stats.net_batches,
                                  PowerEstimator(opt.power).net_toggle_weights(nl),
-                                 stats_lanes(stats), opt.confidence.level)
+                                 opt.sim_lanes, opt.confidence.level)
               .halfwidth;
     }
     log.pool_size = pool_ids.size();
@@ -234,7 +226,7 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
       if (opt.confidence.enabled && stats.probe_batches.enabled()) {
         // Pr(!f) and Pr(f) share an interval width (complement).
         pr_ci = obs::batch_interval(stats.probe_batches, estimator.activation_probe(i),
-                                    stats_lanes(stats), opt.confidence.level)
+                                    opt.sim_lanes, opt.confidence.level)
                     .halfwidth;
       }
       CandidateEvaluation best;

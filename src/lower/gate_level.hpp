@@ -35,7 +35,9 @@ struct GateLevelResult {
 [[nodiscard]] GateLevelResult lower_to_gates(const Netlist& nl);
 
 /// Drives a lowered design's "<word>.<i>" bit inputs by slicing values
-/// drawn from a word-level stimulus once per word per cycle.
+/// drawn from a word-level stimulus once per word per cycle, in the
+/// word design's primary-input order: the draws a word-level run of
+/// the same stimulus makes, so the bit nets carry exactly its bits.
 class BitStimulusAdapter : public Stimulus {
  public:
   /// `word_design` is the original netlist the values are drawn for;

@@ -5,7 +5,9 @@
 // stimulus, and estimates power from the actual per-gate switching —
 // the "ground truth" the word-level macro models approximate. Used by
 // bench_power_models to quantify the accuracy of the word-level and
-// bit-level macro models under uniform vs. correlated data.
+// bit-level macro models under uniform vs. correlated data. The same
+// run supplies the bit-level model's per-bit rates: a word net's bit b
+// is one net of the lowered design.
 
 #include "lower/gate_level.hpp"
 #include "power/estimator.hpp"
@@ -14,8 +16,12 @@ namespace opiso {
 
 struct GateRefPower {
   double total_mw = 0.0;
-  std::uint64_t gate_toggles = 0;  ///< total net toggles in the lowered design
-  std::size_t gate_cells = 0;
+  GateLevelResult lowered;  ///< the simulated gate netlist and its word-to-bit map
+  ActivityStats stats;      ///< the lowered design's activity
+
+  /// Toggle rate of bit `bit` of word net `net`: the rate of its
+  /// lowered bit net.
+  [[nodiscard]] double bit_toggle_rate(NetId net, unsigned bit) const;
 };
 
 /// `stim` is a word-level stimulus for `word_design`; it is adapted to

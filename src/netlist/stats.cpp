@@ -55,10 +55,4 @@ void write_dot(std::ostream& os, const Netlist& nl) {
   os << "}\n";
 }
 
-std::string netlist_to_dot(const Netlist& nl) {
-  std::ostringstream os;
-  write_dot(os, nl);
-  return os.str();
-}
-
 }  // namespace opiso

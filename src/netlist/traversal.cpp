@@ -159,8 +159,6 @@ std::vector<std::vector<CellId>> combinational_sccs(const Netlist& nl) {
   return sccs;
 }
 
-bool has_combinational_cycle(const Netlist& nl) { return !combinational_sccs(nl).empty(); }
-
 std::string describe_comb_cycle(const Netlist& nl, const std::vector<CellId>& scc) {
   constexpr std::size_t kMaxNamed = 4;
   std::string out;

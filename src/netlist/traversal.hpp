@@ -65,10 +65,6 @@ struct CombBlock {
 /// diagnostics are produced in the first place).
 [[nodiscard]] std::vector<std::vector<CellId>> combinational_sccs(const Netlist& nl);
 
-/// True when the combinational graph contains at least one cycle (i.e.
-/// topological_order / validate() would throw).
-[[nodiscard]] bool has_combinational_cycle(const Netlist& nl);
-
 /// Human-readable path through one cycle: "'a' -> 'b' -> 'a'" (at most
 /// four distinct cells named, then "... (+N more)").
 [[nodiscard]] std::string describe_comb_cycle(const Netlist& nl,

@@ -6,7 +6,7 @@
 // Hot layers (simulator inner loop, BDD unique table) accumulate plain
 // member counters and *flush* totals into the registry at coarse
 // boundaries (end of a run() call, manager destruction); see the
-// instrumentation in src/sim/simulator.cpp and src/boolfn/bdd.cpp.
+// instrumentation in src/sim/parallel_sim.cpp and src/boolfn/bdd.cpp.
 //
 // Counters are monotonic u64 (relaxed atomics — exact under concurrent
 // increments). Gauges hold the last observed value. Histograms bucket

@@ -1,7 +1,5 @@
 #include "obs/run_report.hpp"
 
-#include <ostream>
-
 #include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -126,12 +124,6 @@ JsonValue build_run_report(const IsolationResult& result, const IsolationOptions
   }
   doc["metrics"] = metrics().snapshot();
   return doc;
-}
-
-void write_run_report(std::ostream& os, const IsolationResult& result,
-                      const IsolationOptions& options) {
-  build_run_report(result, options).write(os, 1);
-  os << '\n';
 }
 
 }  // namespace opiso::obs

@@ -47,8 +47,6 @@
 // This is the artifact --metrics writes for `opiso isolate`; diffing two
 // reports shows exactly where two runs diverged.
 
-#include <iosfwd>
-
 #include "isolation/algorithm.hpp"
 #include "obs/json.hpp"
 
@@ -61,9 +59,5 @@ namespace opiso::obs {
 /// at call time).
 [[nodiscard]] JsonValue build_run_report(const IsolationResult& result,
                                          const IsolationOptions& options);
-
-/// Serialize the report (pretty-printed, trailing newline).
-void write_run_report(std::ostream& os, const IsolationResult& result,
-                      const IsolationOptions& options);
 
 }  // namespace opiso::obs

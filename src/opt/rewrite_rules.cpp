@@ -418,9 +418,8 @@ struct Saturator {
 class TapeSink final : public CycleSink {
  public:
   std::vector<std::vector<std::uint64_t>> frames;
-  void on_cycle(const Netlist& nl, std::uint64_t, unsigned, std::span<const std::uint32_t>,
-                const std::uint64_t* net_values) override {
-    frames.emplace_back(net_values, net_values + nl.num_nets());
+  void on_cycle(const Netlist& nl, const CycleFrame& frame) override {
+    frames.emplace_back(frame.net_values, frame.net_values + nl.num_nets());
   }
 };
 
@@ -443,12 +442,16 @@ Profile profile_activity(const Netlist& nl, const RewriteOptions& opt) {
   sim.set_cycle_sink(nullptr);
   p.frames = std::move(tape.frames);
   p.stats = sim.stats();
+  // The run is one lane, so the tape holds every measured cycle.
   double wsum = 0.0, isum = 0.0;
   for (CellId id : nl.cell_ids()) {
     const Cell& c = nl.cell(id);
     if (c.kind != CellKind::Reg) continue;
+    std::uint64_t enabled = 0;
+    for (const std::vector<std::uint64_t>& f : p.frames) enabled += f[c.ins[1].value()] & 1;
     wsum += c.width;
-    isum += c.width * (1.0 - p.stats.prob_one(c.ins[1]));
+    isum += c.width *
+            (1.0 - static_cast<double>(enabled) / static_cast<double>(p.stats.cycles));
   }
   p.pr_idle = wsum > 0.0 ? isum / wsum : 0.0;
   return p;

@@ -48,10 +48,8 @@ double BitLevelMacroModel::module_power_mw(
   return energy_pj * clock_freq_mhz * 1e-3;
 }
 
-double BitLevelPowerEstimator::cell_power_mw(const Netlist& nl, const ActivityStats& stats,
+double BitLevelPowerEstimator::cell_power_mw(const Netlist& nl, const BitToggleRate& rate,
                                              CellId cell) const {
-  OPISO_REQUIRE(stats.has_bit_stats(),
-                "BitLevelPowerEstimator: run the simulator with enable_bit_stats()");
   const Cell& c = nl.cell(cell);
   std::vector<std::vector<double>> rates;
   rates.reserve(c.ins.size());
@@ -59,16 +57,16 @@ double BitLevelPowerEstimator::cell_power_mw(const Netlist& nl, const ActivitySt
     std::vector<double> bits;
     const unsigned w = nl.net(in).width;
     bits.reserve(w);
-    for (unsigned b = 0; b < w; ++b) bits.push_back(stats.bit_toggle_rate(in, b));
+    for (unsigned b = 0; b < w; ++b) bits.push_back(rate(in, b));
     rates.push_back(std::move(bits));
   }
   return model_.module_power_mw(c.kind, c.width, rates);
 }
 
 double BitLevelPowerEstimator::total_power_mw(const Netlist& nl,
-                                              const ActivityStats& stats) const {
+                                              const BitToggleRate& rate) const {
   double total = 0.0;
-  for (CellId id : nl.cell_ids()) total += cell_power_mw(nl, stats, id);
+  for (CellId id : nl.cell_ids()) total += cell_power_mw(nl, rate, id);
   return total;
 }
 

@@ -18,12 +18,18 @@
 // word-level model's — under uniform per-bit activity both models agree
 // exactly, and they diverge only for the non-uniform bit profiles of
 // correlated data. bench_power_models validates both against gate-level
-// reference measurements of the lowered netlists.
+// reference measurements of the lowered netlists, which also supply the
+// per-bit rates (GateRefPower::bit_toggle_rate in lower/gate_power.hpp).
 
+#include <functional>
+
+#include "netlist/netlist.hpp"
 #include "power/macro_model.hpp"
-#include "sim/activity.hpp"
 
 namespace opiso {
+
+/// Toggles per cycle of bit `bit` of a net.
+using BitToggleRate = std::function<double(NetId net, unsigned bit)>;
 
 struct BitLevelMacroModel {
   double clock_freq_mhz = 100.0;
@@ -39,15 +45,14 @@ struct BitLevelMacroModel {
       const std::vector<std::vector<double>>& per_bit_rates) const;
 };
 
-/// Whole-design estimate using per-bit statistics (the simulator must
-/// have run with enable_bit_stats()).
+/// Whole-design estimate from per-bit toggle rates.
 class BitLevelPowerEstimator {
  public:
   explicit BitLevelPowerEstimator(BitLevelMacroModel model = {}) : model_(model) {}
 
-  [[nodiscard]] double cell_power_mw(const Netlist& nl, const ActivityStats& stats,
+  [[nodiscard]] double cell_power_mw(const Netlist& nl, const BitToggleRate& rate,
                                      CellId cell) const;
-  [[nodiscard]] double total_power_mw(const Netlist& nl, const ActivityStats& stats) const;
+  [[nodiscard]] double total_power_mw(const Netlist& nl, const BitToggleRate& rate) const;
 
  private:
   BitLevelMacroModel model_;

@@ -31,14 +31,6 @@ double PowerTrace::avg_power_mw() const {
   return pj / static_cast<double>(lane_cycles()) * clock_freq_mhz * 1e-3;
 }
 
-double PowerTrace::sample_power_mw(std::size_t s) const {
-  OPISO_REQUIRE(s < num_samples(), "PowerTrace: sample index out of range");
-  if (sample_cycles[s] == 0) return 0.0;
-  const double pj = static_cast<double>(total_fj[s]) / 1000.0;
-  const double lc = static_cast<double>(sample_cycles[s]) * static_cast<double>(lanes);
-  return pj / lc * clock_freq_mhz * 1e-3;
-}
-
 std::uint64_t cell_energy_fj(const Netlist& nl, const ActivityStats& stats, CellId cell,
                              const MacroPowerModel& model) {
   const Cell& c = nl.cell(cell);

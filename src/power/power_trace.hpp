@@ -64,10 +64,9 @@ struct PowerTrace {
   [[nodiscard]] std::size_t num_samples() const { return total_fj.size(); }
   [[nodiscard]] std::uint64_t lane_cycles() const { return cycles * lanes; }
 
-  /// Average power of the whole trace / of one sample, from the integer
-  /// integral: P[mW] = E[fJ] / lane_cycles / 1000 * f[MHz] * 1e-3.
+  /// Average power of the whole trace, from the integer integral:
+  /// P[mW] = E[fJ] / lane_cycles / 1000 * f[MHz] * 1e-3.
   [[nodiscard]] double avg_power_mw() const;
-  [[nodiscard]] double sample_power_mw(std::size_t s) const;
 };
 
 /// Evaluate the macro model over every trace sample. The trace must be

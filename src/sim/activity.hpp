@@ -3,15 +3,15 @@
 //
 // Tr (toggle rate) of a net is the average number of bit toggles per
 // clock cycle observed over the simulation — exactly the quantity the
-// paper's macro power models consume (Sec. 4.1). For 1-bit control nets
-// we additionally track the static probability Pr[net = 1].
+// paper's macro power models consume (Sec. 4.1).
 //
 // Expr probes evaluate arbitrary Boolean functions of net values each
-// cycle and report Pr[expr] over the run. The savings model needs joint
-// probabilities of dependent signals (Pr(!f_i & f_j & g), Sec. 4.2/4.3);
-// measuring product expressions in-simulation sidesteps any independence
-// assumption, as the paper requires ("the probabilities cannot further
-// be simplified").
+// cycle and report Pr[expr] over the run; a 1-bit net's static
+// probability Pr[net = 1] is the probability of a Var probe on it. The
+// savings model needs joint probabilities of dependent signals
+// (Pr(!f_i & f_j & g), Sec. 4.2/4.3); measuring product expressions
+// in-simulation sidesteps any independence assumption, as the paper
+// requires ("the probabilities cannot further be simplified").
 
 #include <cstdint>
 #include <vector>
@@ -43,19 +43,13 @@ class NetVarMap {
 struct ActivityStats {
   std::uint64_t cycles = 0;
   std::vector<std::uint64_t> toggles;    ///< per net: total bit toggles
-  std::vector<std::uint64_t> ones;       ///< per net: cycles with bit0 == 1
-  /// Per net, per bit position: toggle counts (empty unless the
-  /// simulator was asked to collect bit-level statistics). Feeds the
-  /// dual-bit-type macro models: LSBs of datapath words behave as white
-  /// noise while MSBs track the (slowly varying) sign/magnitude region.
-  std::vector<std::vector<std::uint64_t>> bit_toggles;
   std::vector<std::uint64_t> probe_true; ///< per probe: cycles where expr held
   std::vector<std::uint64_t> probe_toggles; ///< per probe: value changes between cycles
   /// Batch-means moments behind the confidence layer (obs/confidence
   /// .hpp): exact per-window integer event counts for nets (bit
   /// toggles) and probes (lanes where the expression held). Disabled
-  /// unless the engine was asked to collect them; counted only over
-  /// measured frames (reset clears the warmup accumulation), and
+  /// unless a BatchSink (sim/cycle_trace.hpp) fills them; counted only
+  /// over measured frames (reset clears the warmup accumulation), and
   /// carried through merge so confidence intervals stay bitwise
   /// identical across engines and partitions.
   obs::BatchAccumulator net_batches;
@@ -63,15 +57,10 @@ struct ActivityStats {
 
   /// Average bit toggles per cycle over the whole word (the paper's Tr).
   [[nodiscard]] double toggle_rate(NetId net) const;
-  /// Static probability of a 1-bit net.
-  [[nodiscard]] double prob_one(NetId net) const;
   /// Pr[probe expression] over the run.
   [[nodiscard]] double probe_probability(std::size_t probe) const;
   /// Toggle rate of the probe expression's value (per cycle).
   [[nodiscard]] double probe_toggle_rate(std::size_t probe) const;
-  /// Toggle rate of one bit of a net (requires bit-level collection).
-  [[nodiscard]] double bit_toggle_rate(NetId net, unsigned bit) const;
-  [[nodiscard]] bool has_bit_stats() const { return !bit_toggles.empty(); }
 
   /// Element-wise accumulation of another run's statistics over the
   /// same netlist (and probe set, if any). Rates computed afterwards

@@ -4,30 +4,48 @@
 
 namespace opiso {
 
+BatchSink::BatchSink(ActivityStats& stats, std::size_t num_nets, std::uint32_t batch_frames)
+    : stats_(stats), batch_frames_(batch_frames) {
+  stats_.net_batches.configure(num_nets, batch_frames);
+}
+
+void BatchSink::on_cycle(const Netlist& /*nl*/, const CycleFrame& frame) {
+  if (!probes_configured_) {
+    stats_.probe_batches.configure(frame.probe_true.size(), batch_frames_);
+    probes_configured_ = true;
+  }
+  stats_.net_batches.begin_frame();
+  stats_.probe_batches.begin_frame();
+  for (std::size_t n = 0; n < frame.net_toggles.size(); ++n) {
+    stats_.net_batches.add(n, frame.net_toggles[n]);
+  }
+  for (std::size_t p = 0; p < frame.probe_true.size(); ++p) {
+    stats_.probe_batches.add(p, frame.probe_true[p]);
+  }
+}
+
 CycleTrace::CycleTrace(std::uint64_t window, bool record_values)
     : window_(window), record_values_(record_values) {
   OPISO_REQUIRE(window >= 1, "CycleTrace: window must be >= 1");
 }
 
-void CycleTrace::on_cycle(const Netlist& nl, std::uint64_t /*cycle*/, unsigned lanes,
-                          std::span<const std::uint32_t> net_toggles,
-                          const std::uint64_t* net_values) {
+void CycleTrace::on_cycle(const Netlist& nl, const CycleFrame& frame) {
   OPISO_REQUIRE(!finished_, "CycleTrace: capture after finish()");
   if (num_nets_ == 0 && cycles_ == 0) {
     num_nets_ = nl.num_nets();
-    lanes_ = lanes;
+    lanes_ = frame.lanes;
     accum_.assign(num_nets_, 0);
     net_totals_.assign(num_nets_, 0);
   }
-  OPISO_REQUIRE(net_toggles.size() == num_nets_ && lanes == lanes_,
+  OPISO_REQUIRE(frame.net_toggles.size() == num_nets_ && frame.lanes == lanes_,
                 "CycleTrace: engine changed shape mid-capture");
-  OPISO_REQUIRE(!record_values_ || net_values != nullptr,
+  OPISO_REQUIRE(!record_values_ || frame.net_values != nullptr,
                 "CycleTrace: value recording needs the engine's net values");
   for (std::size_t n = 0; n < num_nets_; ++n) {
-    accum_[n] += net_toggles[n];
-    net_totals_[n] += net_toggles[n];
+    accum_[n] += frame.net_toggles[n];
+    net_totals_[n] += frame.net_toggles[n];
   }
-  if (record_values_) last_values_.assign(net_values, net_values + num_nets_);
+  if (record_values_) last_values_.assign(frame.net_values, frame.net_values + num_nets_);
   ++cycles_;
   if (++cycles_in_sample_ == window_) flush_sample();
 }
@@ -99,7 +117,6 @@ ActivityStats CycleTrace::to_activity_stats() const {
   ActivityStats stats;
   stats.cycles = cycles_ * lanes_;
   stats.toggles = net_totals_;
-  stats.ones.assign(num_nets_, 0);
   return stats;
 }
 

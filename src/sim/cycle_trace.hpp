@@ -1,22 +1,25 @@
 #pragma once
-// Time-resolved switching capture — the temporal axis of ActivityStats.
+// The per-cycle frame of a run — the temporal axis of ActivityStats.
 //
 // ActivityStats answers "how often did this net toggle over the run";
-// a CycleSink answers "when". The plane engine feeds the hook once per
-// macro-cycle with the per-net bit-toggle counts of that cycle, folded
-// over all active lanes (the popcount summed over the bit planes), and
-// with lane 0's settled net values. The counts are integers, so
-// folding, windowing and merging are exact: the per-cycle trace of an
-// L-lane run is bitwise identical to the sample-wise sum of L one-lane
-// traces with the same lane streams (the same oracle discipline as
+// a frame answers "when". Each macro-cycle the plane engine publishes
+// one CycleFrame: the per-net bit-toggle counts of that cycle folded
+// over all active lanes (the popcount summed over the bit planes), the
+// per-probe counts of lanes where the probe held and, when a sink asks,
+// lane 0's settled net values. Every per-cycle consumer is a CycleSink
+// reading that frame. The counts are integers, so folding, windowing
+// and merging are exact: the per-cycle trace of an L-lane run is
+// bitwise identical to the sample-wise sum of L one-lane traces with
+// the same lane streams (the same oracle discipline as
 // ActivityStats::merge), and a trace's per-net totals reproduce
 // ActivityStats::toggles exactly.
 //
-// CycleTrace is the standard sink: it folds cycles into fixed-width
-// windows (window = 1 keeps full per-cycle resolution; larger windows
-// bound memory on long runs — sums are preserved exactly either way)
-// and can optionally snapshot the lane-0 net values, which is what the
-// VCD exporter consumes.
+// BatchSink folds frames into the confidence layer's batch-means
+// windows. CycleTrace folds them into fixed-width windows (window = 1
+// keeps full per-cycle resolution; larger windows bound memory on long
+// runs — sums are preserved exactly either way) and can optionally
+// snapshot the lane-0 net values, which is what the VCD exporter
+// consumes.
 
 #include <cstdint>
 #include <span>
@@ -27,24 +30,49 @@
 
 namespace opiso {
 
-/// Per-cycle observer the simulation engine drives. Called after the
-/// cycle's combinational settle and statistics recording, before the
-/// clock edge — `net_toggles[n]` is the number of bit toggles of net n
-/// between the previous and this cycle summed over the engine's active
-/// lanes (all zero on the first observed cycle), `lanes` is that lane
-/// count, and `net_values` points at lane 0's per-net settled values.
+/// One macro-cycle as the engine publishes it, after the cycle's
+/// combinational settle and statistics recording, before the clock
+/// edge. `net_toggles[n]` is the number of bit toggles of net n between
+/// the previous and this cycle summed over the `lanes` active lanes
+/// (all zero on the first simulated cycle), `probe_true[p]` the number
+/// of lanes where probe p held, and `net_values` points at lane 0's
+/// per-net settled values (null when no sink wants them).
+struct CycleFrame {
+  std::uint64_t cycle;
+  unsigned lanes;
+  std::span<const std::uint32_t> net_toggles, probe_true;
+  const std::uint64_t* net_values;
+};
+
+/// Per-cycle observer the simulation engine drives with each frame.
 /// An exception thrown from on_cycle ends the run: it propagates out of
 /// ParallelSimulator::run, leaving that run's statistics incomplete
 /// (the sweep's wall-clock budget stops a runaway task this way).
 class CycleSink {
  public:
   virtual ~CycleSink() = default;
-  virtual void on_cycle(const Netlist& nl, std::uint64_t cycle, unsigned lanes,
-                        std::span<const std::uint32_t> net_toggles,
-                        const std::uint64_t* net_values) = 0;
+  virtual void on_cycle(const Netlist& nl, const CycleFrame& frame) = 0;
   /// False when on_cycle ignores net_values: the engine then skips
   /// reassembling them and passes null.
   [[nodiscard]] virtual bool wants_values() const { return true; }
+};
+
+/// Batch-means windows of `stats` (obs/confidence.hpp): each frame adds
+/// every net's lane-folded toggles and every probe's lanes-true count
+/// to the current window's cells — bitwise identical to merging one
+/// accumulator per lane. `net_batches` is configured here,
+/// `probe_batches` at the first frame, once every probe is registered.
+class BatchSink final : public CycleSink {
+ public:
+  BatchSink(ActivityStats& stats, std::size_t num_nets, std::uint32_t batch_frames);
+
+  void on_cycle(const Netlist& nl, const CycleFrame& frame) override;
+  [[nodiscard]] bool wants_values() const override { return false; }
+
+ private:
+  ActivityStats& stats_;
+  std::uint32_t batch_frames_;
+  bool probes_configured_ = false;
 };
 
 /// Windowed per-net toggle trace (plus optional value snapshots).
@@ -57,9 +85,7 @@ class CycleTrace final : public CycleSink {
  public:
   explicit CycleTrace(std::uint64_t window = 1, bool record_values = false);
 
-  void on_cycle(const Netlist& nl, std::uint64_t cycle, unsigned lanes,
-                std::span<const std::uint32_t> net_toggles,
-                const std::uint64_t* net_values) override;
+  void on_cycle(const Netlist& nl, const CycleFrame& frame) override;
   [[nodiscard]] bool wants_values() const override { return record_values_; }
 
   /// Flush the partial trailing sample. Idempotent; capture may not
@@ -94,8 +120,7 @@ class CycleTrace final : public CycleSink {
   /// Rebuild the aggregate statistics this trace integrates to:
   /// toggles = net_totals(), cycles = cycles() * lanes(). Feeding the
   /// result to PowerEstimator reproduces the aggregate power of the
-  /// traced run bit-for-bit (the estimator consumes only toggle rates;
-  /// static probabilities are not captured per cycle and stay zero).
+  /// traced run bit-for-bit (the estimator consumes only toggle rates).
   [[nodiscard]] ActivityStats to_activity_stats() const;
 
  private:

@@ -8,7 +8,6 @@
 #include "netlist/traversal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/cycle_trace.hpp"
 #include "util/error.hpp"
 
 namespace opiso {
@@ -86,7 +85,7 @@ ParallelSimulator::ParallelSimulator(const Netlist& nl, unsigned lanes, const Ex
   program_ = build_plane_program(nl_, order_, plane_off_, state_off_, words_);
 
   stats_.toggles.assign(nl_.num_nets(), 0);
-  stats_.ones.assign(nl_.num_nets(), 0);
+  frame_toggles_.assign(nl_.num_nets(), 0);
 }
 
 std::size_t ParallelSimulator::add_probe(ExprRef expr) {
@@ -105,9 +104,7 @@ std::size_t ParallelSimulator::add_probe(ExprRef expr) {
   probe_plane_.push_back(compile_expr(expr));
   stats_.probe_true.push_back(0);
   stats_.probe_toggles.push_back(0);
-  if (stats_.net_batches.enabled()) {
-    stats_.probe_batches.configure(probe_plane_.size(), stats_.net_batches.batch_frames());
-  }
+  frame_probe_true_.push_back(0);
   return probe_plane_.size() - 1;
 }
 
@@ -189,17 +186,8 @@ void ParallelSimulator::set_stimulus(const LaneStimulusFactory& make) {
   }
 }
 
-void ParallelSimulator::enable_bit_stats() {
-  if (!stats_.bit_toggles.empty()) return;
-  stats_.bit_toggles.resize(nl_.num_nets());
-  for (NetId id : nl_.net_ids()) {
-    stats_.bit_toggles[id.value()].assign(nl_.net(id).width, 0);
-  }
-}
-
 void ParallelSimulator::enable_batch_stats(std::uint32_t batch_frames) {
-  stats_.net_batches.configure(nl_.num_nets(), batch_frames);
-  stats_.probe_batches.configure(probe_plane_.size(), batch_frames);
+  batch_.emplace(stats_, nl_.num_nets(), batch_frames);
 }
 
 namespace {
@@ -350,46 +338,26 @@ void ParallelSimulator::drive_inputs() {
 
 void ParallelSimulator::set_cycle_sink(CycleSink* sink) {
   sink_ = sink;
-  if (sink_) sink_toggles_.assign(nl_.num_nets(), 0);
-  sink_values_.assign(sink_ && sink_->wants_values() ? nl_.num_nets() : 0, 0);
+  frame_values_.assign(sink_ && sink_->wants_values() ? nl_.num_nets() : 0, 0);
 }
 
 template <unsigned W>
 void ParallelSimulator::record_stats() {
-  const bool bits = !stats_.bit_toggles.empty();
-  const bool batches = stats_.net_batches.enabled();
-  const bool values = !sink_values_.empty();
-  if (batches) {
-    stats_.net_batches.begin_frame();
-    stats_.probe_batches.begin_frame();
-  }
-  for (std::size_t n = 0; n < net_width_.size(); ++n) {
-    const unsigned width = net_width_[n];
-    const std::size_t off = plane_off_[n] * W;
-    if (has_prev_) {
+  const bool framed = batch_ || sink_ != nullptr;
+  // The first cycle has no previous one: no net toggles, and the frame
+  // keeps its zeros.
+  if (has_prev_) {
+    for (std::size_t n = 0; n < net_width_.size(); ++n) {
+      const std::size_t off = plane_off_[n] * W;
+      const std::size_t end = off + net_width_[n] * W;
       std::uint64_t total = 0;
-      for (unsigned b = 0; b < width; ++b) {
-        std::uint64_t pc = 0;
-        for (unsigned k = 0; k < W; ++k) {
-          pc += popcount64(planes_[off + b * W + k] ^ prev_[off + b * W + k]);
-        }
-        total += pc;
-        if (bits) stats_.bit_toggles[n][b] += pc;
-      }
+      for (std::size_t i = off; i < end; ++i) total += popcount64(planes_[i] ^ prev_[i]);
       stats_.toggles[n] += total;
-      if (batches) stats_.net_batches.add(n, total);
-      if (sink_) sink_toggles_[n] = static_cast<std::uint32_t>(total);
+      if (framed) frame_toggles_[n] = static_cast<std::uint32_t>(total);
     }
-    std::uint64_t ones_pc = 0;
-    for (unsigned k = 0; k < W; ++k) {
-      ones_pc += popcount64(planes_[off + k]);
-    }
-    stats_.ones[n] += ones_pc;
-    if (values) sink_values_[n] = gather_lane(&planes_[off], width, W, 0);
   }
-  if (sink_) {
-    if (!has_prev_) std::fill(sink_toggles_.begin(), sink_toggles_.end(), 0);
-    sink_->on_cycle(nl_, cycle_, lanes_, sink_toggles_, values ? sink_values_.data() : nullptr);
+  for (std::size_t n = 0; n < frame_values_.size(); ++n) {
+    frame_values_[n] = gather_lane(&planes_[plane_off_[n] * W], net_width_[n], W, 0);
   }
   for (std::size_t p = 0; p < probe_plane_.size(); ++p) {
     const std::size_t off = probe_plane_[p] * W;
@@ -400,8 +368,14 @@ void ParallelSimulator::record_stats() {
       pc_tog += popcount64(planes_[off + k] ^ prev_[off + k]);
     }
     stats_.probe_true[p] += pc_true;
-    if (batches) stats_.probe_batches.add(p, pc_true);
     if (has_prev_) stats_.probe_toggles[p] += pc_tog;
+    if (framed) frame_probe_true_[p] = static_cast<std::uint32_t>(pc_true);
+  }
+  if (framed) {
+    const CycleFrame frame{cycle_, lanes_, frame_toggles_, frame_probe_true_,
+                           frame_values_.empty() ? nullptr : frame_values_.data()};
+    if (batch_) batch_->on_cycle(nl_, frame);
+    if (sink_) sink_->on_cycle(nl_, frame);
   }
   stats_.cycles += lanes_;
 }

@@ -36,23 +36,28 @@
 // bit 0 of its net, and nodes shared between probes compile once). The
 // cell kernels then evaluate every probe, and the statistics pass
 // counts a probe's root plane the way it counts a net's.
+//
+// The statistics pass keeps what the estimator reads: per-net toggles
+// and per-probe counts. Every other per-cycle consumer — batch-means
+// windows, traces, waveforms, budgets — is a CycleSink fed one
+// CycleFrame per macro-cycle (sim/cycle_trace.hpp).
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "boolfn/expr.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/activity.hpp"
+#include "sim/cycle_trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/plane_program.hpp"
 #include "sim/planes.hpp"
 #include "sim/stimulus.hpp"
 
 namespace opiso {
-
-class CycleSink;
 
 class ParallelSimulator : public ProbeHost {
  public:
@@ -67,6 +72,9 @@ class ParallelSimulator : public ProbeHost {
   /// probes whose variables are NetVarMap variables.
   explicit ParallelSimulator(const Netlist& nl, unsigned lanes = kMaxLanes,
                              const ExprPool* pool = nullptr, const NetVarMap* vars = nullptr);
+  // The batch sink writes into stats_, so the engine stays in place.
+  ParallelSimulator(const ParallelSimulator&) = delete;
+  ParallelSimulator& operator=(const ParallelSimulator&) = delete;
 
   /// Compile `expr` into the plane program. Probes must be added
   /// before the first simulated cycle (run or warmup).
@@ -86,19 +94,15 @@ class ParallelSimulator : public ProbeHost {
     reset_stats();
   }
 
+  /// Drops the statistics, batch-means windows included.
   void reset_stats() { stats_.reset(); }
   /// Attach a per-cycle observer (null detaches). Each macro-cycle the
-  /// sink receives the per-net toggle counts folded over all lanes
-  /// (popcount per plane, summed) and, when it wants them, lane 0's
-  /// settled net values reassembled from the planes; attach after
+  /// sink receives the cycle's frame, with lane 0's settled net values
+  /// reassembled from the planes when it wants them; attach after
   /// warmup.
   void set_cycle_sink(CycleSink* sink);
-  /// Collect per-bit toggle counts (dual-bit-type power models).
-  void enable_bit_stats();
-  /// Collect batch-means moments (obs/confidence.hpp). Each macro-cycle
-  /// adds the lane-folded toggle popcount per net and the lanes-true
-  /// popcount per probe to the current window's cells — bitwise
-  /// identical to merging one accumulator per lane.
+  /// Collect batch-means moments (obs/confidence.hpp) through a
+  /// BatchSink on stats(); it sees each frame before the cycle sink.
   void enable_batch_stats(std::uint32_t batch_frames);
 
   [[nodiscard]] const ActivityStats& stats() const { return stats_; }
@@ -150,9 +154,12 @@ class ParallelSimulator : public ProbeHost {
   ActivityStats stats_;
   std::uint64_t cycle_ = 0;
   bool has_prev_ = false;
+  std::optional<BatchSink> batch_;
   CycleSink* sink_ = nullptr;
-  std::vector<std::uint32_t> sink_toggles_;  ///< per net, this macro-cycle (lane-folded)
-  std::vector<std::uint64_t> sink_values_;   ///< per net, lane 0's settled value
+  // The frame's buffers, written only while a sink is attached.
+  std::vector<std::uint32_t> frame_toggles_;     ///< per net (lane-folded)
+  std::vector<std::uint32_t> frame_probe_true_;  ///< per probe (lanes that held)
+  std::vector<std::uint64_t> frame_values_;      ///< per net, lane 0 (when the sink wants them)
 };
 
 }  // namespace opiso

@@ -81,34 +81,6 @@ std::uint64_t ControlledBitStimulus::next(const Netlist& nl, CellId pi, std::uin
   return word;
 }
 
-// ---------------------------------------------------------------- Idle bursts
-IdleBurstStimulus::IdleBurstStimulus(double mean_active, double mean_idle, std::uint64_t seed)
-    : rng_(seed) {
-  OPISO_REQUIRE(mean_active >= 1.0 && mean_idle >= 1.0,
-                "IdleBurstStimulus: mean burst lengths must be >= 1 cycle");
-  p_leave_active_ = 1.0 / mean_active;
-  p_leave_idle_ = 1.0 / mean_idle;
-}
-
-void IdleBurstStimulus::advance_phase() {
-  if (rng_.next_bool(active_ ? p_leave_active_ : p_leave_idle_)) active_ = !active_;
-}
-
-std::uint64_t IdleBurstStimulus::next(const Netlist& nl, CellId pi, std::uint64_t cycle) {
-  // Advance the phase once per cycle (on the first PI queried).
-  if (cycle != phase_cycle_) {
-    phase_cycle_ = cycle;
-    advance_phase();
-  }
-  const Cell& cell = nl.cell(pi);
-  if (!phase_input_.empty() && pi_net_name(nl, pi) == phase_input_) {
-    return active_ ? 1 : 0;
-  }
-  std::uint64_t& held = held_[pi.value()];
-  if (active_) held = rng_.next_bits(cell.width);
-  return held;
-}
-
 // ---------------------------------------------------------------- Correlated walk
 CorrelatedWalkStimulus::CorrelatedWalkStimulus(double relative_step, std::uint64_t seed)
     : relative_step_(relative_step), rng_(seed) {

@@ -5,9 +5,8 @@
 // design1 sweep varies the static probability and toggle rate of a
 // primary-input activation signal (Sec. 6). ControlledBitStimulus
 // realizes an exact stationary Markov bit stream with a requested
-// Pr[1] and toggle rate; IdleBurstStimulus produces the long idle
-// stretches that make AND/OR isolation effective; CompositeStimulus
-// routes different generators to different primary inputs.
+// Pr[1] and toggle rate; CompositeStimulus routes different generators
+// to different primary inputs.
 
 #include <cstdint>
 #include <memory>
@@ -92,31 +91,6 @@ class ControlledBitStimulus : public Stimulus {
   Rng rng_;
   std::unordered_map<std::uint32_t, std::uint64_t> state_;  ///< per-PI word
   std::unordered_map<std::uint32_t, bool> started_;
-};
-
-/// Alternating active/idle bursts with geometric lengths. During active
-/// bursts data inputs are uniform random; during idle bursts they hold.
-/// Mirrors the "long periods in which the output is not used" scenario
-/// of Sec. 1.
-class IdleBurstStimulus : public Stimulus {
- public:
-  /// mean_active / mean_idle: expected burst lengths in cycles.
-  IdleBurstStimulus(double mean_active, double mean_idle, std::uint64_t seed = 11);
-  std::uint64_t next(const Netlist& nl, CellId pi, std::uint64_t cycle) override;
-
-  /// Name of the 1-bit input that publishes the burst state (1 = active);
-  /// if a PI with this name exists it is driven with the phase bit.
-  void set_phase_input(std::string name) { phase_input_ = std::move(name); }
-
- private:
-  void advance_phase();
-  double p_leave_active_;
-  double p_leave_idle_;
-  bool active_ = true;
-  std::uint64_t phase_cycle_ = ~std::uint64_t{0};
-  std::string phase_input_;
-  Rng rng_;
-  std::unordered_map<std::uint32_t, std::uint64_t> held_;
 };
 
 /// Temporally correlated data stream: a bounded random walk

@@ -50,9 +50,8 @@ class TaskGuard final : public CycleSink {
     }
   }
 
-  void on_cycle(const Netlist&, std::uint64_t, unsigned lanes, std::span<const std::uint32_t>,
-                const std::uint64_t*) override {
-    if (++cycles_ % kBudgetChunkCycles == 0) advance(kBudgetChunkCycles * lanes);
+  void on_cycle(const Netlist&, const CycleFrame& frame) override {
+    if (++cycles_ % kBudgetChunkCycles == 0) advance(kBudgetChunkCycles * frame.lanes);
   }
   [[nodiscard]] bool wants_values() const override { return false; }
 

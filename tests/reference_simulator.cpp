@@ -85,7 +85,7 @@ Simulator::Simulator(const Netlist& nl, const ExprPool* pool, const NetVarMap* v
   mask_.resize(nl_.num_nets());
   for (NetId id : nl_.net_ids()) mask_[id.value()] = net_mask(nl_.net(id).width);
   stats_.toggles.assign(nl_.num_nets(), 0);
-  stats_.ones.assign(nl_.num_nets(), 0);
+  frame_toggles_.assign(nl_.num_nets(), 0);
 }
 
 std::size_t Simulator::add_probe(ExprRef expr) {
@@ -100,9 +100,7 @@ std::size_t Simulator::add_probe(ExprRef expr) {
   prev_probe_.push_back(false);
   stats_.probe_true.push_back(0);
   stats_.probe_toggles.push_back(0);
-  if (stats_.net_batches.enabled()) {
-    stats_.probe_batches.configure(probes_.size(), stats_.net_batches.batch_frames());
-  }
+  frame_probe_true_.push_back(0);
   return probes_.size() - 1;
 }
 
@@ -124,65 +122,32 @@ void Simulator::clock_registers() {
   }
 }
 
-void Simulator::enable_bit_stats() {
-  if (!stats_.bit_toggles.empty()) return;
-  stats_.bit_toggles.resize(nl_.num_nets());
-  for (NetId id : nl_.net_ids()) {
-    stats_.bit_toggles[id.value()].assign(nl_.net(id).width, 0);
-  }
-}
-
 void Simulator::enable_batch_stats(std::uint32_t batch_frames) {
-  stats_.net_batches.configure(nl_.num_nets(), batch_frames);
-  stats_.probe_batches.configure(probes_.size(), batch_frames);
+  batch_.emplace(stats_, nl_.num_nets(), batch_frames);
 }
 
-void Simulator::set_cycle_sink(CycleSink* sink) {
-  sink_ = sink;
-  if (sink_) sink_toggles_.assign(nl_.num_nets(), 0);
-}
+void Simulator::set_cycle_sink(CycleSink* sink) { sink_ = sink; }
 
 void Simulator::record_stats() {
-  const bool batches = stats_.net_batches.enabled();
-  if (batches) {
-    stats_.net_batches.begin_frame();
-    stats_.probe_batches.begin_frame();
-  }
   if (has_prev_) {
     for (std::size_t n = 0; n < value_.size(); ++n) {
-      std::uint64_t diff = value_[n] ^ prev_[n];
-      const auto pc = static_cast<std::uint32_t>(std::popcount(diff));
+      const auto pc = static_cast<std::uint32_t>(std::popcount(value_[n] ^ prev_[n]));
       stats_.toggles[n] += pc;
-      if (batches) stats_.net_batches.add(n, pc);
-      if (sink_) sink_toggles_[n] = pc;
-      if (!stats_.bit_toggles.empty()) {
-        auto& bits = stats_.bit_toggles[n];
-        while (diff) {
-          const int b = std::countr_zero(diff);
-          ++bits[static_cast<std::size_t>(b)];
-          diff &= diff - 1;
-        }
-      }
+      frame_toggles_[n] = pc;
     }
-  }
-  for (std::size_t n = 0; n < value_.size(); ++n) {
-    stats_.ones[n] += value_[n] & 1;
-  }
-  if (sink_) {
-    if (!has_prev_) std::fill(sink_toggles_.begin(), sink_toggles_.end(), 0);
-    sink_->on_cycle(nl_, cycle_, 1, sink_toggles_, value_.data());
   }
   for (std::size_t p = 0; p < probes_.size(); ++p) {
     const bool hold = pool_->eval(probes_[p], [&](BoolVar v) {
       return (value_[vars_->net_of(v).value()] & 1) != 0;
     });
-    if (hold) {
-      ++stats_.probe_true[p];
-      if (batches) stats_.probe_batches.add(p, 1);
-    }
+    if (hold) ++stats_.probe_true[p];
     if (has_prev_ && hold != prev_probe_[p]) ++stats_.probe_toggles[p];
     prev_probe_[p] = hold;
+    frame_probe_true_[p] = hold ? 1 : 0;
   }
+  const CycleFrame frame{cycle_, 1, frame_toggles_, frame_probe_true_, value_.data()};
+  if (batch_) batch_->on_cycle(nl_, frame);
+  if (sink_) sink_->on_cycle(nl_, frame);
   ++stats_.cycles;
 }
 

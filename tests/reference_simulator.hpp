@@ -9,9 +9,10 @@
 // combinational cells evaluate once in topological order — transparent
 // latches flow through or hold depending on their enable, updating their
 // held state level-sensitively — and (3) on the implicit clock edge all
-// registers capture. Activity statistics (toggle rates, static
-// probabilities, probe probabilities) accumulate across run() calls
-// until reset_stats().
+// registers capture. Activity statistics (toggle rates, probe
+// probabilities) accumulate across run() calls until reset_stats().
+// Each cycle it publishes the same CycleFrame as the plane engine, on
+// one lane, to a BatchSink (enable_batch_stats) and the cycle sink.
 //
 // The oracle contract the tests hold the plane engine to: an L-lane
 // plane run with streams s_0..s_{L-1} produces ActivityStats bitwise
@@ -19,17 +20,17 @@
 // ActivityStats::merge.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "boolfn/expr.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/activity.hpp"
+#include "sim/cycle_trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/stimulus.hpp"
 
 namespace opiso {
-
-class CycleSink;
 
 class Simulator : public ProbeHost {
  public:
@@ -38,6 +39,8 @@ class Simulator : public ProbeHost {
   /// given) enable Expr probes whose variables are NetVarMap variables.
   explicit Simulator(const Netlist& nl, const ExprPool* pool = nullptr,
                      const NetVarMap* vars = nullptr);
+  Simulator(const Simulator&) = delete;  // the batch sink writes into stats_
+  Simulator& operator=(const Simulator&) = delete;
 
   /// Register an expression to be evaluated each cycle. Returns the
   /// probe index used with ActivityStats::probe_probability.
@@ -62,14 +65,11 @@ class Simulator : public ProbeHost {
   [[nodiscard]] const Netlist& netlist() const { return nl_; }
 
   /// Attach a per-cycle observer (null detaches). Each simulated cycle
-  /// the sink receives this cycle's per-net bit-toggle counts (zeros on
-  /// the first observed cycle) and the settled net values.
+  /// the sink receives this cycle's frame, settled net values included.
   void set_cycle_sink(CycleSink* sink);
 
-  /// Collect per-bit toggle counts.
-  void enable_bit_stats();
-
-  /// Collect batch-means moments (obs/confidence.hpp).
+  /// Collect batch-means moments (obs/confidence.hpp) through a
+  /// BatchSink on stats().
   void enable_batch_stats(std::uint32_t batch_frames);
 
  private:
@@ -90,8 +90,10 @@ class Simulator : public ProbeHost {
   ActivityStats stats_;
   std::uint64_t cycle_ = 0;
   bool has_prev_ = false;
+  std::optional<BatchSink> batch_;
   CycleSink* sink_ = nullptr;
-  std::vector<std::uint32_t> sink_toggles_;  ///< per net, this cycle
+  std::vector<std::uint32_t> frame_toggles_;     ///< per net, this cycle
+  std::vector<std::uint32_t> frame_probe_true_;  ///< per probe, this cycle (0 or 1)
 };
 
 }  // namespace opiso

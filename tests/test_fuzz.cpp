@@ -150,7 +150,6 @@ TEST_P(Fuzz, ParallelSimMatchesScalarOracle) {
     }
   }
   ASSERT_EQ(psim.stats().toggles, oracle.toggles) << "seed " << seed() << " lanes " << lanes;
-  ASSERT_EQ(psim.stats().ones, oracle.ones) << "seed " << seed() << " lanes " << lanes;
   ASSERT_EQ(psim.stats().cycles, oracle.cycles);
 }
 

@@ -2,6 +2,8 @@
 // inference, fanout bookkeeping, surgery, validation and statistics.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "netlist/netlist.hpp"
 #include "netlist/stats.hpp"
 #include "netlist/traversal.hpp"
@@ -183,7 +185,9 @@ TEST(Netlist, DotExportMentionsCells) {
   NetId b = nl.add_input("b", 4);
   NetId s = nl.add_binop(CellKind::Add, "s", a, b);
   nl.add_output("o", s);
-  const std::string dot = netlist_to_dot(nl);
+  std::ostringstream os;
+  write_dot(os, nl);
+  const std::string dot = os.str();
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   EXPECT_NE(dot.find("add"), std::string::npos);
 }

@@ -377,7 +377,7 @@ TEST(RunReport, RoundTripsThroughParser) {
   ASSERT_FALSE(res.iterations.empty());
 
   std::ostringstream os;
-  write_run_report(os, res, opt);
+  build_run_report(res, opt).write(os, 1);
   const JsonValue doc = JsonValue::parse(os.str());
 
   EXPECT_EQ(doc.at("schema").as_string(), "opiso.run_report/v1");

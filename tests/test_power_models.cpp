@@ -1,7 +1,9 @@
-// Tests for bit-level activity statistics, the correlated-walk
-// stimulus, the bit-level macro model and the gate-level reference
-// power measurement.
+// Tests for bit-level activity statistics (read from the lowered
+// netlist's bit nets), the correlated-walk stimulus, the bit-level
+// macro model and the gate-level reference power measurement.
 #include <gtest/gtest.h>
+
+#include <numeric>
 
 #include "lower/gate_power.hpp"
 #include "power/bit_model.hpp"
@@ -18,39 +20,47 @@ Netlist passthrough(unsigned width) {
   return nl;
 }
 
+/// Net toggles summed over a gate-level run's whole lowered design.
+std::uint64_t gate_toggles(const GateRefPower& ref) {
+  return std::accumulate(ref.stats.toggles.begin(), ref.stats.toggles.end(), std::uint64_t{0});
+}
+
+/// The per-bit rates of a gate-level run, as the bit-level model reads them.
+BitToggleRate bit_rates(const GateRefPower& ref) {
+  return [&ref](NetId net, unsigned bit) { return ref.bit_toggle_rate(net, bit); };
+}
+
 TEST(BitStats, CountsPerBitExactly) {
   Netlist nl = passthrough(4);
   const NetId a = nl.find_net("a");
-  Simulator sim(nl);
-  sim.enable_bit_stats();
   VectorStimulus stim;
   stim.set("a", {0b0000, 0b0001, 0b0011, 0b0010});
-  sim.run(stim, 4);
+  const GateRefPower ref = measure_gate_level_power(nl, stim, 4);
   // bit0: 0->1->1->0 = 2 toggles; bit1: 0->0->1->1 = 1 toggle.
-  EXPECT_NEAR(sim.stats().bit_toggle_rate(a, 0), 2.0 / 4.0, 1e-12);
-  EXPECT_NEAR(sim.stats().bit_toggle_rate(a, 1), 1.0 / 4.0, 1e-12);
-  EXPECT_NEAR(sim.stats().bit_toggle_rate(a, 3), 0.0, 1e-12);
+  EXPECT_NEAR(ref.bit_toggle_rate(a, 0), 2.0 / 4.0, 1e-12);
+  EXPECT_NEAR(ref.bit_toggle_rate(a, 1), 1.0 / 4.0, 1e-12);
+  EXPECT_NEAR(ref.bit_toggle_rate(a, 3), 0.0, 1e-12);
   // Word toggle count equals the per-bit sum.
+  Simulator sim(nl);
+  sim.run(stim, 4);
   EXPECT_EQ(sim.stats().toggles[a.value()], 3u);
 }
 
-TEST(BitStats, ErrorsWhenNotEnabled) {
+TEST(BitStats, ErrorsOnBitOutOfRange) {
   Netlist nl = passthrough(4);
-  Simulator sim(nl);
   UniformStimulus stim(1);
-  sim.run(stim, 4);
-  EXPECT_THROW((void)sim.stats().bit_toggle_rate(nl.find_net("a"), 0), Error);
+  const GateRefPower ref = measure_gate_level_power(nl, stim, 4);
+  EXPECT_NO_THROW((void)ref.bit_toggle_rate(nl.find_net("a"), 3));
+  EXPECT_THROW((void)ref.bit_toggle_rate(nl.find_net("a"), 4), Error);
 }
 
 TEST(CorrelatedWalk, MsbsToggleMuchLessThanLsbs) {
   Netlist nl = passthrough(12);
   const NetId a = nl.find_net("a");
-  Simulator sim(nl);
-  sim.enable_bit_stats();
   CorrelatedWalkStimulus stim(0.02, 3);
-  sim.run(stim, 30000);
-  const double lsb = sim.stats().bit_toggle_rate(a, 0);
-  const double msb = sim.stats().bit_toggle_rate(a, 11);
+  const GateRefPower ref = measure_gate_level_power(nl, stim, 30000);
+  const double lsb = ref.bit_toggle_rate(a, 0);
+  const double msb = ref.bit_toggle_rate(a, 11);
   EXPECT_GT(lsb, 0.3);          // low bits look like white noise
   EXPECT_LT(msb, lsb * 0.15);   // top bits nearly quiet
 }
@@ -90,12 +100,13 @@ TEST(BitModel, AgreesWithWordModelUnderWhiteNoise) {
   NetId s = nl.add_binop(CellKind::Add, "s", a, b);
   nl.add_output("o", s);
   Simulator sim(nl);
-  sim.enable_bit_stats();
   UniformStimulus stim(21);
   sim.run(stim, 8000);
+  UniformStimulus gate_stim(21);
+  const GateRefPower ref = measure_gate_level_power(nl, gate_stim, 8000);
   const CellId adder = nl.net(s).driver;
   const double word = PowerEstimator().cell_power_mw(nl, sim.stats(), adder);
-  const double bit = BitLevelPowerEstimator().cell_power_mw(nl, sim.stats(), adder);
+  const double bit = BitLevelPowerEstimator().cell_power_mw(nl, bit_rates(ref), adder);
   EXPECT_NEAR(bit / word, 1.0, 0.10);
 }
 
@@ -105,17 +116,18 @@ TEST(BitModel, CorrelatedDataCostsLessButNotProportionally) {
   NetId b = nl.add_input("b", 10);
   NetId s = nl.add_binop(CellKind::Add, "s", a, b);
   nl.add_output("o", s);
-  auto measure = [&](std::unique_ptr<Stimulus> stim, double* word_mw) {
+  auto measure = [&](Stimulus& stim, Stimulus& gate_stim, double* word_mw) {
     Simulator sim(nl);
-    sim.enable_bit_stats();
-    sim.run(*stim, 8000);
+    sim.run(stim, 8000);
     if (word_mw) *word_mw = PowerEstimator().estimate(nl, sim.stats()).total_mw;
-    return BitLevelPowerEstimator().total_power_mw(nl, sim.stats());
+    const GateRefPower ref = measure_gate_level_power(nl, gate_stim, 8000);
+    return BitLevelPowerEstimator().total_power_mw(nl, bit_rates(ref));
   };
-  const double uniform = measure(std::make_unique<UniformStimulus>(31), nullptr);
+  UniformStimulus uniform_stim(31), uniform_gate_stim(31);
+  const double uniform = measure(uniform_stim, uniform_gate_stim, nullptr);
   double word_correlated = 0.0;
-  const double correlated =
-      measure(std::make_unique<CorrelatedWalkStimulus>(0.02, 31), &word_correlated);
+  CorrelatedWalkStimulus walk(0.02, 31), gate_walk(0.02, 31);
+  const double correlated = measure(walk, gate_walk, &word_correlated);
   // Correlated data is cheaper...
   EXPECT_LT(correlated, uniform * 0.9);
   // ...but not in proportion to the raw toggle count: the surviving
@@ -133,8 +145,35 @@ TEST(GateRef, MeasuresLoweredDesign) {
   UniformStimulus stim(41);
   const GateRefPower ref = measure_gate_level_power(nl, stim, 2000);
   EXPECT_GT(ref.total_mw, 0.0);
-  EXPECT_GT(ref.gate_toggles, 0u);
-  EXPECT_GT(ref.gate_cells, 20u);  // a 6-bit ripple adder in gates
+  EXPECT_GT(gate_toggles(ref), 0u);
+  EXPECT_GT(ref.lowered.netlist.num_cells(), 20u);  // a 6-bit ripple adder in gates
+}
+
+TEST(GateRef, BitRatesSumToTheWordRunsToggles) {
+  // The bit-level model reads its rates from the lowered run, so every
+  // word net's bit nets must carry exactly the word run's bits.
+  Netlist nl;
+  const NetId a = nl.add_input("a", 8);
+  const NetId b = nl.add_input("b", 8);
+  const NetId en = nl.add_input("en", 1);
+  nl.add_output("o1", nl.add_reg("r1", nl.add_binop(CellKind::Add, "sum", a, b), en));
+  nl.add_output("o2", nl.add_reg("r2", nl.add_binop(CellKind::Mul, "prd", a, b), en));
+  const auto make_stim = [] {
+    auto comp =
+        std::make_unique<CompositeStimulus>(std::make_unique<CorrelatedWalkStimulus>(0.02, 61));
+    comp->route("en", std::make_unique<ControlledBitStimulus>(0.5, 0.3, 62));
+    return comp;
+  };
+  constexpr std::uint64_t kCycles = 3000;
+  Simulator sim(nl);
+  sim.run(*make_stim(), kCycles);
+  const GateRefPower ref = measure_gate_level_power(nl, *make_stim(), kCycles);
+  ASSERT_EQ(ref.stats.cycles, sim.stats().cycles);
+  for (NetId id : nl.net_ids()) {
+    std::uint64_t summed = 0;
+    for (NetId bit : ref.lowered.bits_of(id)) summed += ref.stats.toggles[bit.value()];
+    EXPECT_EQ(summed, sim.stats().toggles[id.value()]) << nl.net(id).name;
+  }
 }
 
 TEST(GateRef, QuietInputsMeanQuietGates) {
@@ -145,7 +184,7 @@ TEST(GateRef, QuietInputsMeanQuietGates) {
   nl.add_output("o", s);
   ConstantStimulus stim;
   const GateRefPower ref = measure_gate_level_power(nl, stim, 500);
-  EXPECT_EQ(ref.gate_toggles, 0u);
+  EXPECT_EQ(gate_toggles(ref), 0u);
 }
 
 TEST(GateRef, TracksMacroModelWithinBand) {

@@ -124,17 +124,6 @@ TEST(PowerTrace, CoefficientsAreExactIntegerFemtojoules) {
   }
 }
 
-TEST(PowerTrace, SamplePowerAveragesToTotal) {
-  const Netlist nl = make_design1();
-  const Captured c = capture(nl, 1, false);
-  const PowerTrace pt = compute_power_trace(nl, c.trace);
-  ASSERT_GT(pt.num_samples(), 0u);
-  double sum = 0.0;
-  for (std::size_t s = 0; s < pt.num_samples(); ++s) sum += pt.sample_power_mw(s);
-  EXPECT_NEAR(sum / static_cast<double>(pt.num_samples()), pt.avg_power_mw(),
-              pt.avg_power_mw() * 1e-9);
-}
-
 TEST(PowerTrace, RejectsForeignTrace) {
   const Netlist nl1 = make_fig1();
   const Netlist nl2 = make_design1();

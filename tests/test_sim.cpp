@@ -153,17 +153,6 @@ TEST(Sim, ToggleCountsExact) {
   EXPECT_NEAR(sim.stats().toggle_rate(a), 5.0 / 4.0, 1e-12);
 }
 
-TEST(Sim, ProbOneTracksBit0) {
-  Netlist nl;
-  NetId a = nl.add_input("a", 1);
-  nl.add_output("o", a);
-  VectorStimulus stim;
-  stim.set("a", {1, 0, 1, 1});
-  Simulator sim(nl);
-  sim.run(stim, 4);
-  EXPECT_NEAR(sim.stats().prob_one(a), 0.75, 1e-12);
-}
-
 TEST(Sim, ProbesMeasureJointEvents) {
   Netlist nl;
   NetId a = nl.add_input("a", 1);

