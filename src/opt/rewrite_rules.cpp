@@ -1,6 +1,7 @@
 #include "opt/rewrite_rules.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -20,11 +21,11 @@
 namespace opiso {
 namespace {
 
+bool is_state_kind(CellKind kind) { return kind == CellKind::Reg || cell_kind_is_latch(kind); }
+
 /// Sequential/boundary cells whose outputs the rewriter treats as
 /// opaque leaves: the e-graph never looks through state.
-bool is_leaf_kind(CellKind kind) {
-  return kind == CellKind::PrimaryInput || kind == CellKind::Reg || cell_kind_is_latch(kind);
-}
+bool is_leaf_kind(CellKind kind) { return kind == CellKind::PrimaryInput || is_state_kind(kind); }
 
 // ---------------------------------------------------------------------
 // Netlist -> e-graph
@@ -124,7 +125,8 @@ bool is_mux_hoistable(CellKind k) {
 
 struct Saturator {
   EGraph& g;
-  const RewriteOptions& opt;
+  std::size_t max_nodes;  ///< e-node cap; a round stops adding once past it
+  bool algebra;           ///< false: only the const-fold and identity rules
   std::map<std::string, std::uint64_t>& fired;
   std::uint64_t merges_done = 0;
 
@@ -173,7 +175,7 @@ struct Saturator {
     const std::uint64_t merges0 = merges_done;
     const std::size_t nodes0 = g.num_nodes();
     for (const Item& it : items) {
-      if (g.num_nodes() > opt.max_nodes) break;
+      if (g.num_nodes() > max_nodes) break;
       apply_rules(it.cls, it.node);
     }
     g.rebuild();
@@ -206,7 +208,7 @@ struct Saturator {
     }
 
     // -- commutativity.
-    if (is_commutative(n.kind) && n.children.size() == 2) {
+    if (algebra && is_commutative(n.kind) && n.children.size() == 2) {
       unite(cls, mk(n.kind, n.param, {ch(1), ch(0)}), "comm");
     }
 
@@ -214,7 +216,7 @@ struct Saturator {
     // grouping follows from commutativity in a later round. For Add the
     // regrouping is only sound when neither grouping truncates an
     // intermediate below W (counterexample otherwise: widths 1,1,8).
-    if (is_associative(n.kind)) {
+    if (algebra && is_associative(n.kind)) {
       const std::vector<ENode> lhs = g.nodes(ch(0));  // copy: adds may reallocate
       for (const ENode& m : lhs) {
         if (m.kind != n.kind) continue;
@@ -241,8 +243,10 @@ struct Saturator {
         if (cv(0) == std::uint64_t{0} || cv(1) == std::uint64_t{0}) {
           unite(cls, mk_const(0, W), "identity");
         }
-        if (const auto c1 = cv(1)) mul_const_decompose(cls, W, ch(0), *c1);
-        if (const auto c0 = cv(0)) mul_const_decompose(cls, W, ch(1), *c0);
+        if (algebra) {
+          if (const auto c1 = cv(1)) mul_const_decompose(cls, W, ch(0), *c1);
+          if (const auto c0 = cv(0)) mul_const_decompose(cls, W, ch(1), *c0);
+        }
         break;
       case CellKind::And:
         if (cv(0) == std::uint64_t{0} || cv(1) == std::uint64_t{0}) {
@@ -291,7 +295,7 @@ struct Saturator {
       case CellKind::Mux2: {
         if (const auto sel = cv(0)) unite(cls, (*sel & 1) ? ch(2) : ch(1), "identity");
         if (ch(1) == ch(2)) unite(cls, ch(1), "identity");
-        mux_factor(cls, W, ch(0), ch(1), ch(2));
+        if (algebra) mux_factor(cls, W, ch(0), ch(1), ch(2));
         break;
       }
       case CellKind::IsoAnd:
@@ -313,7 +317,7 @@ struct Saturator {
     // -- mux distribution: K(mux(s,a,b), y) => mux(s, K(a,y), K(b,y)),
     // both operand sides. The inverse (factoring) is matched on Mux2
     // nodes above.
-    if (is_mux_hoistable(n.kind) && n.children.size() == 2) {
+    if (algebra && is_mux_hoistable(n.kind) && n.children.size() == 2) {
       mux_distribute(cls, n.kind, W, ch(0), ch(1), /*mux_on_left=*/true);
       mux_distribute(cls, n.kind, W, ch(1), ch(0), /*mux_on_left=*/false);
     }
@@ -485,36 +489,28 @@ struct CostModel {
   }
 };
 
-struct Extraction {
-  std::vector<ENode> choice;    ///< per class: min-cost node
-  std::vector<char> has_choice;
-  std::vector<double> cost;     ///< per class: min DAG-node cost sum (tree-shared)
-  std::vector<double> rate;     ///< per class: toggles/cycle of the class value
-};
+/// Slots for per-class vectors: one past the largest canonical id.
+std::size_t class_slots(const std::vector<EClassId>& ids) {
+  return ids.empty() ? 0 : std::size_t{ids.back()} + 1;
+}
 
-/// Evaluate every e-class's value stream over the profiling tape (all
-/// nodes of a class are equivalent, so any evaluable representative
-/// serves), then pick the min-cost node per class by fixpoint. Both
-/// passes iterate classes in canonical-id order with strict-improvement
-/// updates, so results are bitwise deterministic.
-Extraction extract(const EGraph& g, const GraphBuild& b, const Profile& prof,
-                   const CostModel& cm) {
-  const std::size_t slots = [&] {
-    std::size_t mx = 0;
-    for (EClassId c : g.class_ids()) mx = std::max<std::size_t>(mx, c + 1);
-    return mx;
-  }();
+/// Toggles per cycle of every e-class's value over the profiling tape.
+/// All nodes of a class are equivalent, so any evaluable representative
+/// serves. Classes are evaluated in canonical-id order as they become
+/// evaluable, so the rates are bitwise deterministic.
+std::vector<double> class_rates(const EGraph& g, const Profile& prof) {
+  const std::vector<EClassId> ids = g.class_ids();
+  const std::size_t slots = class_slots(ids);
   const std::size_t T = prof.frames.size();
   OPISO_REQUIRE(T >= 2, "rewrite: profiling produced fewer than 2 frames");
 
-  // Pass 1: class value streams, in evaluability order.
   std::vector<std::vector<std::uint64_t>> vals(slots);
   std::vector<char> evaluated(slots, 0);
   std::vector<EClassId> order;
   bool progress = true;
   while (progress) {
     progress = false;
-    for (EClassId c : g.class_ids()) {
+    for (EClassId c : ids) {
       if (evaluated[c]) continue;
       for (const ENode& n : g.nodes(c)) {
         bool ready = true;
@@ -552,47 +548,56 @@ Extraction extract(const EGraph& g, const GraphBuild& b, const Profile& prof,
     }
   }
 
-  Extraction ex;
-  ex.rate.assign(slots, 0.0);
+  std::vector<double> rate(slots, 0.0);
   for (EClassId c : order) {
     std::uint64_t toggles = 0;
     for (std::size_t t = 1; t < T; ++t) {
       toggles += static_cast<std::uint64_t>(__builtin_popcountll(vals[c][t] ^ vals[c][t - 1]));
     }
-    ex.rate[c] = static_cast<double>(toggles) / static_cast<double>(T - 1);
+    rate[c] = static_cast<double>(toggles) / static_cast<double>(T - 1);
   }
+  return rate;
+}
 
-  // Pass 2: min-cost representative per class.
+/// Cost of one e-node on its own; its children's classes add theirs.
+using NodeCost = std::function<double(const ENode&)>;
+
+/// Per class: the node of least DAG-node cost sum, or none.
+using Extraction = std::vector<std::optional<ENode>>;
+
+/// Min-cost representative per class by fixpoint. Classes are visited
+/// in canonical-id order with strict-improvement updates, so the choice
+/// is bitwise deterministic, and with non-negative node costs the
+/// chosen nodes never form a cycle.
+Extraction extract(const EGraph& g, const NodeCost& node_cost) {
+  const std::vector<EClassId> ids = g.class_ids();
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  ex.cost.assign(slots, kInf);
-  ex.choice.resize(slots);
-  ex.has_choice.assign(slots, 0);
-  progress = true;
+  std::vector<double> cost(class_slots(ids), kInf);
+  Extraction choice(cost.size());
+  bool progress = true;
   while (progress) {
     progress = false;
-    for (EClassId c : g.class_ids()) {
+    for (EClassId c : ids) {
       for (const ENode& n : g.nodes(c)) {
-        double total = cm.node_cost(g, n, ex.rate);
+        double total = node_cost(n);
         bool ok = true;
         for (EClassId chc : n.children) {
-          const double cc = ex.cost[g.find(chc)];
+          const double cc = cost[g.find(chc)];
           if (!(cc < kInf)) {
             ok = false;
             break;
           }
           total += cc;
         }
-        if (ok && total < ex.cost[c] - 1e-12) {
-          ex.cost[c] = total;
-          ex.choice[c] = n;
-          ex.has_choice[c] = 1;
+        if (ok && total < cost[c] - 1e-12) {
+          cost[c] = total;
+          choice[c] = n;
           progress = true;
         }
       }
     }
   }
-  (void)b;
-  return ex;
+  return choice;
 }
 
 // ---------------------------------------------------------------------
@@ -601,22 +606,25 @@ Extraction extract(const EGraph& g, const GraphBuild& b, const Profile& prof,
 
 /// The emitter preserves exactly what verify::equiv matches by name or
 /// position: primary-input names, register/latch output-net names and
-/// widths, register/latch cell names, and primary-output order. All
-/// interior nets are fresh.
+/// widths, register/latch and primary-output cell names, and
+/// primary-output order. All interior nets are fresh. With
+/// `keep_all_state` every register and latch is emitted (verify::equiv
+/// matches registers by name); without it only the ones the output
+/// cones read.
 struct Emitter {
   const Netlist& old;
-  const EGraph& g;
   const GraphBuild& b;
   const Extraction& ex;
+  const NodeCost& cost;
+  bool keep_all_state;
   Netlist out;
   std::map<EClassId, NetId> done;  ///< canonical class -> emitted net
   double emitted_cost = 0.0;       ///< Σ node cost over emitted cells (DAG)
-  const std::vector<double>* rate = nullptr;
-  const CostModel* cm = nullptr;
 
-  explicit Emitter(const Netlist& nl, const EGraph& graph, const GraphBuild& build,
-                   const Extraction& extraction)
-      : old(nl), g(graph), b(build), ex(extraction), out(nl.name()) {}
+  Emitter(const Netlist& nl, const GraphBuild& build, const Extraction& extraction,
+          const NodeCost& node_cost, bool keep_state)
+      : old(nl), b(build), ex(extraction), cost(node_cost), keep_all_state(keep_state),
+        out(nl.name()) {}
 
   std::string hint_name(EClassId c) const {
     if (c < b.hint.size() && !b.hint[c].empty()) return b.hint[c];
@@ -624,12 +632,12 @@ struct Emitter {
   }
 
   NetId emit(EClassId c0) {
-    const EClassId c = g.find(c0);
+    const EClassId c = b.g.find(c0);
     const auto it = done.find(c);
     if (it != done.end()) return it->second;
-    OPISO_REQUIRE(ex.has_choice[c], "rewrite: extraction left class " + std::to_string(c) +
-                                        " without a representative");
-    const ENode& n = ex.choice[c];
+    OPISO_REQUIRE(ex[c].has_value(), "rewrite: extraction left class " + std::to_string(c) +
+                                         " without a representative");
+    const ENode& n = *ex[c];
     NetId net;
     if (n.kind == CellKind::Constant) {
       net = out.add_const(out.fresh_net_name(hint_name(c)), n.param, n.width);
@@ -640,13 +648,40 @@ struct Emitter {
       for (EClassId chc : n.children) ins.push_back(emit(chc));
       net = out.add_net(out.fresh_net_name(hint_name(c)), n.width);
       out.add_cell(n.kind, out.fresh_cell_name(hint_name(c)), ins, net, n.param);
-      if (cm != nullptr) emitted_cost += cm->node_cost(g, n, *rate);
+      emitted_cost += cost(n);
     }
     done.emplace(c, net);
     return net;
   }
 
+  /// Per old cell: set for the registers and latches to emit. Without
+  /// keep_all_state these are the ones the chosen nodes reach from the
+  /// primary outputs, walking on through each reached cell's D and EN.
+  std::vector<char> live_state() const {
+    std::vector<char> live(old.num_cells(), keep_all_state);
+    if (keep_all_state) return live;
+    std::vector<char> seen(ex.size(), 0);
+    std::vector<EClassId> work;
+    for (CellId po : old.primary_outputs()) {
+      work.push_back(b.class_of_net[old.cell(po).ins[0].value()]);
+    }
+    while (!work.empty()) {
+      const EClassId c = b.g.find(work.back());
+      work.pop_back();
+      if (seen[c] || !ex[c]) continue;
+      seen[c] = 1;
+      const ENode& n = *ex[c];
+      work.insert(work.end(), n.children.begin(), n.children.end());
+      if (!is_state_kind(n.kind)) continue;
+      const CellId s = old.net(NetId{static_cast<std::uint32_t>(n.param)}).driver;
+      live[s.value()] = 1;
+      for (NetId in : old.cell(s).ins) work.push_back(b.class_of_net[in.value()]);
+    }
+    return live;
+  }
+
   Netlist run() {
+    const std::vector<char> live = live_state();
     // Boundary first: PIs keep their names; state output nets keep
     // their exact original names (verify::equiv matches registers by
     // lowered Q-bit-net name).
@@ -654,10 +689,10 @@ struct Emitter {
       const Cell& c = old.cell(id);
       if (c.kind == CellKind::PrimaryInput) {
         const NetId pi = out.add_input(old.net(c.out).name, c.width);
-        done.emplace(g.find(b.class_of_net[c.out.value()]), pi);
-      } else if (c.kind == CellKind::Reg || cell_kind_is_latch(c.kind)) {
+        done.emplace(b.g.find(b.class_of_net[c.out.value()]), pi);
+      } else if (is_state_kind(c.kind) && live[id.value()]) {
         const NetId q = out.add_net(old.net(c.out).name, c.width);
-        done.emplace(g.find(b.class_of_net[c.out.value()]), q);
+        done.emplace(b.g.find(b.class_of_net[c.out.value()]), q);
       }
     }
     // Cones: state D/EN first, then POs; state cells go in last (the
@@ -671,13 +706,13 @@ struct Emitter {
     std::vector<StatePatch> patches;
     for (CellId id : old.cell_ids()) {
       const Cell& c = old.cell(id);
-      if (c.kind != CellKind::Reg && !cell_kind_is_latch(c.kind)) continue;
+      if (!is_state_kind(c.kind) || !live[id.value()]) continue;
       StatePatch p;
       p.kind = c.kind;
       p.name = c.name;
       p.d = emit(b.class_of_net[c.ins[0].value()]);
       p.en = emit(b.class_of_net[c.ins[1].value()]);
-      p.q = done.at(g.find(b.class_of_net[c.out.value()]));
+      p.q = done.at(b.g.find(b.class_of_net[c.out.value()]));
       patches.push_back(std::move(p));
     }
     std::vector<std::pair<std::string, NetId>> pos;
@@ -689,7 +724,9 @@ struct Emitter {
     for (const StatePatch& p : patches) {
       out.add_cell(p.kind, p.name, {p.d, p.en}, p.q);
     }
-    for (const auto& [name, net] : pos) out.add_output(name, net);
+    for (const auto& [name, net] : pos) {
+      out.add_cell(CellKind::PrimaryOutput, name, {net}, NetId::invalid());
+    }
     out.validate();
     return std::move(out);
   }
@@ -734,7 +771,7 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
 
     // 2. Saturate.
     GraphBuild b = build_egraph(nl);
-    Saturator sat{b.g, opt, res.rules_fired};
+    Saturator sat{b.g, opt.max_nodes, /*algebra=*/true, res.rules_fired};
     for (unsigned it = 0; it < opt.max_iterations; ++it) {
       if (b.g.num_nodes() > opt.max_nodes) break;
       ++res.iterations;
@@ -765,7 +802,9 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
     const double a0 = cm.area.total_area_um2(nl);
     cm.a0 = a0 > 0.0 ? a0 : 1.0;
     res.pr_idle = prof.pr_idle;
-    const Extraction ex = extract(b.g, b, prof, cm);
+    const std::vector<double> rate = class_rates(b.g, prof);
+    const NodeCost cost = [&](const ENode& n) { return cm.node_cost(b.g, n, rate); };
+    const Extraction ex = extract(b.g, cost);
 
     // Cost of the input netlist under the identical model (same class
     // toggle rates), so the comparison is apples-to-apples.
@@ -778,14 +817,12 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
       n.param = (c.kind == CellKind::Shl || c.kind == CellKind::Shr) ? c.param : 0;
       n.width = c.width;
       for (NetId in : c.ins) n.children.push_back(b.class_of_net[in.value()]);
-      cost_before += cm.node_cost(b.g, n, ex.rate);
+      cost_before += cost(n);
     }
     res.cost_before = cost_before;
 
     // 4. Emit + verify.
-    Emitter em(nl, b.g, b, ex);
-    em.cm = &cm;
-    em.rate = &ex.rate;
+    Emitter em(nl, b, ex, cost, /*keep_state=*/true);
     Netlist rewritten = em.run();
     res.cost_after = em.emitted_cost;
     if (!(res.cost_after < res.cost_before - 1e-12)) {
@@ -833,6 +870,23 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
     obs::metrics().counter("rewrite.fallbacks").add(1);
   }
   return res;
+}
+
+Netlist optimize(const Netlist& nl, std::map<std::string, std::uint64_t>* rules_fired) {
+  nl.validate();
+  GraphBuild b = build_egraph(nl);
+  std::map<std::string, std::uint64_t> fired;
+  Saturator sat{b.g, std::numeric_limits<std::size_t>::max(), /*algebra=*/false, fired};
+  while (sat.round()) {
+  }
+  const AreaModel area;
+  const NodeCost cost = [&area](const ENode& n) {
+    return cell_kind_is_operator(n.kind) ? area.cell_area_um2(n.kind, n.width) : 0.0;
+  };
+  const Extraction ex = extract(b.g, cost);
+  Netlist out = Emitter(nl, b, ex, cost, /*keep_state=*/false).run();
+  if (rules_fired != nullptr) *rules_fired = std::move(fired);
+  return out;
 }
 
 obs::JsonValue rewrite_report_section(const RewriteResult& r) {

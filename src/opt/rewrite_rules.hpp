@@ -26,6 +26,10 @@
 // verify::equiv before it replaces the input — a verification failure
 // or BDD-budget blow-up falls back to the original netlist and says so
 // in the opiso.rewrite/v1 report section.
+//
+// optimize() is the same machinery as a clean-up pass: only the
+// const-fold and identity rules, saturated to a fixpoint, and an
+// area-only extraction.
 
 #include <cstdint>
 #include <map>
@@ -85,5 +89,17 @@ struct RewriteResult {
 /// plane-engine lane on a fixed seed, independent of thread count or
 /// the lane count the surrounding flow measures with.
 [[nodiscard]] obs::JsonValue rewrite_report_section(const RewriteResult& r);
+
+/// The clean-up pass after isolation (the paper's Sec. 6 "additional
+/// Boolean optimizations"): the same e-graph saturated with only the
+/// const-fold and identity rules until a round changes nothing, then
+/// extracted by cell area and emitted from the primary outputs. Hash-
+/// consing shares identical cells, and a cell, register or latch that
+/// no output cone reads is not emitted. Primary inputs, output order
+/// and kept state names are preserved; a second pass removes nothing
+/// more. The input must validate. `rules_fired`, if given, receives the per-rule
+/// merge counts.
+[[nodiscard]] Netlist optimize(const Netlist& nl,
+                               std::map<std::string, std::uint64_t>* rules_fired = nullptr);
 
 }  // namespace opiso

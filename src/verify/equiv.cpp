@@ -130,6 +130,7 @@ EquivResult check_isolation_equivalence(const Netlist& original, const Netlist& 
                                         const BddBudget& budget) {
   EquivResult res;
   if (has_latches(original) || has_latches(transformed)) {
+    res.unsupported = true;
     res.reason = "designs with latches have no single-cut combinational semantics; "
                  "use the simulation-based lock-step check";
     return res;

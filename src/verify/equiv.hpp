@@ -17,8 +17,10 @@
 //
 // check_isolation_equivalence() verifies exactly those conditions. It
 // requires latch-free designs (AND/OR isolation styles) because
-// transparent latches have no single-cut combinational semantics; the
-// latch style remains covered by the simulation-based lock-step tests.
+// transparent latches have no single-cut combinational semantics: a
+// latch design gets the `unsupported` verdict, never "not equivalent".
+// The latch style remains covered by the simulation-based lock-step
+// tests.
 
 #include <span>
 #include <string>
@@ -31,7 +33,8 @@ namespace opiso {
 
 struct EquivResult {
   bool equivalent = false;
-  std::string reason;  ///< first failing obligation if not equivalent
+  bool unsupported = false;  ///< no verdict: the checker cannot model the designs
+  std::string reason;  ///< first failing obligation, or why there is no verdict
   std::size_t obligations_checked = 0;
   std::size_t bdd_nodes = 0;  ///< manager size after all checks
 };

@@ -10,7 +10,7 @@
 #include "netlist/stats.hpp"
 #include "lower/gate_level.hpp"
 #include "netlist/text_io.hpp"
-#include "opt/passes.hpp"
+#include "opt/rewrite_rules.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/sweep.hpp"
 #include "test_util.hpp"
@@ -41,10 +41,14 @@ TEST_P(Fuzz, TextRoundTripIsExact) {
 }
 
 TEST_P(Fuzz, OptimizePreservesBehavior) {
-  const Netlist nl = make_random_datapath(seed());
-  const Netlist opt = optimize(nl);
-  EXPECT_LE(opt.num_cells(), nl.num_cells());
-  testutil::expect_observably_equivalent(nl, opt, seed() ^ 0xA5A5, 800);
+  RandomDesignConfig latches;
+  latches.allow_latches = true;
+  for (const Netlist& nl : {make_random_datapath(seed()), make_random_datapath(seed(), latches)}) {
+    const Netlist opt = optimize(nl);
+    EXPECT_LE(opt.num_cells(), nl.num_cells());
+    EXPECT_EQ(optimize(opt).num_cells(), opt.num_cells()) << "not idempotent, seed " << seed();
+    testutil::expect_observably_equivalent(nl, opt, seed() ^ 0xA5A5, 800);
+  }
 }
 
 TEST_P(Fuzz, IsolationPreservesBehaviorAllStyles) {

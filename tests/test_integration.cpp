@@ -9,7 +9,7 @@
 #include "isolation/algorithm.hpp"
 #include "isolation/report.hpp"
 #include "netlist/text_io.hpp"
-#include "opt/passes.hpp"
+#include "opt/rewrite_rules.hpp"
 #include "power/estimator.hpp"
 #include "test_util.hpp"
 #include "verify/equiv.hpp"

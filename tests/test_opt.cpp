@@ -1,14 +1,38 @@
-// Tests for the optimization passes: each rewrite family plus the
-// global property that optimization never changes observed behavior.
+// Tests for optimize(), the e-graph clean-up pass: constant folding,
+// the identity rules, sharing of identical cells and removal of what no
+// output reads, plus the global property that optimization never
+// changes observed behavior.
 #include <gtest/gtest.h>
 
 #include "designs/designs.hpp"
-#include "opt/passes.hpp"
+#include "opt/rewrite_rules.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
+#include "verify/equiv.hpp"
 
 namespace opiso {
 namespace {
+
+std::size_t count_kind(const Netlist& nl, CellKind kind) {
+  std::size_t n = 0;
+  for (CellId id : nl.cell_ids()) {
+    if (nl.cell(id).kind == kind) ++n;
+  }
+  return n;
+}
+
+/// x + (r & 0): the register r is read only through an And that folds
+/// to zero, so neither r nor the constant has a reader once folded.
+Netlist dead_state_design() {
+  Netlist nl;
+  const NetId x = nl.add_input("x", 8);
+  const NetId en = nl.add_input("en", 1);
+  const NetId z = nl.add_const("z", 0, 8);
+  const NetId r = nl.add_reg("r", x, en);
+  const NetId rz = nl.add_binop(CellKind::And, "rz", r, z);
+  nl.add_output("o", nl.add_binop(CellKind::Add, "sum", x, rz));
+  return nl;
+}
 
 TEST(Opt, FoldsConstantArithmetic) {
   Netlist nl;
@@ -16,9 +40,8 @@ TEST(Opt, FoldsConstantArithmetic) {
   NetId b = nl.add_const("b", 22, 8);
   NetId sum = nl.add_binop(CellKind::Add, "sum", a, b);
   nl.add_output("o", sum);
-  OptimizeStats stats;
-  const Netlist o = optimize(nl, {}, &stats);
-  EXPECT_EQ(stats.folded_constants, 1u);
+  const Netlist o = optimize(nl);
+  EXPECT_EQ(o.num_cells(), 2u);
   // The PO is fed by a constant-42 cell.
   const Cell& po = o.cell(o.primary_outputs()[0]);
   const Cell& drv = o.cell(o.net(po.ins[0]).driver);
@@ -34,9 +57,8 @@ TEST(Opt, FoldsThroughChains) {
   NetId s = nl.add_shift(CellKind::Shl, "s", p, 2);     // 60
   NetId n = nl.add_unop(CellKind::Not, "n", s);
   nl.add_output("o", n);
-  OptimizeStats stats;
-  const Netlist o = optimize(nl, {}, &stats);
-  EXPECT_EQ(stats.folded_constants, 3u);
+  const Netlist o = optimize(nl);
+  EXPECT_EQ(o.num_cells(), 2u);
   const Cell& drv = o.cell(o.net(o.cell(o.primary_outputs()[0]).ins[0]).driver);
   EXPECT_EQ(drv.param, (~std::uint64_t{60}) & 0xFFFF);
 }
@@ -50,9 +72,8 @@ TEST(Opt, SimplifiesGateIdentities) {
   NetId or1 = nl.add_binop(CellKind::Or, "or1", and1, zero);  // -> a
   NetId add1 = nl.add_binop(CellKind::Add, "add1", or1, zero);  // -> a
   nl.add_output("o", add1);
-  OptimizeStats stats;
-  const Netlist o = optimize(nl, {}, &stats);
-  EXPECT_GE(stats.simplified, 3u);
+  const Netlist o = optimize(nl);
+  EXPECT_EQ(o.num_cells(), 2u);
   // Output is driven directly by the primary input.
   const Cell& po = o.cell(o.primary_outputs()[0]);
   EXPECT_EQ(o.cell(o.net(po.ins[0]).driver).kind, CellKind::PrimaryInput);
@@ -90,9 +111,11 @@ TEST(Opt, CseMergesIdenticalCells) {
   NetId s2 = nl.add_binop(CellKind::Add, "s2", a, b);  // identical
   NetId x = nl.add_binop(CellKind::Xor, "x", s1, s2);  // -> const 0
   nl.add_output("o", x);
-  OptimizeStats stats;
-  const Netlist o = optimize(nl, {}, &stats);
-  EXPECT_EQ(stats.cse_merged, 1u);
+  nl.add_output("o1", s1);
+  nl.add_output("o2", s2);
+  const Netlist o = optimize(nl);
+  EXPECT_EQ(count_kind(o, CellKind::Add), 1u);
+  EXPECT_EQ(o.cell(o.primary_outputs()[1]).ins[0], o.cell(o.primary_outputs()[2]).ins[0]);
   const Cell& drv = o.cell(o.net(o.cell(o.primary_outputs()[0]).ins[0]).driver);
   EXPECT_EQ(drv.kind, CellKind::Constant);
   EXPECT_EQ(drv.param, 0u);
@@ -107,13 +130,18 @@ TEST(Opt, RemovesDeadLogic) {
   NetId en = nl.add_input("en", 1);
   nl.add_reg("dead_reg", live, en);               // state never observed
   nl.add_output("o", live);
-  OptimizeStats stats;
-  const Netlist o = optimize(nl, {}, &stats);
-  EXPECT_EQ(stats.dead_removed, 2u);
+  const Netlist o = optimize(nl);
+  EXPECT_EQ(o.num_cells(), 5u);  // three PIs, the adder, the PO
   EXPECT_FALSE(o.find_net("dead_mul").valid());
   EXPECT_FALSE(o.find_net("dead_reg").valid());
   // Interface (all PIs, the PO) is preserved.
   EXPECT_EQ(o.primary_inputs().size(), nl.primary_inputs().size());
+
+  // A register whose only reader folds away goes with it.
+  const Netlist folded = optimize(dead_state_design());
+  EXPECT_EQ(folded.num_cells(), 3u);  // x, en, the PO fed by x
+  EXPECT_EQ(count_kind(folded, CellKind::Reg), 0u);
+  EXPECT_EQ(folded.net(folded.cell(folded.primary_outputs()[0]).ins[0]).name, "x");
 }
 
 TEST(Opt, TransparentIsolationCellFoldsAway) {
@@ -159,6 +187,15 @@ TEST_P(OptEquivalence, OptimizedDesignIsObservablyEquivalent) {
   const Netlist o = optimize(nl);
   EXPECT_LE(o.num_cells(), nl.num_cells());
   testutil::expect_observably_equivalent(nl, o, 0xBEEF, 2500);
+  if (which == "parametric") {
+    // Each lane's last-stage rb register has no reader, so optimize
+    // drops it, and verify::equiv, which matches registers by name,
+    // cannot prove the result: the lock-step check is its oracle.
+    EXPECT_EQ(count_kind(o, CellKind::Reg), count_kind(nl, CellKind::Reg) - 3);
+    return;
+  }
+  const EquivResult eq = check_isolation_equivalence(nl, o);
+  EXPECT_TRUE(eq.equivalent) << eq.reason;
 }
 
 INSTANTIATE_TEST_SUITE_P(Designs, OptEquivalence,
@@ -166,19 +203,17 @@ INSTANTIATE_TEST_SUITE_P(Designs, OptEquivalence,
 
 TEST(Opt, IdempotentOnBenchmarks) {
   const Netlist nl = make_design2(8, 2);
-  OptimizeStats s1, s2;
-  const Netlist once = optimize(nl, {}, &s1);
-  const Netlist twice = optimize(once, {}, &s2);
-  EXPECT_EQ(s2.folded_constants, 0u);
-  EXPECT_EQ(s2.cse_merged, 0u);
-  EXPECT_LE(twice.num_cells(), once.num_cells());
+  const Netlist once = optimize(nl);
+  const Netlist twice = optimize(once);
+  EXPECT_EQ(twice.num_cells(), once.num_cells());
 }
 
 // Regression: optimize() used to leave the 1-bit placeholder constant
-// from register reconstruction dangling in its output. Every constant
-// in the optimized netlist must have a reader.
+// from register reconstruction dangling in its output, and to keep a
+// constant whose only reader folded away. Every constant in the
+// optimized netlist must have a reader.
 TEST(Opt, NoDanglingPlaceholderConstants) {
-  for (const Netlist& nl : {make_design1(8), make_design2(8, 4)}) {
+  for (const Netlist& nl : {make_design1(8), make_design2(8, 4), dead_state_design()}) {
     const Netlist o = optimize(nl);
     std::vector<int> readers(o.num_nets(), 0);
     for (CellId id : o.cell_ids()) {
@@ -225,9 +260,9 @@ TEST(Opt, NarrowOnesConstantIsNotAnAndIdentity) {
   EXPECT_EQ(sim.net_value(o.cell(o.primary_outputs()[0]).ins[0]), 0x0Bu);
 }
 
-// Regression: the CSE cache is keyed on the output width too — two
-// constants with equal values but different widths are distinct (their
-// widths propagate into downstream truncation behavior).
+// Regression: sharing is keyed on the output width too — two constants
+// with equal values but different widths are distinct (their widths
+// propagate into downstream truncation behavior).
 TEST(Opt, CseKeepsSameValueConstantsOfDifferentWidthsApart) {
   Netlist nl;
   NetId a = nl.add_input("a", 4);
@@ -247,20 +282,6 @@ TEST(Opt, CseKeepsSameValueConstantsOfDifferentWidthsApart) {
   EXPECT_EQ(sim.net_value(o.cell(o.primary_outputs()[0]).ins[0]), 6u);
   EXPECT_EQ(sim.net_value(o.cell(o.primary_outputs()[1]).ins[0]), 22u);
   testutil::expect_observably_equivalent(nl, o, 0xC5E1, 200);
-}
-
-TEST(Opt, DisabledPassesDoNothing) {
-  Netlist nl;
-  NetId a = nl.add_const("a", 1, 8);
-  NetId b = nl.add_const("b", 2, 8);
-  NetId sum = nl.add_binop(CellKind::Add, "sum", a, b);
-  nl.add_output("o", sum);
-  OptimizeOptions off;
-  off.constant_fold = off.simplify = off.cse = off.dead_code_elim = false;
-  OptimizeStats stats;
-  const Netlist o = optimize(nl, off, &stats);
-  EXPECT_EQ(stats.folded_constants, 0u);
-  EXPECT_EQ(o.num_cells(), nl.num_cells());
 }
 
 }  // namespace

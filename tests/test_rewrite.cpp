@@ -11,7 +11,6 @@
 #include "frontend/rtl_parser.hpp"
 #include "isolation/algorithm.hpp"
 #include "obs/json.hpp"
-#include "opt/passes.hpp"
 #include "opt/rewrite_rules.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/sweep.hpp"
@@ -78,6 +77,17 @@ TEST(Rewrite, Fir4DecomposesConstantMultipliers) {
   testutil::expect_observably_equivalent(nl, r.netlist, 0xF1A4, 2000);
   const EquivResult eq = check_isolation_equivalence(nl, r.netlist);
   EXPECT_TRUE(eq.equivalent) << eq.reason;
+}
+
+TEST(Rewrite, KeepsPrimaryOutputCellNames) {
+  const Netlist nl = load_fir4();
+  const RewriteResult r = rewrite_datapath(nl);
+  ASSERT_TRUE(r.rewritten) << r.fallback_reason;
+  ASSERT_EQ(r.netlist.primary_outputs().size(), nl.primary_outputs().size());
+  for (std::size_t i = 0; i < nl.primary_outputs().size(); ++i) {
+    EXPECT_EQ(r.netlist.cell(r.netlist.primary_outputs()[i]).name,
+              nl.cell(nl.primary_outputs()[i]).name);
+  }
 }
 
 TEST(Rewrite, IsolateReportsTheInputDesignsBaseline) {

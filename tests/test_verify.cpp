@@ -132,6 +132,7 @@ TEST(Verify, RefusesLatchDesigns) {
   (void)isolate_module(c.nl, c.pool, c.vars, c.cell("a1"),
                        c.aa.activation_of(c.nl, c.cell("a1")), IsolationStyle::Latch);
   const EquivResult res = check_isolation_equivalence(original, c.nl);
+  EXPECT_TRUE(res.unsupported);
   EXPECT_FALSE(res.equivalent);
   EXPECT_NE(res.reason.find("latch"), std::string::npos);
 }

@@ -43,7 +43,6 @@
 #include "obs/trace.hpp"
 #include "obs/vcd.hpp"
 #include "obs/wave.hpp"
-#include "opt/passes.hpp"
 #include "opt/rewrite_rules.hpp"
 #include "power/estimator.hpp"
 #include "power/power_trace.hpp"
@@ -405,11 +404,11 @@ Outcome run_explain(const Args& args, const Input& in) {
 }
 
 Outcome run_optimize(const Args& args, const Input& in) {
-  OptimizeStats stats;
-  const Netlist o = optimize(in.designs[0], {}, &stats);
-  std::cerr << "cells " << stats.cells_before << " -> " << stats.cells_after << " (folded "
-            << stats.folded_constants << ", simplified " << stats.simplified << ", cse "
-            << stats.cse_merged << ", dead " << stats.dead_removed << ")\n";
+  std::map<std::string, std::uint64_t> fired;
+  const Netlist o = optimize(in.designs[0], &fired);
+  std::cerr << "cells " << in.designs[0].num_cells() << " -> " << o.num_cells();
+  for (const auto& [rule, count] : fired) std::cerr << ", " << rule << ' ' << count;
+  std::cerr << "\n";
   emit(args, o);
   return {};
 }
@@ -436,6 +435,10 @@ Outcome run_lower(const Args& args, const Input& in) {
 
 Outcome run_verify(const Args&, const Input& in) {
   const EquivResult res = check_isolation_equivalence(in.designs[0], in.designs[1]);
+  if (res.unsupported) {
+    std::cout << "UNSUPPORTED: " << res.reason << "\n";
+    return {3, {}};
+  }
   if (!res.equivalent) {
     std::cout << "NOT EQUIVALENT: " << res.reason << "\n";
     return {1, {}};
@@ -744,7 +747,7 @@ constexpr Command kCommands[] = {
      "equality-saturation rewrite, proven equivalent or unchanged"},
     {"lower", "<design>", Load::Strict, run_lower, "gate-level expansion"},
     {"verify", "<original> <transformed>", Load::Strict, run_verify,
-     "BDD equivalence proof (exit 1 when not equivalent)"},
+     "BDD equivalence proof (exit 1 when not equivalent, 3 on latch designs)"},
     {"lint", "<design>...", Load::Lenient, run_lint,
      "pass-based static analysis (JSON report: opiso.lint/v1)"},
     {"sweep", "<design>...", Load::Lenient, run_sweep,
@@ -931,7 +934,8 @@ void usage(const std::string& error) {
         "exit codes: 0 success; 1 failure (error, verify mismatch, report divergence,\n"
         "lint findings at --fail-on, coverage below --min-coverage-pct, candidate never\n"
         "evaluated); 2 usage; 3 completed but flagged (sweep task failures, isolate\n"
-        "over --min-ci-halfwidth), with every report still written.\n";
+        "over --min-ci-halfwidth, verify of a design it cannot model), with every report\n"
+        "still written.\n";
   if (!error.empty()) os << "\nopiso: " << error << "\n";
   std::exit(2);
 }
