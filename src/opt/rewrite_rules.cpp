@@ -12,7 +12,6 @@
 #include "opt/egraph.hpp"
 #include "power/area_model.hpp"
 #include "power/estimator.hpp"
-#include "sim/cycle_trace.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/stimulus.hpp"
 #include "util/error.hpp"
@@ -418,44 +417,95 @@ struct Saturator {
 // Profiling + isolation-aware extraction
 // ---------------------------------------------------------------------
 
-/// Per-net settled-value tape of the profiling run.
-class TapeSink final : public CycleSink {
- public:
-  std::vector<std::vector<std::uint64_t>> frames;
-  void on_cycle(const Netlist& nl, const CycleFrame& frame) override {
-    frames.emplace_back(frame.net_values, frame.net_values + nl.num_nets());
-  }
-};
+constexpr unsigned kMaxIterations = 8;            ///< saturation rounds
+constexpr std::uint64_t kProfileSeed = 0x5EED0001;  ///< profiling stimulus seed
+constexpr std::uint64_t kProfileWarmup = 32;      ///< reset-transient flush
+constexpr std::uint64_t kProfileCycles = 256;     ///< measured profiling cycles
 
+/// Slots for per-class vectors: one past the largest canonical id.
+std::size_t class_slots(const std::vector<EClassId>& ids) {
+  return ids.empty() ? 0 : std::size_t{ids.back()} + 1;
+}
+
+/// What the profiling run measured, per canonical e-class.
 struct Profile {
-  std::vector<std::vector<std::uint64_t>> frames;  ///< per cycle, per net
-  ActivityStats stats;
-  double pr_idle = 0.0;  ///< width-weighted mean Pr(reg EN == 0)
+  ActivityStats stats;           ///< the whole run; the input's nets keep their ids
+  std::vector<NetId> class_net;  ///< per class: the net that carries its value
+  std::vector<double> rate;      ///< per class: toggles per cycle between measured cycles
+  double pr_idle = 0.0;          ///< width-weighted mean Pr(reg EN == 0)
 };
 
-/// One plane-engine lane on the fixed profiling stream.
-Profile profile_activity(const Netlist& nl, const RewriteOptions& opt) {
+/// Measures every e-class of the saturated graph in one plane-engine
+/// run. A class with no net in the input gets one dangling cell,
+/// appended to a copy of the input on one of its nodes whose children
+/// already have nets, so the design's own behaviour is unchanged. The
+/// run is one lane on the fixed profiling stream, always, so the report
+/// section is bitwise identical whatever lane or thread count the
+/// surrounding flow measures with.
+Profile profile_classes(const Netlist& nl, const GraphBuild& b) {
+  const EGraph& g = b.g;
+  const std::vector<EClassId> ids = g.class_ids();
   Profile p;
-  ParallelSimulator sim(nl, 1);
-  sim.set_stimulus(
-      [&opt](unsigned) { return std::make_unique<UniformStimulus>(opt.profile_seed); });
-  sim.warmup(opt.profile_warmup);
-  TapeSink tape;
-  sim.set_cycle_sink(&tape);
-  sim.run(opt.profile_cycles);
-  sim.set_cycle_sink(nullptr);
-  p.frames = std::move(tape.frames);
-  p.stats = sim.stats();
-  // The run is one lane, so the tape holds every measured cycle.
-  double wsum = 0.0, isum = 0.0;
+  p.class_net.assign(class_slots(ids), NetId::invalid());
+  for (NetId net : nl.net_ids()) {
+    if (!b.has_class[net.value()]) continue;
+    NetId& slot = p.class_net[g.find(b.class_of_net[net.value()])];
+    if (!slot.valid()) slot = net;
+  }
+  Netlist ext = nl;
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    for (EClassId c : ids) {
+      if (p.class_net[c].valid()) continue;
+      for (const ENode& n : g.nodes(c)) {
+        std::vector<NetId> ins;
+        for (EClassId chc : n.children) {
+          const NetId in = p.class_net[g.find(chc)];
+          if (!in.valid()) break;
+          ins.push_back(in);
+        }
+        if (ins.size() != n.children.size()) continue;
+        const std::string base = "~ec" + std::to_string(c);
+        p.class_net[c] = ext.add_net(ext.fresh_net_name(base), n.width);
+        ext.add_cell(n.kind, ext.fresh_cell_name(base), ins, p.class_net[c], n.param);
+        progress = true;
+        break;
+      }
+    }
+  }
+
+  // pr_idle reads Var probes on the register enables; probes go in
+  // before the first simulated cycle.
+  ExprPool pool;
+  NetVarMap vars;
+  ParallelSimulator sim(ext, 1, &pool, &vars);
+  std::vector<std::pair<unsigned, std::size_t>> enables;  // (register width, probe)
   for (CellId id : nl.cell_ids()) {
     const Cell& c = nl.cell(id);
     if (c.kind != CellKind::Reg) continue;
-    std::uint64_t enabled = 0;
-    for (const std::vector<std::uint64_t>& f : p.frames) enabled += f[c.ins[1].value()] & 1;
-    wsum += c.width;
-    isum += c.width *
-            (1.0 - static_cast<double>(enabled) / static_cast<double>(p.stats.cycles));
+    enables.emplace_back(c.width, sim.add_probe(pool.var(vars.var_of(ext, c.ins[1]))));
+  }
+  sim.set_stimulus([](unsigned) { return std::make_unique<UniformStimulus>(kProfileSeed); });
+  sim.warmup(kProfileWarmup);
+  // The rates count the transitions between measured cycles; the
+  // engine also counts the step into the first one, so subtract it.
+  sim.run(1);
+  const std::vector<std::uint64_t> first = sim.stats().toggles;
+  sim.run(kProfileCycles - 1);
+  p.stats = sim.stats();
+
+  p.rate.assign(p.class_net.size(), 0.0);
+  for (EClassId c : ids) {
+    OPISO_REQUIRE(p.class_net[c].valid(), "rewrite: e-class " + std::to_string(c) + " has no net");
+    const std::size_t net = p.class_net[c].value();
+    p.rate[c] = static_cast<double>(p.stats.toggles[net] - first[net]) /
+                static_cast<double>(kProfileCycles - 1);
+  }
+  double wsum = 0.0, isum = 0.0;
+  for (const auto& [width, probe] : enables) {
+    wsum += width;
+    isum += width * (1.0 - p.stats.probe_probability(probe));
   }
   p.pr_idle = wsum > 0.0 ? isum / wsum : 0.0;
   return p;
@@ -488,76 +538,6 @@ struct CostModel {
     return omega_p * (pw / p0) + omega_a * (aw / a0);
   }
 };
-
-/// Slots for per-class vectors: one past the largest canonical id.
-std::size_t class_slots(const std::vector<EClassId>& ids) {
-  return ids.empty() ? 0 : std::size_t{ids.back()} + 1;
-}
-
-/// Toggles per cycle of every e-class's value over the profiling tape.
-/// All nodes of a class are equivalent, so any evaluable representative
-/// serves. Classes are evaluated in canonical-id order as they become
-/// evaluable, so the rates are bitwise deterministic.
-std::vector<double> class_rates(const EGraph& g, const Profile& prof) {
-  const std::vector<EClassId> ids = g.class_ids();
-  const std::size_t slots = class_slots(ids);
-  const std::size_t T = prof.frames.size();
-  OPISO_REQUIRE(T >= 2, "rewrite: profiling produced fewer than 2 frames");
-
-  std::vector<std::vector<std::uint64_t>> vals(slots);
-  std::vector<char> evaluated(slots, 0);
-  std::vector<EClassId> order;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (EClassId c : ids) {
-      if (evaluated[c]) continue;
-      for (const ENode& n : g.nodes(c)) {
-        bool ready = true;
-        if (cell_kind_is_operator(n.kind)) {
-          for (EClassId chc : n.children) {
-            if (!evaluated[g.find(chc)]) {
-              ready = false;
-              break;
-            }
-          }
-        }
-        if (!ready) continue;
-        std::vector<std::uint64_t>& v = vals[c];
-        v.resize(T);
-        const std::uint64_t m = width_mask(n.width);
-        if (n.kind == CellKind::Constant) {
-          for (std::size_t t = 0; t < T; ++t) v[t] = n.param & m;
-        } else if (is_leaf_kind(n.kind)) {
-          const std::size_t net = static_cast<std::size_t>(n.param);
-          for (std::size_t t = 0; t < T; ++t) v[t] = prof.frames[t][net] & m;
-        } else {
-          std::vector<std::uint64_t> ins(n.children.size());
-          for (std::size_t t = 0; t < T; ++t) {
-            for (std::size_t i = 0; i < n.children.size(); ++i) {
-              ins[i] = vals[g.find(n.children[i])][t];
-            }
-            v[t] = cell_kind_eval(n.kind, n.param, n.width, ins);
-          }
-        }
-        evaluated[c] = 1;
-        order.push_back(c);
-        progress = true;
-        break;
-      }
-    }
-  }
-
-  std::vector<double> rate(slots, 0.0);
-  for (EClassId c : order) {
-    std::uint64_t toggles = 0;
-    for (std::size_t t = 1; t < T; ++t) {
-      toggles += static_cast<std::uint64_t>(__builtin_popcountll(vals[c][t] ^ vals[c][t - 1]));
-    }
-    rate[c] = static_cast<double>(toggles) / static_cast<double>(T - 1);
-  }
-  return rate;
-}
 
 /// Cost of one e-node on its own; its children's classes add theirs.
 using NodeCost = std::function<double(const ENode&)>;
@@ -607,24 +587,20 @@ Extraction extract(const EGraph& g, const NodeCost& node_cost) {
 /// The emitter preserves exactly what verify::equiv matches by name or
 /// position: primary-input names, register/latch output-net names and
 /// widths, register/latch and primary-output cell names, and
-/// primary-output order. All interior nets are fresh. With
-/// `keep_all_state` every register and latch is emitted (verify::equiv
-/// matches registers by name); without it only the ones the output
-/// cones read.
+/// primary-output order. All interior nets are fresh, and only the
+/// registers and latches the output cones read are emitted.
 struct Emitter {
   const Netlist& old;
   const GraphBuild& b;
   const Extraction& ex;
   const NodeCost& cost;
-  bool keep_all_state;
   Netlist out;
   std::map<EClassId, NetId> done;  ///< canonical class -> emitted net
   double emitted_cost = 0.0;       ///< Σ node cost over emitted cells (DAG)
 
   Emitter(const Netlist& nl, const GraphBuild& build, const Extraction& extraction,
-          const NodeCost& node_cost, bool keep_state)
-      : old(nl), b(build), ex(extraction), cost(node_cost), keep_all_state(keep_state),
-        out(nl.name()) {}
+          const NodeCost& node_cost)
+      : old(nl), b(build), ex(extraction), cost(node_cost), out(nl.name()) {}
 
   std::string hint_name(EClassId c) const {
     if (c < b.hint.size() && !b.hint[c].empty()) return b.hint[c];
@@ -654,12 +630,11 @@ struct Emitter {
     return net;
   }
 
-  /// Per old cell: set for the registers and latches to emit. Without
-  /// keep_all_state these are the ones the chosen nodes reach from the
-  /// primary outputs, walking on through each reached cell's D and EN.
+  /// Per old cell: set for the registers and latches to emit, the ones
+  /// the chosen nodes reach from the primary outputs, walking on through
+  /// each reached cell's D and EN.
   std::vector<char> live_state() const {
-    std::vector<char> live(old.num_cells(), keep_all_state);
-    if (keep_all_state) return live;
+    std::vector<char> live(old.num_cells(), 0);
     std::vector<char> seen(ex.size(), 0);
     std::vector<EClassId> work;
     for (CellId po : old.primary_outputs()) {
@@ -764,15 +739,10 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
   }
 
   try {
-    // 1. Profile the input netlist (always one lane on a fixed seed:
-    //    the report section must be bitwise identical no matter which
-    //    lane/thread count the surrounding flow uses).
-    const Profile prof = profile_activity(nl, opt);
-
-    // 2. Saturate.
+    // 1. Saturate.
     GraphBuild b = build_egraph(nl);
     Saturator sat{b.g, opt.max_nodes, /*algebra=*/true, res.rules_fired};
-    for (unsigned it = 0; it < opt.max_iterations; ++it) {
+    for (unsigned it = 0; it < kMaxIterations; ++it) {
       if (b.g.num_nodes() > opt.max_nodes) break;
       ++res.iterations;
       if (!sat.round()) {
@@ -790,7 +760,9 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
       return res;
     }
 
-    // 3. Extract with the isolation-aware cost model.
+    // 2. Profile every e-class in one simulation, then extract with
+    //    the isolation-aware cost model.
+    const Profile prof = profile_classes(nl, b);
     CostModel cm;
     cm.pr_idle = prof.pr_idle;
     cm.omega_p = opt.omega_p;
@@ -802,8 +774,7 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
     const double a0 = cm.area.total_area_um2(nl);
     cm.a0 = a0 > 0.0 ? a0 : 1.0;
     res.pr_idle = prof.pr_idle;
-    const std::vector<double> rate = class_rates(b.g, prof);
-    const NodeCost cost = [&](const ENode& n) { return cm.node_cost(b.g, n, rate); };
+    const NodeCost cost = [&](const ENode& n) { return cm.node_cost(b.g, n, prof.rate); };
     const Extraction ex = extract(b.g, cost);
 
     // Cost of the input netlist under the identical model (same class
@@ -821,8 +792,8 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
     }
     res.cost_before = cost_before;
 
-    // 4. Emit + verify.
-    Emitter em(nl, b, ex, cost, /*keep_state=*/true);
+    // 3. Emit + verify.
+    Emitter em(nl, b, ex, cost);
     Netlist rewritten = em.run();
     res.cost_after = em.emitted_cost;
     if (!(res.cost_after < res.cost_before - 1e-12)) {
@@ -847,10 +818,16 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
     res.rewritten = true;
     obs::metrics().counter("rewrite.applied").add(1);
 
-    // 5. Honest power delta: re-profile the rewritten netlist with the
-    //    same stimulus and report the macro-model estimate.
-    const Profile after = profile_activity(res.netlist, opt);
-    res.est_power_after_mw = estimator.estimate(res.netlist, after.stats).total_mw;
+    // 4. Honest power delta: every emitted net carries one profiled
+    //    class, so its toggles are the ones the rewritten netlist
+    //    shows on the same stimulus.
+    ActivityStats after;
+    after.cycles = prof.stats.cycles;
+    after.toggles.assign(res.netlist.num_nets(), 0);
+    for (const auto& [c, net] : em.done) {
+      after.toggles[net.value()] = prof.stats.toggles[prof.class_net[c].value()];
+    }
+    res.est_power_after_mw = estimator.estimate(res.netlist, after).total_mw;
   } catch (const ResourceError& e) {
     res.netlist = nl;
     res.rewritten = false;
@@ -884,7 +861,7 @@ Netlist optimize(const Netlist& nl, std::map<std::string, std::uint64_t>* rules_
     return cell_kind_is_operator(n.kind) ? area.cell_area_um2(n.kind, n.width) : 0.0;
   };
   const Extraction ex = extract(b.g, cost);
-  Netlist out = Emitter(nl, b, ex, cost, /*keep_state=*/false).run();
+  Netlist out = Emitter(nl, b, ex, cost).run();
   if (rules_fired != nullptr) *rules_fired = std::move(fired);
   return out;
 }

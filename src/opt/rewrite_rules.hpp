@@ -19,6 +19,13 @@
 // same ordering as maximizing Σ h over the isolation candidates the
 // rewritten netlist will expose.
 //
+// That simulation runs once, after saturation, on one plane-engine lane
+// with a fixed seed: the input plus one dangling cell for each e-class
+// the input has no net for. Its ActivityStats give every class's toggle
+// rate, the register idle probability (Var probes on the enables) and
+// the power of both the input and the rewritten netlist, whose nets
+// each carry one profiled class.
+//
 // Safety: every rewrite rule is width-sound by construction (merges
 // across widths are rejected by the e-graph), saturation is bounded by
 // the PR-4 resource-budget pattern (node/iteration caps degrade to
@@ -29,7 +36,9 @@
 //
 // optimize() is the same machinery as a clean-up pass: only the
 // const-fold and identity rules, saturated to a fixpoint, and an
-// area-only extraction.
+// area-only extraction. Both passes emit only the registers and latches
+// the output cones read; verify::equiv accepts a dropped register that
+// no output reads.
 
 #include <cstdint>
 #include <map>
@@ -41,11 +50,7 @@
 namespace opiso {
 
 struct RewriteOptions {
-  unsigned max_iterations = 8;       ///< saturation rounds (iteration cap)
   std::size_t max_nodes = 20000;     ///< e-node cap; exceeded => input unchanged
-  std::uint64_t profile_seed = 0x5EED0001;  ///< profiling-sim stimulus seed
-  std::uint64_t profile_cycles = 256;       ///< measured profiling cycles
-  std::uint64_t profile_warmup = 32;        ///< reset-transient flush
   double omega_p = 1.0;              ///< paper's ωp (power weight)
   double omega_a = 0.2;              ///< paper's ωa (area weight)
   unsigned iso_min_width = 2;        ///< isolatable-arith width floor (CandidateConfig)
@@ -69,7 +74,7 @@ struct RewriteResult {
   double cost_before = 0.0;    ///< Σ node cost of the input netlist
   double cost_after = 0.0;     ///< Σ node cost of the extracted netlist
   double est_power_before_mw = 0.0;  ///< macro-model power at profiled activity
-  double est_power_after_mw = 0.0;   ///< same, re-profiled on the rewritten netlist
+  double est_power_after_mw = 0.0;   ///< same for the rewritten netlist, from the same run
   double pr_idle = 0.0;        ///< measured width-weighted register idle probability
   std::size_t cells_before = 0;
   std::size_t cells_after = 0;

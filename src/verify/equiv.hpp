@@ -14,6 +14,10 @@
 //   * registers that do not load hold equal previous values,
 //   * all primary outputs are identical functions of (PIs, state).
 // Together these imply cycle-by-cycle equality of all observed outputs.
+// A register bit of the original that no primary output reads, directly
+// or through another register's D or EN, may be missing from the
+// transformed design (an optimizer drops it); a missing bit that an
+// output reads fails the check.
 //
 // check_isolation_equivalence() verifies exactly those conditions. It
 // requires latch-free designs (AND/OR isolation styles) because

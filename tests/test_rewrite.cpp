@@ -11,6 +11,7 @@
 #include "frontend/rtl_parser.hpp"
 #include "isolation/algorithm.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "opt/rewrite_rules.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/sweep.hpp"
@@ -88,6 +89,40 @@ TEST(Rewrite, KeepsPrimaryOutputCellNames) {
     EXPECT_EQ(r.netlist.cell(r.netlist.primary_outputs()[i]).name,
               nl.cell(nl.primary_outputs()[i]).name);
   }
+}
+
+TEST(Rewrite, ProfilesOnceOnOneLane) {
+  // One plane-engine run measures every e-class and prices the result:
+  // 32 warmup and 256 measured cycles on one lane. A design that
+  // exhausts the e-node budget is not simulated at all.
+  const Netlist nl = load_fir4();
+  const obs::Counter& cycles = obs::metrics().counter("sim.cycles");
+  std::uint64_t before = cycles.value();
+  const RewriteResult r = rewrite_datapath(nl);
+  ASSERT_TRUE(r.rewritten) << r.fallback_reason;
+  EXPECT_EQ(cycles.value() - before, 288u);
+
+  RewriteOptions opt;
+  opt.max_nodes = 4;
+  before = cycles.value();
+  const RewriteResult budget = rewrite_datapath(nl, opt);
+  EXPECT_TRUE(budget.budget_exhausted);
+  EXPECT_EQ(cycles.value() - before, 0u);
+}
+
+TEST(Rewrite, DropsARegisterNoOutputReads) {
+  // The rewriter emits only the state the output cones read, and
+  // verify::equiv accepts the missing register because nothing reads it.
+  Netlist nl = load_fir4();
+  const std::size_t regs = count_kind(nl, CellKind::Reg);
+  (void)nl.add_reg("spare", nl.find_net("x"), nl.find_net("enable"));
+  nl.validate();
+  const RewriteResult r = rewrite_datapath(nl);
+  ASSERT_TRUE(r.rewritten) << r.fallback_reason;
+  EXPECT_TRUE(r.verified);
+  EXPECT_EQ(count_kind(r.netlist, CellKind::Reg), regs);
+  EXPECT_FALSE(r.netlist.find_net("spare").valid());
+  testutil::expect_observably_equivalent(nl, r.netlist, 0x5A4E, 1000);
 }
 
 TEST(Rewrite, IsolateReportsTheInputDesignsBaseline) {

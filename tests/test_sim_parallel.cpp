@@ -270,7 +270,7 @@ class RecordingSink final : public CycleSink {
 };
 
 TEST(SimParallel, CycleSinkSeesTheReferenceValuesOnOneLane) {
-  // The rewrite profiler's tape and the VCD exporter read these values.
+  // The VCD exporter reads these values.
   for (const Netlist& nl : {make_fig1(), make_design2()}) {
     RecordingSink got;
     ParallelSimulator psim(nl, 1);

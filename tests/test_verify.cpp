@@ -126,6 +126,35 @@ TEST(Verify, CatchesEnableTampering) {
   EXPECT_NE(res.reason.find("enable"), std::string::npos) << res.reason;
 }
 
+/// x feeds register r, r feeds s through its D and the output reads s;
+/// register u loads x and nothing reads it. Either of r and u may be
+/// left out.
+Netlist register_chain(bool with_r, bool with_u) {
+  Netlist nl;
+  const NetId x = nl.add_input("x", 4);
+  const NetId en = nl.add_input("en", 1);
+  const NetId s = nl.add_reg("s", with_r ? nl.add_reg("r", x, en) : x, en);
+  if (with_u) (void)nl.add_reg("u", x, en);
+  nl.add_output("o", s);
+  return nl;
+}
+
+TEST(Verify, AcceptsAMissingRegisterNoOutputReads) {
+  const EquivResult res =
+      check_isolation_equivalence(register_chain(true, true), register_chain(true, false));
+  EXPECT_TRUE(res.equivalent) << res.reason;
+}
+
+TEST(Verify, RejectsAMissingRegisterAnOutputReads) {
+  // r reaches the output only through s's D; the checker must still
+  // call it missing.
+  const EquivResult res =
+      check_isolation_equivalence(register_chain(true, true), register_chain(false, true));
+  EXPECT_FALSE(res.equivalent);
+  EXPECT_NE(res.reason.find("register bit 'r."), std::string::npos) << res.reason;
+  EXPECT_NE(res.reason.find("missing"), std::string::npos) << res.reason;
+}
+
 TEST(Verify, RefusesLatchDesigns) {
   const Netlist original = make_fig1(4);
   Ctx c(original);
