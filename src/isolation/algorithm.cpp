@@ -42,7 +42,15 @@ std::size_t expr_depth(const ExprPool& pool, ExprRef r) {
   return go(r);
 }
 
+/// Algorithm 1 stops after this many iterations even if the last one
+/// still isolated something.
+constexpr int kMaxIterations = 32;
+
 }  // namespace
+
+std::uint64_t warmup_cycles_per_lane(std::uint64_t warmup_cycles, std::uint64_t lanes) {
+  return warmup_cycles / lanes + (warmup_cycles % lanes != 0);
+}
 
 ActivityStats measure_activity(const Netlist& nl, const ExprPool* pool, const NetVarMap* vars,
                                const IsolationOptions& opt,
@@ -54,7 +62,7 @@ ActivityStats measure_activity(const Netlist& nl, const ExprPool* pool, const Ne
   if (register_on) register_on(sim);
   sim.set_stimulus(opt.lane_stimuli);
   const std::uint64_t lanes = sim.lanes();
-  if (opt.warmup_cycles > 0) sim.warmup((opt.warmup_cycles + lanes - 1) / lanes);
+  if (opt.warmup_cycles > 0) sim.warmup(warmup_cycles_per_lane(opt.warmup_cycles, lanes));
   sim.set_cycle_sink(sink);
   sim.run(std::max<std::uint64_t>(1, opt.sim_cycles / lanes));
   return sim.stats();
@@ -164,7 +172,7 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
   std::unordered_set<std::uint32_t> pool_ids;
   bool pool_initialized = false;
 
-  for (int iteration = 0; iteration < opt.max_iterations; ++iteration) {
+  for (int iteration = 0; iteration < kMaxIterations; ++iteration) {
     OPISO_SPAN("isolate.iteration");
     obs::metrics().counter("isolate.iterations").add(1);
     // Fresh Boolean universe per iteration: the netlist has changed.
@@ -300,16 +308,14 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
               if (!control_space) control_space = explore_control_space(nl);
               f = minimize_with_reachability(*control_space, nl, pool, vars, f);
             }
-            if (opt.simplify_activation) {
-              // Graceful degradation: the factored form f is already
-              // logically equivalent to the canonical result, so on
-              // budget exhaustion we keep it rather than fail the run.
-              try {
-                BddManager mgr(BddBudget{opt.bdd_node_budget, 0});
-                f = mgr.simplify_expr(pool, f);
-              } catch (const ResourceError&) {
-                obs::metrics().counter("isolate.bdd_budget_fallbacks").add(1);
-              }
+            // Graceful degradation: the factored form f is already
+            // logically equivalent to the canonical result, so on
+            // budget exhaustion we keep it rather than fail the run.
+            try {
+              BddManager mgr(BddBudget{opt.bdd_node_budget, 0});
+              f = mgr.simplify_expr(pool, f);
+            } catch (const ResourceError&) {
+              obs::metrics().counter("isolate.bdd_budget_fallbacks").add(1);
             }
             result.records.push_back(isolate_module(nl, pool, vars, best->cell, f, best->style));
             break;

@@ -39,10 +39,9 @@ struct IsolationOptions {
   /// Evaluate all three bank styles per candidate and pick the one with
   /// the best cost h (extension of Sec. 5.2's global style choice).
   bool choose_style_per_candidate = false;
-  /// Canonically simplify activation functions (BDD round trip) before
-  /// synthesizing them — Sec. 3's "optimized version thereof".
-  bool simplify_activation = true;
-  /// Unique-table node budget for that BDD round trip (0 = unlimited).
+  /// Unique-table node budget of the BDD round trip that canonically
+  /// simplifies each activation function before it is synthesized —
+  /// Sec. 3's "optimized version thereof" (0 = unlimited).
   /// When an activation function blows past the budget, the canonical
   /// simplification is skipped and the structurally derived expression
   /// — logically equivalent by construction — is synthesized as-is
@@ -78,7 +77,6 @@ struct IsolationOptions {
   /// runs one lane on the single-stream factory passed to the flow.
   unsigned sim_lanes = 64;
   std::function<std::unique_ptr<Stimulus>(unsigned)> lane_stimuli;
-  int max_iterations = 32;
 
   /// Batch-means confidence collection (obs/confidence.hpp). When
   /// enabled, every measurement round accumulates per-net and per-probe
@@ -198,6 +196,11 @@ struct IsolationResult {
 /// Produces a fresh, identically distributed stimulus for each
 /// simulation round (each iteration re-simulates the transformed design).
 using StimulusFactory = std::function<std::unique_ptr<Stimulus>()>;
+
+/// Cycles per lane of a warmup of `warmup_cycles` summed over `lanes`
+/// lanes: the quotient rounded up, for every value without wrapping.
+[[nodiscard]] std::uint64_t warmup_cycles_per_lane(std::uint64_t warmup_cycles,
+                                                   std::uint64_t lanes);
 
 /// One measurement round — the discipline every isolate-family command
 /// shares: a fresh plane engine running options.sim_lanes lanes of

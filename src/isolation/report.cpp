@@ -28,24 +28,4 @@ std::string format_isolation_summary(const IsolationResult& result) {
   return os.str();
 }
 
-std::string format_iteration_log(const IsolationResult& result) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(4);
-  for (const IterationLog& log : result.iterations) {
-    os << "iteration " << log.iteration << " (total " << std::setprecision(3)
-       << log.total_power_mw << " mW, " << log.num_isolated << " isolated)\n"
-       << std::setprecision(4);
-    for (const CandidateEvaluation& ev : log.evaluations) {
-      os << "  " << (ev.isolated_now ? '+' : ' ') << ' ' << ev.cell_name << " [block "
-         << ev.block << "] Pr(!f)=" << std::setprecision(2) << ev.pr_redundant
-         << std::setprecision(4) << " dPp=" << ev.primary_mw << " dPs=" << ev.secondary_mw
-         << " Pi=" << ev.overhead_mw << " h=" << ev.h;
-      if (ev.slack_vetoed) os << " [slack veto]";
-      if (!ev.legal) os << " [illegal]";
-      os << "  AS=" << ev.activation_str << "\n";
-    }
-  }
-  return os.str();
-}
-
 }  // namespace opiso

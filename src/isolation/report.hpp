@@ -1,7 +1,9 @@
 #pragma once
-// Human-readable reports for isolation runs: summary block, per-record
-// listing, and per-iteration candidate evaluations — the bits a user
-// pastes into a review when deciding whether to accept the transform.
+// Human-readable summary of an isolation run: power/area/slack and the
+// per-record listing — the bits a user pastes into a review when
+// deciding whether to accept the transform. The per-iteration candidate
+// table and the Eq. 1–5 narratives are views of the run report
+// (obs/run_report.hpp, `opiso explain`).
 
 #include <string>
 
@@ -11,9 +13,5 @@ namespace opiso {
 
 /// Multi-line summary: power/area/slack before → after, module list.
 [[nodiscard]] std::string format_isolation_summary(const IsolationResult& result);
-
-/// Per-iteration table of every candidate evaluation (cost terms, h,
-/// veto flags, decisions).
-[[nodiscard]] std::string format_iteration_log(const IsolationResult& result);
 
 }  // namespace opiso

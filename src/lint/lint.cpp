@@ -97,13 +97,7 @@ LintReport run_lint(const Netlist& nl, const LintOptions& options,
     }
     std::vector<Finding> found;
     pass->run(ctx, found, result.note);
-    auto severity_override = options.pass_severity.find(result.pass);
-    for (Finding& f : found) {
-      f.pass = result.pass;
-      if (severity_override != options.pass_severity.end()) {
-        f.severity = severity_override->second;
-      }
-    }
+    for (Finding& f : found) f.pass = result.pass;
     result.num_findings = found.size();
     report.findings.insert(report.findings.end(), std::make_move_iterator(found.begin()),
                            std::make_move_iterator(found.end()));

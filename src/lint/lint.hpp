@@ -27,7 +27,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "boolfn/bdd.hpp"
@@ -73,10 +72,6 @@ struct LintOptions {
 
   /// Run only the named passes (empty = all registered passes).
   std::vector<std::string> only_passes;
-
-  /// Per-pass severity overrides: every finding of the named pass is
-  /// reported at the given severity instead of its default.
-  std::unordered_map<std::string, Severity> pass_severity;
 };
 
 /// Per-pass outcome recorded in the report.
@@ -147,7 +142,6 @@ class LintPass {
  public:
   virtual ~LintPass() = default;
   [[nodiscard]] virtual std::string_view name() const = 0;
-  [[nodiscard]] virtual std::string_view description() const = 0;
   /// Passes that need a dependency order (observability, STA) return
   /// true and are skipped — with a note — on cyclic designs.
   [[nodiscard]] virtual bool requires_acyclic() const { return true; }

@@ -164,9 +164,6 @@ std::string render_counterexample(BddManager& mgr, const NetVarMap& vars, const 
 class DeadLogicPass final : public LintPass {
  public:
   [[nodiscard]] std::string_view name() const override { return "dead_logic"; }
-  [[nodiscard]] std::string_view description() const override {
-    return "logic no register or primary output can observe";
-  }
 
   void run(LintContext& ctx, std::vector<Finding>& out, std::string& note) override {
     const Netlist& nl = ctx.nl();
@@ -249,9 +246,6 @@ class DeadLogicPass final : public LintPass {
 class IsolationSoundnessPass final : public LintPass {
  public:
   [[nodiscard]] std::string_view name() const override { return "isolation_soundness"; }
-  [[nodiscard]] std::string_view description() const override {
-    return "BDD proof that AS = 0 implies the guarded output is unobserved";
-  }
 
   void run(LintContext& ctx, std::vector<Finding>& out, std::string& note) override {
     (void)note;
@@ -318,9 +312,6 @@ class IsolationSoundnessPass final : public LintPass {
 class IsolationOverheadPass final : public LintPass {
  public:
   [[nodiscard]] std::string_view name() const override { return "isolation_overhead"; }
-  [[nodiscard]] std::string_view description() const override {
-    return "AS gating depth cross-checked against STA slack";
-  }
 
   void run(LintContext& ctx, std::vector<Finding>& out, std::string& note) override {
     (void)note;

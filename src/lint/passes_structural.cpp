@@ -20,9 +20,6 @@ std::string wname(const Netlist& nl, NetId id) {
 class CombLoopPass final : public LintPass {
  public:
   [[nodiscard]] std::string_view name() const override { return "comb_loop"; }
-  [[nodiscard]] std::string_view description() const override {
-    return "combinational cycles (Tarjan SCC over the cell graph)";
-  }
   [[nodiscard]] bool requires_acyclic() const override { return false; }
 
   void run(LintContext& ctx, std::vector<Finding>& out, std::string& note) override {
@@ -46,9 +43,6 @@ class CombLoopPass final : public LintPass {
 class WidthPass final : public LintPass {
  public:
   [[nodiscard]] std::string_view name() const override { return "width"; }
-  [[nodiscard]] std::string_view description() const override {
-    return "operand width mismatches and silent truncation";
-  }
   [[nodiscard]] bool requires_acyclic() const override { return false; }
 
   void run(LintContext& ctx, std::vector<Finding>& out, std::string& note) override {
@@ -144,9 +138,6 @@ class WidthPass final : public LintPass {
 class DriversPass final : public LintPass {
  public:
   [[nodiscard]] std::string_view name() const override { return "drivers"; }
-  [[nodiscard]] std::string_view description() const override {
-    return "undriven, multiply-driven and dangling nets";
-  }
   [[nodiscard]] bool requires_acyclic() const override { return false; }
 
   void run(LintContext& ctx, std::vector<Finding>& out, std::string& note) override {

@@ -1,6 +1,14 @@
 #include "obs/run_report.hpp"
 
-#include "obs/attribution.hpp"
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <functional>
+#include <iomanip>
+#include <ostream>
+#include <set>
+#include <sstream>
+
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -13,7 +21,6 @@ JsonValue options_json(const IsolationOptions& opt) {
   JsonValue o = JsonValue::object();
   o["style"] = std::string(isolation_style_name(opt.style));
   o["choose_style_per_candidate"] = opt.choose_style_per_candidate;
-  o["simplify_activation"] = opt.simplify_activation;
   o["use_reachability_dont_cares"] = opt.use_reachability_dont_cares;
   o["primary_model"] = opt.primary_model == PrimaryModel::Refined ? "refined" : "simple";
   o["omega_p"] = opt.omega_p;
@@ -22,7 +29,6 @@ JsonValue options_json(const IsolationOptions& opt) {
   o["slack_threshold_ns"] = opt.slack_threshold_ns;
   o["sim_cycles"] = opt.sim_cycles;
   o["warmup_cycles"] = opt.warmup_cycles;
-  o["max_iterations"] = opt.max_iterations;
   o["register_lookahead"] = opt.activation.register_lookahead;
   if (opt.confidence.enabled) {
     o["confidence_level"] = opt.confidence.level;
@@ -32,6 +38,25 @@ JsonValue options_json(const IsolationOptions& opt) {
     }
   }
   return o;
+}
+
+JsonValue term_json(const SavingsTerm& term) {
+  JsonValue t = JsonValue::object();
+  t["kind"] = term.kind;
+  t["mw"] = term.mw;
+  t["probability"] = term.probability;
+  t["rate_a"] = term.rate_a;
+  if (term.rate_b != 0.0) t["rate_b"] = term.rate_b;
+  if (!term.source_a.empty()) t["source_a"] = term.source_a;
+  if (!term.source_b.empty()) t["source_b"] = term.source_b;
+  if (term.rescaled_a) t["rescaled_a"] = true;
+  if (term.rescaled_b) t["rescaled_b"] = true;
+  if (!term.fanout.empty()) {
+    t["fanout"] = term.fanout;
+    t["fanout_port"] = term.fanout_port;
+    t["z_j"] = term.z_j;
+  }
+  return t;
 }
 
 JsonValue candidate_json(const CandidateEvaluation& ev) {
@@ -53,7 +78,77 @@ JsonValue candidate_json(const CandidateEvaluation& ev) {
   c["est_slack_after_ns"] = ev.est_slack_after_ns;
   c["decision"] = candidate_decision(ev);
   c["activation"] = ev.activation_str;
+  JsonValue terms = JsonValue::array();
+  for (const SavingsTerm& t : ev.attribution) terms.push_back(term_json(t));
+  c["terms"] = std::move(terms);
   return c;
+}
+
+// ---------------------------------------------------------------------------
+// Reading a report back. A member the text views read that is missing
+// or of the wrong JSON type is a ParseError naming it, so a damaged or
+// foreign document never reaches JsonValue's invariant checks.
+
+using Kind = JsonValue::Kind;
+
+[[noreturn]] void malformed(std::string_view key, const char* type) {
+  throw ParseError("run report: \"" + std::string(key) + "\" must be " + type);
+}
+
+const JsonValue& member(const JsonValue& obj, std::string_view key, Kind kind, const char* type) {
+  if (!obj.contains(key) || obj.at(key).kind() != kind) malformed(key, type);
+  return obj.at(key);
+}
+
+double number(const JsonValue& obj, std::string_view key) {
+  return member(obj, key, Kind::Number, "a number").as_number();
+}
+
+long long integer(const JsonValue& obj, std::string_view key) {
+  const double v = number(obj, key);
+  if (v != std::floor(v) || std::abs(v) > 9.007199254740992e15) malformed(key, "an integer");
+  return static_cast<long long>(v);
+}
+
+const std::string& text(const JsonValue& obj, std::string_view key) {
+  return member(obj, key, Kind::String, "a string").as_string();
+}
+
+/// Array member `key` of objects.
+const std::vector<JsonValue>& rows(const JsonValue& obj, std::string_view key) {
+  const char* type = "an array of objects";
+  const std::vector<JsonValue>& elements = member(obj, key, Kind::Array, type).elements();
+  if (!std::all_of(elements.begin(), elements.end(), std::mem_fn(&JsonValue::is_object))) {
+    malformed(key, type);
+  }
+  return elements;
+}
+
+// A term omits a false flag and a zero rate_b.
+bool flag(const JsonValue& t, std::string_view key) {
+  return t.contains(key) && member(t, key, Kind::Bool, "a boolean").as_bool();
+}
+double rate_b(const JsonValue& t) { return t.contains("rate_b") ? number(t, "rate_b") : 0.0; }
+
+/// The iterations of an opiso.run_report/v1 document.
+const std::vector<JsonValue>& report_iterations(const JsonValue& report) {
+  const bool named =
+      report.is_object() && report.contains("schema") && report.at("schema").is_string();
+  if (!named || report.at("schema").as_string() != "opiso.run_report/v1") {
+    throw ParseError("run report: expected schema opiso.run_report/v1, found " +
+                     (named ? "'" + report.at("schema").as_string() + "'" : "no schema"));
+  }
+  return rows(report, "iterations");
+}
+
+bool kind_is(const std::string& kind, const char* prefix) {
+  return kind.rfind(prefix, 0) == 0;
+}
+
+std::string fmt(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.6g", v);
+  return buf;
 }
 
 }  // namespace
@@ -118,12 +213,104 @@ JsonValue build_run_report(const IsolationResult& result, const IsolationOptions
   if (!result.coverage.is_null()) doc["coverage"] = result.coverage;
   if (!result.rewrite.is_null()) doc["rewrite"] = result.rewrite;
 
-  doc["power_attribution"] = build_power_attribution(result);
   if (Tracer::instance().enabled() && Tracer::instance().num_events() > 0) {
     doc["profile"] = profile_to_json(build_profile_tree(Tracer::instance().events()));
   }
   doc["metrics"] = metrics().snapshot();
   return doc;
+}
+
+void write_iteration_table(std::ostream& os, const JsonValue& report) {
+  const std::vector<JsonValue>& iterations = report_iterations(report);
+  // The decision names the first flag that applies; the one it hides,
+  // an illegal candidate's slack veto, is the threshold comparison.
+  const double threshold =
+      number(member(report, "options", Kind::Object, "an object"), "slack_threshold_ns");
+  std::ostringstream out;  // the whole table or, on a damaged report, nothing
+  out << std::fixed << std::setprecision(4);
+  for (const JsonValue& it : iterations) {
+    out << "iteration " << integer(it, "iteration") << " (total " << std::setprecision(3)
+        << number(it, "total_power_mw") << " mW, " << integer(it, "num_isolated")
+        << " isolated)\n"
+        << std::setprecision(4);
+    for (const JsonValue& c : rows(it, "candidates")) {
+      const std::string& decision = text(c, "decision");
+      out << "  " << (decision == "isolated" ? '+' : ' ') << ' ' << text(c, "cell") << " [block "
+          << integer(c, "block") << "] Pr(!f)=" << std::setprecision(2) << number(c, "pr_redundant")
+          << std::setprecision(4) << " dPp=" << number(c, "primary_mw")
+          << " dPs=" << number(c, "secondary_mw") << " Pi=" << number(c, "overhead_mw")
+          << " h=" << number(c, "h");
+      if (decision == "slack-veto" ||
+          (decision == "illegal" && number(c, "est_slack_after_ns") < threshold)) {
+        out << " [slack veto]";
+      }
+      if (decision == "illegal") out << " [illegal]";
+      out << "  AS=" << text(c, "activation") << "\n";
+    }
+  }
+  os << out.str();
+}
+
+bool write_candidate_narrative(std::ostream& os, const JsonValue& report,
+                               std::string_view cell_name) {
+  std::ostringstream out;  // the narrative or, on a damaged report, nothing
+  std::set<std::string> names;
+  for (const JsonValue& it : report_iterations(report)) {
+    for (const JsonValue& c : rows(it, "candidates")) {
+      names.insert(text(c, "cell"));
+      if (text(c, "cell") != cell_name) continue;
+      out << "iteration " << integer(it, "iteration") << ": candidate '" << cell_name
+          << "' (block " << integer(c, "block") << ", style " << text(c, "style") << ")\n";
+      out << "  activation AS = " << text(c, "activation")
+          << ", Pr(!f) = " << fmt(number(c, "pr_redundant")) << "\n";
+      const std::vector<JsonValue>& terms = rows(c, "terms");
+      out << "  primary savings " << fmt(number(c, "primary_mw")) << " mW (Eq. 1-3):\n";
+      for (const JsonValue& t : terms) {
+        if (!kind_is(text(t, "kind"), "primary.")) continue;
+        out << "    [" << text(t, "kind") << "] Pr = " << fmt(number(t, "probability"))
+            << ", rates (" << fmt(number(t, "rate_a")) << ", " << fmt(rate_b(t)) << ")";
+        if (t.contains("source_a")) out << ", A from " << text(t, "source_a");
+        if (flag(t, "rescaled_a")) out << " (Eq. 2 rescaled)";
+        if (t.contains("source_b")) out << ", B from " << text(t, "source_b");
+        if (flag(t, "rescaled_b")) out << " (Eq. 2 rescaled)";
+        out << " -> " << fmt(number(t, "mw")) << " mW\n";
+      }
+      const bool any_secondary = std::any_of(terms.begin(), terms.end(), [](const JsonValue& t) {
+        return kind_is(text(t, "kind"), "secondary.");
+      });
+      out << "  secondary savings " << fmt(number(c, "secondary_mw")) << " mW (Eq. 4-5"
+          << (any_secondary ? "):\n" : "): no connected fanout candidates\n");
+      for (const JsonValue& t : terms) {
+        if (!kind_is(text(t, "kind"), "secondary.")) continue;
+        out << "    [" << text(t, "kind") << "] fanout " << text(t, "fanout") << " port "
+            << integer(t, "fanout_port")
+            << " (z_j = " << (flag(t, "z_j") ? 1 : 0) << "), Pr = " << fmt(number(t, "probability"))
+            << ", pin rate " << fmt(number(t, "rate_a"))
+            << (flag(t, "rescaled_a") ? " (Eq. 2 rescaled)" : "") << " -> " << fmt(number(t, "mw"))
+            << " mW\n";
+      }
+      out << "  isolation overhead " << fmt(number(c, "overhead_mw")) << " mW:\n";
+      for (const JsonValue& t : terms) {
+        if (!kind_is(text(t, "kind"), "overhead.")) continue;
+        out << "    [" << text(t, "kind") << "]";
+        if (t.contains("source_a")) out << " " << text(t, "source_a");
+        out << " rates (" << fmt(number(t, "rate_a")) << ", " << fmt(rate_b(t)) << ") -> "
+            << fmt(number(t, "mw")) << " mW\n";
+      }
+      out << "  cost: rP = " << fmt(number(c, "r_power")) << ", rA = " << fmt(number(c, "r_area"))
+          << ", h = " << fmt(number(c, "h")) << "; slack " << fmt(number(c, "slack_before_ns"))
+          << " -> est. " << fmt(number(c, "est_slack_after_ns")) << " ns\n";
+      out << "  decision: " << text(c, "decision") << "\n";
+    }
+  }
+  const bool found = names.contains(std::string(cell_name));
+  if (!found) {
+    out << "candidate '" << cell_name << "' was never evaluated; known candidates:";
+    for (const std::string& n : names) out << " " << n;
+    out << "\n";
+  }
+  os << out.str();
+  return found;
 }
 
 }  // namespace opiso::obs

@@ -74,14 +74,19 @@ SweepResult run_sweep_task_impl(const SweepTask& task, const SweepBudget& budget
   OPISO_REQUIRE(lanes >= 1 && lanes <= ParallelSimulator::kMaxLanes,
                 "sweep task '" + task.design + "': lanes must be in [1," +
                     std::to_string(ParallelSimulator::kMaxLanes) + "]");
-  // The stimulus volume of a round is known before anything runs, so
-  // this check is deterministic — the same task fails the same way on
-  // every schedule.
+  // The stimulus volume of a round, warmup included, is known before
+  // anything runs, so this check is deterministic — the same task fails
+  // the same way on every schedule. Both per-lane counts are compared
+  // against what is left of the per-lane budget, so no sum can wrap.
   const std::uint64_t lane_round = std::max<std::uint64_t>(1, opt.sim_cycles / lanes);
-  if (budget.task_max_lane_cycles != 0 && lane_round > budget.task_max_lane_cycles / lanes) {
+  const std::uint64_t lane_warmup = warmup_cycles_per_lane(opt.warmup_cycles, lanes);
+  const std::uint64_t lane_budget = budget.task_max_lane_cycles / lanes;
+  if (budget.task_max_lane_cycles != 0 &&
+      (lane_warmup > lane_budget || lane_round > lane_budget - lane_warmup)) {
     throw ResourceError(ErrCode::ResourceStimulus,
-                        "sweep task '" + task.design + "': " + std::to_string(lane_round) +
-                            " cycles x " + std::to_string(lanes) +
+                        "sweep task '" + task.design + "': " +
+                            (lane_warmup ? std::to_string(lane_warmup) + " warmup + " : "") +
+                            std::to_string(lane_round) + " cycles x " + std::to_string(lanes) +
                             " lanes exceeds the stimulus budget of " +
                             std::to_string(budget.task_max_lane_cycles) + " lane-cycles");
   }

@@ -104,7 +104,6 @@ TEST(Algorithm, OnePerBlockPerIteration) {
 TEST(Algorithm, TerminatesWhenNoImprovement) {
   IsolationOptions opt;
   opt.sim_cycles = 1000;
-  opt.max_iterations = 50;
   const IsolationResult res = run_operand_isolation(make_design1(8), design1_stimuli(), opt);
   ASSERT_FALSE(res.iterations.empty());
   EXPECT_EQ(res.iterations.back().num_isolated, 0u);

@@ -1,32 +1,43 @@
-// Power-attribution ledger: the Eq. 1-5 terms recorded per candidate
-// must sum to the totals the run report states — the accounting
-// identity the ledger exists to prove. Runs the paper's three designs
-// under two bank styles; labeled bench-smoke so the bench gate also
-// exercises it.
+// The run report's candidate rows: each row's Eq. 1-5 terms, summed per
+// kind in the order they are listed, equal the row's totals exactly —
+// the accounting identity the term ledger exists to prove — and the
+// report alone reproduces the candidate table and the explain
+// narrative. Runs the paper's three designs under two bank styles;
+// labeled bench-smoke so the bench gate also exercises it.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
 #include <sstream>
+#include <tuple>
 
 #include "designs/designs.hpp"
 #include "isolation/algorithm.hpp"
-#include "obs/attribution.hpp"
 #include "obs/run_report.hpp"
 
 namespace opiso::obs {
 namespace {
 
-IsolationResult run_isolation(const Netlist& nl, IsolationStyle style) {
-  IsolationOptions opt;
-  opt.style = style;
-  opt.sim_cycles = 512;
+IsolationResult run_isolation(const Netlist& nl, const IsolationOptions& opt) {
   return run_operand_isolation(
       nl, [] { return std::make_unique<UniformStimulus>(7); }, opt);
 }
 
+IsolationOptions options(IsolationStyle style) {
+  IsolationOptions opt;
+  opt.style = style;
+  opt.sim_cycles = 512;
+  return opt;
+}
+
 bool kind_is(const std::string& kind, const char* prefix) {
   return kind.rfind(prefix, 0) == 0;
+}
+
+/// The report as a reader sees it: written out and parsed back.
+JsonValue written(const IsolationResult& res, const IsolationOptions& opt) {
+  return JsonValue::parse(build_run_report(res, opt).dump(1));
 }
 
 TEST(Attribution, TermsSumToReportedTotals) {
@@ -38,70 +49,40 @@ TEST(Attribution, TermsSumToReportedTotals) {
   for (const auto& [dname, make] : designs) {
     for (const IsolationStyle style : {IsolationStyle::And, IsolationStyle::Latch}) {
       SCOPED_TRACE(dname + "/" + std::string(isolation_style_name(style)));
-      IsolationOptions opt;
-      opt.style = style;
-      opt.sim_cycles = 512;
-      const IsolationResult res = run_operand_isolation(
-          make(), [] { return std::make_unique<UniformStimulus>(7); }, opt);
+      const IsolationOptions opt = options(style);
+      const IsolationResult res = run_isolation(make(), opt);
       ASSERT_FALSE(res.iterations.empty());
+      const JsonValue doc = written(res, opt);
+      EXPECT_FALSE(doc.contains("power_attribution"));
 
-      // In-memory identity: the sums of the recorded addends equal the
-      // estimator's totals exactly (same additions, same order).
+      // The estimator summed the same addends in the same order, so the
+      // sums match the reported totals bit for bit, through the text.
       bool any_terms = false;
-      for (const IterationLog& log : res.iterations) {
-        for (const CandidateEvaluation& ev : log.evaluations) {
-          const AttributionSums sums = sum_attribution(ev.attribution);
-          EXPECT_DOUBLE_EQ(sums.primary_mw, ev.primary_mw) << ev.cell_name;
-          EXPECT_DOUBLE_EQ(sums.secondary_mw, ev.secondary_mw) << ev.cell_name;
-          EXPECT_DOUBLE_EQ(sums.overhead_mw, ev.overhead_mw) << ev.cell_name;
-          if (!ev.attribution.empty()) any_terms = true;
-        }
-      }
-      EXPECT_TRUE(any_terms);
-
-      // Report-level identity (the acceptance bound): re-sum the
-      // serialized ledger terms and compare against the candidates[]
-      // rows of the same document, within 1e-9.
-      const JsonValue doc = build_run_report(res, opt);
-      ASSERT_TRUE(doc.contains("power_attribution"));
-      const JsonValue& ledger = doc.at("power_attribution");
-      EXPECT_EQ(ledger.at("schema").as_string(), "opiso.power_attribution/v1");
-      ASSERT_EQ(ledger.at("iterations").size(), doc.at("iterations").size());
-      for (std::size_t i = 0; i < ledger.at("iterations").size(); ++i) {
-        const JsonValue& rep_cands = doc.at("iterations").at(i).at("candidates");
-        const JsonValue& led_cands = ledger.at("iterations").at(i).at("candidates");
-        ASSERT_EQ(led_cands.size(), rep_cands.size());
-        for (std::size_t j = 0; j < led_cands.size(); ++j) {
-          const JsonValue& rep_c = rep_cands.at(j);
-          const JsonValue& led_c = led_cands.at(j);
-          EXPECT_EQ(led_c.at("cell").as_string(), rep_c.at("cell").as_string());
-          EXPECT_EQ(led_c.at("decision").as_string(), rep_c.at("decision").as_string());
+      for (const JsonValue& it : doc.at("iterations").elements()) {
+        for (const JsonValue& c : it.at("candidates").elements()) {
+          ASSERT_TRUE(c.contains("terms")) << c.at("cell").as_string();
           double primary = 0.0, secondary = 0.0, overhead = 0.0;
-          const JsonValue& terms = led_c.at("terms");
-          for (std::size_t t = 0; t < terms.size(); ++t) {
-            const std::string kind = terms.at(t).at("kind").as_string();
-            const double mw = terms.at(t).at("mw").as_number();
+          for (const JsonValue& t : c.at("terms").elements()) {
+            const std::string kind = t.at("kind").as_string();
+            const double mw = t.at("mw").as_number();
             if (kind_is(kind, "primary.")) primary += mw;
             else if (kind_is(kind, "secondary.")) secondary += mw;
             else if (kind_is(kind, "overhead.")) overhead += mw;
             else ADD_FAILURE() << "unknown term kind " << kind;
+            any_terms = true;
           }
-          EXPECT_NEAR(primary, rep_c.at("primary_mw").as_number(), 1e-9);
-          EXPECT_NEAR(secondary, rep_c.at("secondary_mw").as_number(), 1e-9);
-          EXPECT_NEAR(overhead, rep_c.at("overhead_mw").as_number(), 1e-9);
-          // The ledger's own stated totals carry the same identity.
-          EXPECT_NEAR(led_c.at("primary_mw").as_number(),
-                      rep_c.at("primary_mw").as_number(), 1e-9);
-          EXPECT_NEAR(led_c.at("net_mw").as_number(),
-                      primary + secondary - overhead, 1e-9);
+          EXPECT_EQ(primary, c.at("primary_mw").as_number()) << c.at("cell").as_string();
+          EXPECT_EQ(secondary, c.at("secondary_mw").as_number()) << c.at("cell").as_string();
+          EXPECT_EQ(overhead, c.at("overhead_mw").as_number()) << c.at("cell").as_string();
         }
       }
+      EXPECT_TRUE(any_terms);
     }
   }
 }
 
 TEST(Attribution, TermsCarryModelProvenance) {
-  const IsolationResult res = run_isolation(make_fig1(), IsolationStyle::And);
+  const IsolationResult res = run_isolation(make_fig1(), options(IsolationStyle::And));
   bool saw_primary = false;
   bool saw_overhead = false;
   for (const IterationLog& log : res.iterations) {
@@ -124,24 +105,125 @@ TEST(Attribution, TermsCarryModelProvenance) {
   EXPECT_TRUE(saw_overhead);
 }
 
-TEST(Attribution, NarrativeExplainsKnownCandidateAndRejectsUnknown) {
-  const IsolationResult res = run_isolation(make_fig1(), IsolationStyle::And);
-  ASSERT_FALSE(res.iterations.empty());
-  ASSERT_FALSE(res.iterations[0].evaluations.empty());
-  const std::string cell = res.iterations[0].evaluations[0].cell_name;
+/// `v` as the narrative prints it.
+std::string g6(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.6g", v);
+  return buf;
+}
 
-  std::ostringstream os;
-  EXPECT_TRUE(write_candidate_narrative(os, res, cell));
-  const std::string text = os.str();
-  EXPECT_NE(text.find("candidate '" + cell + "'"), std::string::npos);
-  EXPECT_NE(text.find("primary savings"), std::string::npos);
-  EXPECT_NE(text.find("isolation overhead"), std::string::npos);
-  EXPECT_NE(text.find("decision:"), std::string::npos);
+TEST(Attribution, ReportAloneReproducesTheTextViews) {
+  // A slack threshold that vetoes some candidates puts veto flags in
+  // the table as well.
+  for (const double threshold : {0.0, 16.5}) {
+    IsolationOptions opt = options(IsolationStyle::And);
+    opt.slack_threshold_ns = threshold;
+    const IsolationResult res = run_isolation(make_fig1(), opt);
+    ASSERT_FALSE(res.iterations.empty());
+    const JsonValue report = written(res, opt);
 
-  std::ostringstream os2;
-  EXPECT_FALSE(write_candidate_narrative(os2, res, "no_such_cell"));
-  EXPECT_NE(os2.str().find("known candidates"), std::string::npos);
-  EXPECT_NE(os2.str().find(cell), std::string::npos);
+    std::ostringstream table, built_table;
+    write_iteration_table(table, report);
+    write_iteration_table(built_table, build_run_report(res, opt));
+    EXPECT_EQ(table.str(), built_table.str());
+    EXPECT_NE(table.str().find("iteration 0"), std::string::npos);
+    EXPECT_EQ(table.str().find("[slack veto]") != std::string::npos, threshold > 0.0);
+
+    for (const CandidateEvaluation& ev : res.iterations[0].evaluations) {
+      std::ostringstream narrative;
+      EXPECT_TRUE(write_candidate_narrative(narrative, report, ev.cell_name));
+      const std::string text = narrative.str();
+      for (const std::string& line :
+           {"iteration 0: candidate '" + ev.cell_name + "'",
+            "primary savings " + g6(ev.primary_mw) + " mW (Eq. 1-3)",
+            "secondary savings " + g6(ev.secondary_mw) + " mW (Eq. 4-5",
+            "isolation overhead " + g6(ev.overhead_mw) + " mW",
+            "h = " + g6(ev.h), "decision: " + std::string(candidate_decision(ev))}) {
+        EXPECT_NE(text.find(line), std::string::npos) << line << "\n" << text;
+      }
+    }
+
+    std::ostringstream unknown;
+    EXPECT_FALSE(write_candidate_narrative(unknown, report, "no_such_cell"));
+    EXPECT_NE(unknown.str().find("known candidates"), std::string::npos);
+    EXPECT_NE(unknown.str().find(res.iterations[0].evaluations[0].cell_name), std::string::npos);
+  }
+}
+
+TEST(Attribution, TableShowsEveryDecisionFlag) {
+  // Every (isolated, legal, slack-vetoed) combination Algorithm 1 can
+  // produce, with the table's markers: an isolated candidate is legal
+  // and not vetoed, and a candidate is vetoed exactly when its estimated
+  // slack is below the threshold (0 ns). The decision of an illegal,
+  // vetoed candidate names only "illegal".
+  const struct {
+    bool isolated, legal, vetoed;
+    const char* marks;
+  } rows[] = {{true, true, false, "  + c0 "},
+              {false, true, false, "h=0.0000  AS="},
+              {false, true, true, "h=0.0000 [slack veto]  AS="},
+              {false, false, false, "h=0.0000 [illegal]  AS="},
+              {false, false, true, "h=0.0000 [slack veto] [illegal]  AS="}};
+  IsolationResult res;
+  IterationLog& log = res.iterations.emplace_back();
+  for (const auto& row : rows) {
+    CandidateEvaluation& ev = log.evaluations.emplace_back();
+    ev.cell_name = "c" + std::to_string(log.evaluations.size() - 1);
+    ev.isolated_now = row.isolated;
+    ev.legal = row.legal;
+    ev.slack_vetoed = row.vetoed;
+    ev.est_slack_after_ns = row.vetoed ? -1.0 : 1.0;
+  }
+  std::ostringstream table;
+  write_iteration_table(table, written(res, IsolationOptions{}));
+  std::istringstream lines(table.str());
+  std::string line;
+  std::getline(lines, line);  // the iteration header
+  for (const auto& row : rows) {
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_NE(line.find(row.marks), std::string::npos) << line;
+    EXPECT_EQ(line.find("[slack veto]") != std::string::npos, row.vetoed) << line;
+  }
+}
+
+TEST(Attribution, ViewsRejectWhatIsNotARunReport) {
+  // Each damage is to the first row, whose narrative reads all of it.
+  const IsolationOptions opt = options(IsolationStyle::And);
+  const IsolationResult res = run_isolation(make_fig1(), opt);
+  const std::string first = res.iterations.at(0).evaluations.at(0).cell_name;
+  const std::string report = build_run_report(res, opt).dump(1);
+  const auto damaged = [&report](const std::string& from, const std::string& to) {
+    std::string text = report;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+  // {document, what the error names, whether the table reads it too}
+  const std::tuple<std::string, std::string, bool> cases[] = {
+      {"{}", "found no schema", true},
+      {"[1, 2]", "found no schema", true},
+      {R"({"schema": "opiso.sweep/v1"})", "found 'opiso.sweep/v1'", true},
+      {R"({"schema": "opiso.run_report/v1"})", "\"iterations\" must be an array of objects", true},
+      {damaged("\"candidates\": [", "\"candidates\": [1, "), "\"candidates\" must be", true},
+      {damaged("\"h\": ", "\"h\": \"x\", \"_\": "), "\"h\" must be a number", true},
+      {damaged("\"block\": 0", "\"block\": 0.5"), "\"block\" must be an integer", true},
+      {damaged("\"kind\": ", "\"_kind\": "), "\"kind\" must be a string", false},
+  };
+  for (const auto& [text, named, table_reads] : cases) {
+    const JsonValue doc = JsonValue::parse(text);
+    for (const bool narrative : {false, true}) {
+      if (!narrative && !table_reads) continue;
+      std::ostringstream os;
+      try {
+        if (narrative) (void)write_candidate_narrative(os, doc, first);
+        else write_iteration_table(os, doc);
+        ADD_FAILURE() << "accepted a report damaged to lack " << named;
+      } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find(named), std::string::npos) << e.what();
+        EXPECT_EQ(os.str(), "") << "printed part of a damaged report";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,9 +3,13 @@
 // renaming, and the isolation report formatter.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "boolfn/bdd.hpp"
 #include "designs/designs.hpp"
 #include "isolation/report.hpp"
+#include "obs/metrics.hpp"
+#include "obs/run_report.hpp"
 #include "test_util.hpp"
 
 namespace opiso {
@@ -110,19 +114,26 @@ TEST(Report, SummaryMentionsEverything) {
   EXPECT_NE(summary.find("area:"), std::string::npos);
   EXPECT_NE(summary.find("isolated modules:"), std::string::npos);
   EXPECT_NE(summary.find("AND bank"), std::string::npos);
-  const std::string log = format_iteration_log(res);
+  std::ostringstream table;
+  obs::write_iteration_table(table, obs::build_run_report(res, opt));
+  const std::string log = table.str();
   EXPECT_NE(log.find("iteration 0"), std::string::npos);
   EXPECT_NE(log.find("Pr(!f)="), std::string::npos);
   EXPECT_NE(log.find("AS="), std::string::npos);
 }
 
 TEST(SimplifyActivation, OffStillWorks) {
+  // A one-node BDD budget fails every canonical simplification, so each
+  // bank synthesizes the unsimplified activation function.
   IsolationOptions opt;
-  opt.simplify_activation = false;
+  opt.bdd_node_budget = 1;
   opt.sim_cycles = 2000;
   const Netlist original = make_design1(8);
+  const std::uint64_t fallbacks = obs::metrics().counter("isolate.bdd_budget_fallbacks").value();
   const IsolationResult res = run_operand_isolation(original, design1_stimuli(), opt);
   EXPECT_FALSE(res.records.empty());
+  EXPECT_EQ(obs::metrics().counter("isolate.bdd_budget_fallbacks").value() - fallbacks,
+            res.records.size());
   testutil::expect_observably_equivalent(original, res.netlist, 0xFACE, 2000);
 }
 

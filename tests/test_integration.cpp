@@ -4,11 +4,14 @@
 // sanity on a multi-block system.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "designs/designs.hpp"
 #include "frontend/rtl_parser.hpp"
 #include "isolation/algorithm.hpp"
 #include "isolation/report.hpp"
 #include "netlist/text_io.hpp"
+#include "obs/run_report.hpp"
 #include "opt/rewrite_rules.hpp"
 #include "power/estimator.hpp"
 #include "test_util.hpp"
@@ -143,7 +146,9 @@ TEST(Integration, ReportRendersTheFullStory) {
   IsolationOptions opt;
   opt.sim_cycles = 1024;
   const IsolationResult res = run_operand_isolation(make_fig1(8), stimuli, opt);
-  const std::string report = format_isolation_summary(res) + format_iteration_log(res);
+  std::ostringstream table;
+  obs::write_iteration_table(table, obs::build_run_report(res, opt));
+  const std::string report = format_isolation_summary(res) + table.str();
   EXPECT_NE(report.find("operand isolation summary"), std::string::npos);
   EXPECT_NE(report.find("iteration 0"), std::string::npos);
 }

@@ -337,19 +337,6 @@ TEST(LintFramework, RegistryHasTheSixBuiltinsInOrder) {
   for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(passes[i]->name(), expected[i]);
 }
 
-TEST(LintFramework, PassSeverityOverrideApplies) {
-  Netlist nl;
-  const NetId a = nl.add_input("a", 8);
-  const NetId b = nl.add_input("b", 16);
-  nl.add_output("out", nl.add_binop(CellKind::Add, "s", a, b));
-  LintOptions opt = only({"width"});
-  opt.pass_severity["width"] = Severity::Error;
-  LintReport r = run_lint(nl, opt);
-  ASSERT_FALSE(r.findings.empty());
-  EXPECT_EQ(r.findings.front().severity, Severity::Error);
-  EXPECT_TRUE(r.fails(Severity::Error));
-}
-
 TEST(LintFramework, ReportDocumentCarriesSchemaAndCodes) {
   Netlist nl;
   const NetId a = nl.add_input("a", 8);

@@ -325,6 +325,37 @@ TEST(SweepBudgetTest, OverflowProofStimulusCheck) {
   }
 }
 
+TEST(SweepBudgetTest, StimulusBudgetCountsTheWarmup) {
+  // 64 lanes x (2 warmup + 64 measured) cycles: the measured cycles
+  // alone fit a budget the warmup then exceeds.
+  SweepTask t = plain_task("design2", [] { return make_design2(); }, 1, 64, 64, 2);
+  SweepBudget budget;
+  budget.task_max_lane_cycles = 64 * 66 - 1;
+  EXPECT_THROW((void)run_sweep_task(t, budget), ResourceError);
+  budget.task_max_lane_cycles = 64 * 66;
+  EXPECT_EQ(run_sweep_task(t, budget).lane_cycles, 64u * 64u);
+  // The largest warmup wraps neither its rounding nor the sum.
+  for (const unsigned lanes : {1u, 64u}) {
+    t.options.sim_lanes = lanes;
+    t.options.warmup_cycles = ~std::uint64_t{0};
+    try {
+      (void)run_sweep_task(t, budget);
+      FAIL() << "expected a stimulus-budget error on " << lanes << " lane(s)";
+    } catch (const ResourceError& e) {
+      EXPECT_EQ(e.code(), ErrCode::ResourceStimulus);
+    }
+  }
+}
+
+TEST(SweepBudgetTest, WarmupRoundsUpPerLaneWithoutWrapping) {
+  EXPECT_EQ(warmup_cycles_per_lane(0, 64), 0u);
+  EXPECT_EQ(warmup_cycles_per_lane(37, 4), 10u);
+  EXPECT_EQ(warmup_cycles_per_lane(40, 4), 10u);
+  EXPECT_EQ(warmup_cycles_per_lane(41, 4), 11u);
+  EXPECT_EQ(warmup_cycles_per_lane(~std::uint64_t{0}, 1), ~std::uint64_t{0});
+  EXPECT_EQ(warmup_cycles_per_lane(~std::uint64_t{0}, 64), (~std::uint64_t{0} >> 6) + 1);
+}
+
 TEST(SweepBudgetTest, WallClockBudgetStopsRunawayTask) {
   // 2^30 cycles per lane would take minutes unbudgeted.
   const SweepTask t = plain_task("design2", [] { return make_design2(); }, 1, 64, 1u << 30);

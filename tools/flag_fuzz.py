@@ -4,16 +4,18 @@
 Reads each command's operands and flags from the usage text that `opiso`
 prints without arguments, then runs every flag a command lists with each
 hostile value below on a small base invocation of that command (builtin
-fig1, --cycles 256, --seeds 1, plus the switch a flag listed after
-"with SWITCH:" needs) under a timeout, each case in its own scratch
-directory. A case fails when it hangs, dies on a signal, exits with
-anything but 0, 1, 2 or 3, reports error[internal], or prints a
-sanitizer report (in a sanitizer build, which exits 1 on a finding).
+fig1, a real run report of fig1 for a <*.json> operand, --cycles 256,
+--seeds 1, plus the switch a flag listed after "with SWITCH:" needs)
+under a timeout, each case in its own scratch directory. A case fails
+when it hangs, dies on a signal, exits with anything but 0, 1, 2 or 3,
+reports error[internal], or prints a sanitizer report (in a sanitizer
+build, which exits 1 on a finding).
 
 For every command it also checks that a flag the command does not list,
 a flag listed after "with SWITCH:" given without that switch, and, where
 the operand count is fixed, an extra operand are usage errors naming the
-offender (exit 2).
+offender (exit 2), and `explain` of the document `{}` exits 1 with a
+diagnostic that is not error[internal].
 
 usage: flag_fuzz.py path/to/opiso
 """
@@ -30,8 +32,6 @@ import time
 VALUES = ["0", "-1", "18446744073709551616", "nan", "abc", ""]
 TIMEOUT_S = 10
 JOBS = 4
-# Flags a command cannot run without, with a valid value.
-REQUIRED = {"explain": ["--candidate", "a1"]}
 
 
 def parse_usage(text):
@@ -83,7 +83,11 @@ def main():
 
     work = tempfile.mkdtemp(prefix="opiso_flag_fuzz_")
     report = os.path.join(work, "report.json")
-    with open(report, "w") as f:
+    rc, err = run_case(opiso, ["isolate", "fig1", "--cycles", "256", "--metrics", report], work)
+    if rc != 0:
+        sys.exit(f"flag_fuzz: could not write the base run report: exit {rc}: {err[-300:]}")
+    empty = os.path.join(work, "empty.json")
+    with open(empty, "w") as f:
         f.write("{}\n")
     vcd = os.path.join(work, "wave.vcd")
     rc, err = run_case(opiso, ["wave", "fig1", "--cycles", "256", "--vcd", vcd], work)
@@ -96,9 +100,9 @@ def main():
         return report if ".json" in token else vcd if ".vcd" in token else "fig1"
 
     # (argv, expected exit codes or None for "0-3", text stderr must name)
-    cases = []
+    cases = [(["explain", empty], {1}, None)]
     for name, (operands, listed) in commands.items():
-        base = [name] + [operand(t) for t in operands] + REQUIRED.get(name, [])
+        base = [name] + [operand(t) for t in operands]
         if "--cycles" in listed:
             base += ["--cycles", "256"]
         if "--seeds" in listed:

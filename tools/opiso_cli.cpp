@@ -35,7 +35,6 @@
 #include "netlist/stats.hpp"
 #include "netlist/text_io.hpp"
 #include "netlist/traversal.hpp"
-#include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/report_diff.hpp"
@@ -91,7 +90,6 @@ struct Args {
   double h_min = 0.0;
   double slack_threshold = 0.0;
   bool lookahead = false;
-  bool report = false;
   std::string trace_path;
   std::string metrics_path;
   std::string profile_path;
@@ -239,7 +237,11 @@ Netlist resolve_design(const std::string& name, bool lenient, SourceMap* lines =
 std::string read_file(const std::string& path) {
   std::ifstream is(path);
   if (!is) throw IoError("cannot open '" + path + "'");
-  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+  try {
+    return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+  } catch (const std::ios_base::failure&) {  // a directory opens, then fails to read
+    throw IoError("cannot read '" + path + "'");
+  }
 }
 
 /// Run `write` on the file at `path`, or on stdout for "-" where
@@ -268,13 +270,18 @@ void emit(const Args& args, const Netlist& nl) {
                [&nl](std::ostream& os) { write_netlist(os, nl); });
 }
 
-/// Human-facing result stream of a command whose machine output may be
-/// routed to stdout: falls back to stderr whenever any JSON artifact
-/// targets "-" so stdout parses as one JSON document.
+/// The first artifact flag given "-" (stdout), or nullptr.
+const char* stdout_artifact(const Args& args) {
+  if (args.metrics_path == "-") return "--metrics";
+  if (args.metrics_prom_path == "-") return "--metrics-prom";
+  if (args.trace_power_path == "-") return "--trace-power";
+  return nullptr;
+}
+
+/// Every command's human-facing result stream: stderr whenever an
+/// artifact targets "-", so stdout holds that artifact alone.
 std::ostream& human_out(const Args& args) {
-  const bool stdout_is_json = args.metrics_path == "-" || args.trace_power_path == "-" ||
-                              args.metrics_prom_path == "-";
-  return stdout_is_json ? std::cerr : std::cout;
+  return stdout_artifact(args) ? std::cerr : std::cout;
 }
 
 // Observability artifacts (after the command has run, so counters and
@@ -331,14 +338,14 @@ IsolationOptions isolate_options(const Args& args) {
 // Commands. Each handler gets its operands already loaded as its
 // kCommands row says.
 
-Outcome run_stats(const Args&, const Input& in) {
-  std::cout << "design '" << in.designs[0].name() << "'\n"
-            << stats_to_string(compute_stats(in.designs[0]));
+Outcome run_stats(const Args& args, const Input& in) {
+  human_out(args) << "design '" << in.designs[0].name() << "'\n"
+                  << stats_to_string(compute_stats(in.designs[0]));
   return {};
 }
 
-Outcome run_dot(const Args&, const Input& in) {
-  write_dot(std::cout, in.designs[0]);
+Outcome run_dot(const Args& args, const Input& in) {
+  write_dot(human_out(args), in.designs[0]);
   return {};
 }
 
@@ -351,8 +358,9 @@ Outcome run_activation(const Args& args, const Input& in) {
   for (CellId id : design.cell_ids()) {
     const Cell& c = design.cell(id);
     if (!cell_kind_is_arith(c.kind)) continue;
-    std::cout << c.name << ": AS = "
-              << activation_to_string(design, pool, vars, aa.activation_of(design, id)) << "\n";
+    human_out(args) << c.name << ": AS = "
+                    << activation_to_string(design, pool, vars, aa.activation_of(design, id))
+                    << "\n";
   }
   return {};
 }
@@ -363,9 +371,9 @@ Outcome run_power(const Args& args, const Input& in) {
   const Netlist& design = in.designs[0];
   const ActivityStats stats = measure_activity(design, nullptr, nullptr, isolate_options(args));
   const PowerBreakdown pb = PowerEstimator().estimate(design, stats);
-  std::cout << "total " << pb.total_mw << " mW (arith " << pb.arith_mw << ", steering "
-            << pb.steering_mw << ", sequential " << pb.sequential_mw << ", isolation "
-            << pb.isolation_mw << ")\n";
+  human_out(args) << "total " << pb.total_mw << " mW (arith " << pb.arith_mw << ", steering "
+                  << pb.steering_mw << ", sequential " << pb.sequential_mw << ", isolation "
+                  << pb.isolation_mw << ")\n";
   return {};
 }
 
@@ -380,7 +388,6 @@ Outcome run_isolate(const Args& args, const Input& in) {
   }
   const IsolationResult res = run_operand_isolation(in.designs[0], nullptr, opt);
   std::cerr << format_isolation_summary(res);
-  if (args.report) std::cerr << "\n" << format_iteration_log(res);
   Outcome out;
   if (!args.metrics_path.empty()) out.metrics = obs::build_run_report(res, opt);
   if (!args.out_path.empty()) emit(args, res.netlist);
@@ -394,13 +401,16 @@ Outcome run_isolate(const Args& args, const Input& in) {
   return out;
 }
 
-Outcome run_explain(const Args& args, const Input& in) {
-  if (args.candidate.empty()) usage("explain needs --candidate NAME");
-  const IsolationOptions opt = isolate_options(args);
-  const IsolationResult res = run_operand_isolation(in.designs[0], nullptr, opt);
-  Outcome out{obs::write_candidate_narrative(std::cout, res, args.candidate) ? 0 : 1, {}};
-  if (!args.metrics_path.empty()) out.metrics = obs::build_run_report(res, opt);
-  return out;
+/// `opiso explain <run.json>` reads the run report alone: its
+/// per-iteration candidate table, or with --candidate the Eq. 1-5
+/// narrative of that candidate.
+Outcome run_explain(const Args& args, const Input&) {
+  const obs::JsonValue report = obs::JsonValue::parse(read_file(args.positional[0]));
+  if (args.candidate.empty()) {
+    obs::write_iteration_table(human_out(args), report);
+    return {};
+  }
+  return {obs::write_candidate_narrative(human_out(args), report, args.candidate) ? 0 : 1, {}};
 }
 
 Outcome run_optimize(const Args& args, const Input& in) {
@@ -433,18 +443,19 @@ Outcome run_lower(const Args& args, const Input& in) {
   return {};
 }
 
-Outcome run_verify(const Args&, const Input& in) {
+Outcome run_verify(const Args& args, const Input& in) {
   const EquivResult res = check_isolation_equivalence(in.designs[0], in.designs[1]);
+  std::ostream& os = human_out(args);
   if (res.unsupported) {
-    std::cout << "UNSUPPORTED: " << res.reason << "\n";
+    os << "UNSUPPORTED: " << res.reason << "\n";
     return {3, {}};
   }
   if (!res.equivalent) {
-    std::cout << "NOT EQUIVALENT: " << res.reason << "\n";
+    os << "NOT EQUIVALENT: " << res.reason << "\n";
     return {1, {}};
   }
-  std::cout << "EQUIVALENT (" << res.obligations_checked << " obligations, " << res.bdd_nodes
-            << " BDD nodes)\n";
+  os << "EQUIVALENT (" << res.obligations_checked << " obligations, " << res.bdd_nodes
+     << " BDD nodes)\n";
   return {};
 }
 
@@ -631,7 +642,7 @@ Outcome run_report_diff(const Args& args, const Input&) {
     return {};
   }
   std::cerr << a_path << " vs " << b_path << ": " << entries.size() << " difference(s)\n";
-  obs::print_diff(std::cout, entries);
+  obs::print_diff(human_out(args), entries);
   return {1, {}};
 }
 
@@ -740,8 +751,8 @@ constexpr Command kCommands[] = {
      "power estimate, equal to isolate's power_before_mw"},
     {"isolate", "<design>", Load::Strict, run_isolate,
      "run Algorithm 1 (JSON report: opiso.run_report/v1)"},
-    {"explain", "<design>", Load::Strict, run_explain,
-     "run Algorithm 1, then the Eq. 1-5 narrative of one candidate"},
+    {"explain", "<run.json>", Load::None, run_explain,
+     "candidate table, or one candidate's Eq. 1-5 narrative, of a run report"},
     {"optimize", "<design>", Load::Strict, run_optimize, "optimization passes"},
     {"rewrite", "<design>", Load::Strict, run_rewrite,
      "equality-saturation rewrite, proven equivalent or unchanged"},
@@ -792,9 +803,10 @@ constexpr std::uint32_t kAlgorithm1 = 1u << 31;
 constexpr std::uint32_t kRunsAlgorithm1 = 1u << 30;
 
 // Command families, named by the code that reads their shared flags.
-constexpr std::uint32_t kMeasures = commands("power isolate explain wave coverage sweep");
-constexpr std::uint32_t kIsolates = commands("isolate explain wave sweep") | kAlgorithm1;
-constexpr std::uint32_t kConfidence = commands("isolate explain sweep");  // in the run report
+constexpr std::uint32_t kMeasures = commands("power isolate wave coverage sweep");
+constexpr std::uint32_t kIsolates = commands("isolate wave sweep") | kAlgorithm1;
+constexpr std::uint32_t kConfidence = commands("isolate sweep");  // in the run report
+constexpr std::uint32_t kNetlistOnStdout = commands("optimize rewrite lower");  // without -o
 constexpr std::uint32_t kEvery = (1u << std::size(kCommands)) - 1;
 
 constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
@@ -825,8 +837,6 @@ constexpr Option kOptions[] = {
      "BDD node budget of activation simplification and proofs (0 = none)"},
     {"--rewrite", set_switch<&Args::rewrite>, nullptr, kIsolates,
      "rewrite the datapath before isolating (adds opiso.rewrite/v1)"},
-    {"--report", set_switch<&Args::report>, nullptr, commands("isolate"),
-     "print the per-iteration candidate log"},
     {"--confidence-level", set_confidence_level, "P", kConfidence,
      "batch-means confidence level (default: 0.95)"},
     {"--batch-frames", set_number<&Args::batch_frames, std::uint32_t{1}, ~std::uint32_t{0}>,
@@ -836,7 +846,7 @@ constexpr Option kOptions[] = {
     {"--no-confidence", set_switch<&Args::no_confidence>, nullptr, kConfidence,
      "skip confidence collection (sweep: off unless a flag above is given)"},
     {"--candidate", set_text<&Args::candidate>, "NAME", commands("explain"),
-     "the candidate to explain (required)"},
+     "narrate this candidate instead of printing the table"},
     {"--seeds", set_number<&Args::seeds, std::uint64_t{1}, std::uint64_t{1} << 16>, "N",
      commands("sweep"), "stimulus seeds per design (default: 4)"},
     {"--threads", set_number<&Args::threads, 0u, 1024u>, "N", commands("sweep"),
@@ -986,6 +996,11 @@ int run(int argc, char** argv) {
   Args args;
   Input in;
   in.given = parse_args(*cmd, argc, argv, args);
+  if (const char* flag = stdout_artifact(args);
+      flag && args.out_path.empty() && (command_bit(*cmd) & kNetlistOnStdout)) {
+    usage(std::string(cmd->name) + " writes the netlist to stdout without -o, and " + flag +
+          " - writes there too");
+  }
   obs::Tracer::instance().set_enabled(!args.trace_path.empty() || !args.profile_path.empty());
   if (cmd->load != Load::None) {
     const bool lenient = cmd->load == Load::Lenient;
