@@ -1,13 +1,32 @@
 #include "boolfn/bdd.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "obs/metrics.hpp"
 
 namespace opiso {
 
-BddManager::BddManager(BddBudget budget) : budget_(budget) {
+namespace {
+
+/// Hash of a (var, low, high) or (f, g, h) triple: the three words
+/// folded into 64 bits, then the SplitMix64 finalizer, so every input
+/// bit reaches the low bits that pick a slot.
+std::uint64_t hash3(std::uint32_t a, std::uint32_t b, std::uint32_t c) {
+  std::uint64_t x = (std::uint64_t{b} << 32 | c) + std::uint64_t{a} * 0x9E3779B97F4A7C15ull;
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ull;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBull;
+  x ^= x >> 31;
+  return x;
+}
+
+}  // namespace
+
+BddManager::BddManager(BddBudget budget)
+    : budget_(budget), unique_(kInitialTableSize, 0), cache_(kInitialTableSize) {
   // Terminals occupy slots 0 (zero) and 1 (one) with a sentinel var so
   // that every internal node's var compares smaller.
   nodes_.push_back(Node{kTermVar, BddRef::invalid(), BddRef::invalid()});
@@ -27,12 +46,20 @@ BddManager::~BddManager() {
   m.gauge("bdd.last_unique_table_size").set(static_cast<double>(nodes_.size()));
 }
 
+std::size_t BddManager::cache_slot(std::uint32_t f, std::uint32_t g, std::uint32_t h) const {
+  return hash3(f, g, h) & (cache_.size() - 1);
+}
+
 BddRef BddManager::make_node(BoolVar var, BddRef low, BddRef high) {
   if (low == high) return low;  // reduction rule
-  Key key{var, low.value(), high.value()};
-  if (auto it = unique_.find(key); it != unique_.end()) {
-    ++stats_.unique_hits;
-    return it->second;
+  const std::size_t mask = unique_.size() - 1;
+  std::size_t slot = hash3(var, low.value(), high.value()) & mask;
+  for (std::uint32_t i; (i = unique_[slot]) != 0; slot = (slot + 1) & mask) {
+    const Node& n = nodes_[i];
+    if (n.var == var && n.low == low && n.high == high) {
+      ++stats_.unique_hits;
+      return BddRef{i};
+    }
   }
   if (budget_.max_nodes != 0 && nodes_.size() >= budget_.max_nodes) {
     obs::metrics().counter("bdd.budget_exceeded").add(1);
@@ -41,10 +68,30 @@ BddRef BddManager::make_node(BoolVar var, BddRef low, BddRef high) {
                             " nodes exceeded");
   }
   ++stats_.unique_misses;
-  BddRef ref{static_cast<std::uint32_t>(nodes_.size())};
+  const auto index = static_cast<std::uint32_t>(nodes_.size());
   nodes_.push_back(Node{var, low, high});
-  unique_.emplace(key, ref);
-  return ref;
+  unique_[slot] = index;
+  if (2 * (nodes_.size() - 2) > unique_.size()) grow_tables();
+  return BddRef{index};
+}
+
+void BddManager::grow_tables() {
+  std::vector<std::uint32_t> unique(2 * unique_.size(), 0);
+  const std::size_t mask = unique.size() - 1;
+  for (std::uint32_t i = 2; i < nodes_.size(); ++i) {
+    const Node& n = nodes_[i];
+    std::size_t slot = hash3(n.var, n.low.value(), n.high.value()) & mask;
+    while (unique[slot] != 0) slot = (slot + 1) & mask;
+    unique[slot] = i;
+  }
+  unique_.swap(unique);
+
+  if (cache_.size() >= kMaxCacheEntries) return;
+  std::vector<CacheEntry> old(2 * cache_.size());
+  cache_.swap(old);
+  for (const CacheEntry& e : old) {
+    if (e.f != 0) cache_[cache_slot(e.f, e.g, e.h)] = e;
+  }
 }
 
 BddRef BddManager::var(BoolVar v) { return make_node(v, zero_, one_); }
@@ -72,23 +119,26 @@ BddRef BddManager::ite(BddRef f, BddRef g, BddRef h) {
   if (is_one(g) && is_zero(h)) return f;
 
   ++stats_.ite_calls;
-  IteKey key{f.value(), g.value(), h.value()};
-  if (auto it = ite_cache_.find(key); it != ite_cache_.end()) {
+  if (const CacheEntry& e = cache_[cache_slot(f.value(), g.value(), h.value())];
+      e.f == f.value() && e.g == g.value() && e.h == h.value()) {
     ++stats_.ite_cache_hits;
-    return it->second;
+    return BddRef{e.result};
   }
 
   const BoolVar v = top_var(f, g, h);
   BddRef lo = ite(cofactor(f, v, false), cofactor(g, v, false), cofactor(h, v, false));
   BddRef hi = ite(cofactor(f, v, true), cofactor(g, v, true), cofactor(h, v, true));
   BddRef result = make_node(v, lo, hi);
-  if (budget_.max_ite_cache != 0 && ite_cache_.size() >= budget_.max_ite_cache) {
+  if (budget_.max_ite_cache != 0 && cache_inserts_ >= budget_.max_ite_cache) {
     obs::metrics().counter("bdd.budget_exceeded").add(1);
     throw ResourceError(ErrCode::ResourceIteCache,
                         "BDD ITE cache budget of " + std::to_string(budget_.max_ite_cache) +
                             " entries exceeded");
   }
-  ite_cache_.emplace(key, result);
+  ++cache_inserts_;
+  // The recursive calls may have grown the table: look the slot up again.
+  cache_[cache_slot(f.value(), g.value(), h.value())] =
+      CacheEntry{f.value(), g.value(), h.value(), result.value()};
   return result;
 }
 

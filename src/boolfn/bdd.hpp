@@ -11,11 +11,27 @@
 // as the stimulus-design tool for the activation-statistics sweep.
 //
 // Classic implementation: node arena with a unique table, ITE with a
-// computed cache, variable order = ascending BoolVar index.
+// computed cache, variable order = ascending BoolVar index. No
+// complement edges and no garbage collection: a node, once made, keeps
+// its index for the manager's lifetime.
+//
+// Both tables are flat arrays. The unique table is open-addressed with
+// linear probing over node indices (0 marks an empty slot; terminals
+// never enter it) and doubles, rebuilt from the arena, when it is more
+// than half full. The computed table is direct-mapped and lossy: an
+// insert overwrites whatever shared its slot. It starts at the unique
+// table's size, doubles with it up to kMaxCacheEntries and stays there.
+//
+// Node indices do not depend on the computed table. A lost entry is
+// recomputed, and every node that recomputation reaches already exists
+// (it was made when the entry was first computed), so make_node finds
+// it instead of creating one. New nodes are therefore created in the
+// same order as with an exact cache: every BddRef, num_nodes() and the
+// node at which BddBudget::max_nodes throws depend only on the calls
+// made, never on the table sizes.
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "boolfn/expr.hpp"
@@ -33,8 +49,10 @@ using BddRef = StrongId<BddTag>;
 /// catch and degrade to the structural expression path (the classic
 /// answer to BDD blow-up on activation-function derivation).
 struct BddBudget {
-  std::size_t max_nodes = 0;      ///< unique-table node cap (incl. terminals)
-  std::size_t max_ite_cache = 0;  ///< computed-cache entry cap
+  std::size_t max_nodes = 0;  ///< unique-table node cap (incl. terminals)
+  /// Cap on computed-table insertions. The table is lossy, so a key
+  /// evicted and computed again is inserted again and counts twice.
+  std::size_t max_ite_cache = 0;
 };
 
 class BddManager {
@@ -115,41 +133,31 @@ class BddManager {
   };
 
   BddRef make_node(BoolVar var, BddRef low, BddRef high);
+  /// Doubles the unique table (rebuilt from nodes_) and, below its cap,
+  /// the computed table (entries re-inserted).
+  void grow_tables();
   [[nodiscard]] BoolVar top_var(BddRef f, BddRef g, BddRef h) const;
   [[nodiscard]] BddRef cofactor(BddRef f, BoolVar v, bool value) const;
 
   static constexpr BoolVar kTermVar = 0xFFFFFFFFu;
+  static constexpr std::size_t kInitialTableSize = 4096;
+  /// 2^18 entries of 16 bytes: 4 MB.
+  static constexpr std::size_t kMaxCacheEntries = std::size_t{1} << 18;
 
-  struct Key {
-    std::uint32_t var, low, high;
-    friend bool operator==(const Key&, const Key&) = default;
+  /// One computed-table entry: ite(f, g, h) = result. f is never a
+  /// terminal (ite returns before the lookup), so f == 0 marks a slot
+  /// that was never written.
+  struct CacheEntry {
+    std::uint32_t f = 0, g = 0, h = 0, result = 0;
   };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      std::size_t h = k.var;
-      h = h * 0x9E3779B1u ^ k.low;
-      h = h * 0x9E3779B1u ^ k.high;
-      return h;
-    }
-  };
-  struct IteKey {
-    std::uint32_t f, g, h;
-    friend bool operator==(const IteKey&, const IteKey&) = default;
-  };
-  struct IteKeyHash {
-    std::size_t operator()(const IteKey& k) const {
-      std::size_t h = k.f;
-      h = h * 0x85EBCA77u ^ k.g;
-      h = h * 0x85EBCA77u ^ k.h;
-      return h;
-    }
-  };
+  [[nodiscard]] std::size_t cache_slot(std::uint32_t f, std::uint32_t g, std::uint32_t h) const;
 
   Stats stats_;
   BddBudget budget_;
   std::vector<Node> nodes_;
-  std::unordered_map<Key, BddRef, KeyHash> unique_;
-  std::unordered_map<IteKey, BddRef, IteKeyHash> ite_cache_;
+  std::vector<std::uint32_t> unique_;  ///< node index per slot; 0 = empty
+  std::vector<CacheEntry> cache_;
+  std::uint64_t cache_inserts_ = 0;    ///< checked against max_ite_cache
   BddRef zero_;
   BddRef one_;
 };

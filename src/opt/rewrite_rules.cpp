@@ -9,6 +9,7 @@
 
 #include "netlist/traversal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "opt/egraph.hpp"
 #include "power/area_model.hpp"
 #include "power/estimator.hpp"
@@ -740,6 +741,7 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
 
   try {
     // 1. Saturate.
+    obs::Span saturate_span("rewrite.saturate");
     GraphBuild b = build_egraph(nl);
     Saturator sat{b.g, opt.max_nodes, /*algebra=*/true, res.rules_fired};
     for (unsigned it = 0; it < kMaxIterations; ++it) {
@@ -750,6 +752,7 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
         break;
       }
     }
+    saturate_span.end();
     res.egraph_classes = b.g.num_classes();
     res.egraph_nodes = b.g.num_nodes();
     if (b.g.num_nodes() > opt.max_nodes) {
@@ -763,6 +766,7 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
     // 2. Profile every e-class in one simulation, then extract with
     //    the isolation-aware cost model.
     const Profile prof = profile_classes(nl, b);
+    obs::Span extract_span("rewrite.extract");
     CostModel cm;
     cm.pr_idle = prof.pr_idle;
     cm.omega_p = opt.omega_p;
@@ -795,6 +799,7 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
     // 3. Emit + verify.
     Emitter em(nl, b, ex, cost);
     Netlist rewritten = em.run();
+    extract_span.end();
     res.cost_after = em.emitted_cost;
     if (!(res.cost_after < res.cost_before - 1e-12)) {
       res.fallback_reason = "extraction found no cheaper representative";

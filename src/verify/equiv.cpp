@@ -6,6 +6,7 @@
 
 #include "lower/gate_level.hpp"
 #include "netlist/traversal.hpp"
+#include "obs/trace.hpp"
 
 namespace opiso {
 
@@ -148,6 +149,7 @@ EquivResult check_isolation_equivalence(const Netlist& original, const Netlist& 
 
 EquivResult check_isolation_equivalence(const Netlist& original, const Netlist& transformed,
                                         const BddBudget& budget) {
+  OPISO_SPAN("verify.equiv");
   EquivResult res;
   if (has_latches(original) || has_latches(transformed)) {
     res.unsupported = true;

@@ -16,6 +16,7 @@
 #include "sim/parallel_sim.hpp"
 #include "sim/sweep.hpp"
 #include "test_util.hpp"
+#include "util/error.hpp"
 #include "verify/equiv.hpp"
 
 namespace opiso {
@@ -78,6 +79,31 @@ TEST(Rewrite, Fir4DecomposesConstantMultipliers) {
   testutil::expect_observably_equivalent(nl, r.netlist, 0xF1A4, 2000);
   const EquivResult eq = check_isolation_equivalence(nl, r.netlist);
   EXPECT_TRUE(eq.equivalent) << eq.reason;
+}
+
+TEST(Rewrite, Fir4ProofNodeSequenceIsPinned) {
+  // The node count of the fir4 proof, and the node at which each budget
+  // trips, depend only on the BDD operations the proof makes, never on
+  // the manager's table sizes.
+  const Netlist nl = load_fir4();
+  const RewriteResult r = rewrite_datapath(nl);
+  ASSERT_TRUE(r.rewritten) << r.fallback_reason;
+  const EquivResult eq = check_isolation_equivalence(nl, r.netlist);
+  EXPECT_TRUE(eq.equivalent) << eq.reason;
+  EXPECT_EQ(eq.bdd_nodes, 247509u);
+
+  const obs::Counter& allocated = obs::metrics().counter("bdd.nodes_allocated");
+  for (const std::size_t max_nodes : {std::size_t{4096}, std::size_t{65536}, std::size_t{200000}}) {
+    const std::uint64_t before = allocated.value();
+    try {
+      (void)check_isolation_equivalence(nl, r.netlist, BddBudget{max_nodes, 0});
+      ADD_FAILURE() << "a budget of " << max_nodes << " nodes did not trip";
+    } catch (const ResourceError& e) {
+      EXPECT_EQ(e.code(), ErrCode::ResourceBddNodes);
+    }
+    // The budget counts the two terminals; the counter does not.
+    EXPECT_EQ(allocated.value() - before, max_nodes - 2) << "budget " << max_nodes;
+  }
 }
 
 TEST(Rewrite, KeepsPrimaryOutputCellNames) {

@@ -270,18 +270,19 @@ void emit(const Args& args, const Netlist& nl) {
                [&nl](std::ostream& os) { write_netlist(os, nl); });
 }
 
-/// The first artifact flag given "-" (stdout), or nullptr.
-const char* stdout_artifact(const Args& args) {
-  if (args.metrics_path == "-") return "--metrics";
-  if (args.metrics_prom_path == "-") return "--metrics-prom";
-  if (args.trace_power_path == "-") return "--trace-power";
-  return nullptr;
+/// The artifact flags given "-" (stdout), in flag order.
+std::vector<const char*> stdout_artifacts(const Args& args) {
+  std::vector<const char*> flags;
+  if (args.metrics_path == "-") flags.push_back("--metrics");
+  if (args.metrics_prom_path == "-") flags.push_back("--metrics-prom");
+  if (args.trace_power_path == "-") flags.push_back("--trace-power");
+  return flags;
 }
 
 /// Every command's human-facing result stream: stderr whenever an
 /// artifact targets "-", so stdout holds that artifact alone.
 std::ostream& human_out(const Args& args) {
-  return stdout_artifact(args) ? std::cerr : std::cout;
+  return stdout_artifacts(args).empty() ? std::cout : std::cerr;
 }
 
 // Observability artifacts (after the command has run, so counters and
@@ -996,10 +997,14 @@ int run(int argc, char** argv) {
   Args args;
   Input in;
   in.given = parse_args(*cmd, argc, argv, args);
-  if (const char* flag = stdout_artifact(args);
-      flag && args.out_path.empty() && (command_bit(*cmd) & kNetlistOnStdout)) {
-    usage(std::string(cmd->name) + " writes the netlist to stdout without -o, and " + flag +
-          " - writes there too");
+  // Stdout holds one document: the netlist or one artifact.
+  const std::vector<const char*> on_stdout = stdout_artifacts(args);
+  if (on_stdout.size() > 1) {
+    usage(std::string(on_stdout[0]) + " - and " + on_stdout[1] + " - both write to stdout");
+  }
+  if (!on_stdout.empty() && args.out_path.empty() && (command_bit(*cmd) & kNetlistOnStdout)) {
+    usage(std::string(cmd->name) + " writes the netlist to stdout without -o, and " +
+          on_stdout[0] + " - writes there too");
   }
   obs::Tracer::instance().set_enabled(!args.trace_path.empty() || !args.profile_path.empty());
   if (cmd->load != Load::None) {
