@@ -43,7 +43,7 @@ BddManager::~BddManager() {
   m.counter("bdd.unique_misses").add(stats_.unique_misses);
   m.counter("bdd.ite_calls").add(stats_.ite_calls);
   m.counter("bdd.ite_cache_hits").add(stats_.ite_cache_hits);
-  m.gauge("bdd.last_unique_table_size").set(static_cast<double>(nodes_.size()));
+  m.histogram("bdd.manager_nodes").record(static_cast<double>(nodes_.size()));
 }
 
 std::size_t BddManager::cache_slot(std::uint32_t f, std::uint32_t g, std::uint32_t h) const {
@@ -240,10 +240,19 @@ std::size_t BddManager::size(BddRef f) const {
   return count;
 }
 
-BddRef BddManager::from_expr(const ExprPool& pool, ExprRef e) {
+BddRef BddManager::from_expr(const ExprPool& pool, ExprRef e,
+                             const std::function<BddRef(BoolVar)>& var_bdd) {
+  // Post-order over an explicit stack. An And/Or pushes b above a, so
+  // b's operand is built first: the operations, and the order in which
+  // var_bdd sees the variables, are fixed.
   std::unordered_map<std::uint32_t, BddRef> memo;
-  std::function<BddRef(ExprRef)> go = [&](ExprRef r) -> BddRef {
-    if (auto it = memo.find(r.value()); it != memo.end()) return it->second;
+  std::vector<ExprRef> stack{e};
+  while (!stack.empty()) {
+    const ExprRef r = stack.back();
+    if (memo.count(r.value()) != 0) {
+      stack.pop_back();
+      continue;
+    }
     const ExprNode& n = pool.node(r);
     BddRef result;
     switch (n.op) {
@@ -254,22 +263,34 @@ BddRef BddManager::from_expr(const ExprPool& pool, ExprRef e) {
         result = one_;
         break;
       case ExprOp::Var:
-        result = var(n.var);
+        result = var_bdd ? var_bdd(n.var) : var(n.var);
         break;
-      case ExprOp::Not:
-        result = bnot(go(n.a));
+      case ExprOp::Not: {
+        const auto a = memo.find(n.a.value());
+        if (a == memo.end()) {
+          stack.push_back(n.a);
+          continue;
+        }
+        result = bnot(a->second);
         break;
+      }
       case ExprOp::And:
-        result = band(go(n.a), go(n.b));
+      case ExprOp::Or: {
+        const auto a = memo.find(n.a.value());
+        const auto b = memo.find(n.b.value());
+        if (a == memo.end() || b == memo.end()) {
+          if (a == memo.end()) stack.push_back(n.a);
+          if (b == memo.end()) stack.push_back(n.b);
+          continue;
+        }
+        result = n.op == ExprOp::And ? band(a->second, b->second) : bor(a->second, b->second);
         break;
-      case ExprOp::Or:
-        result = bor(go(n.a), go(n.b));
-        break;
+      }
     }
     memo.emplace(r.value(), result);
-    return result;
-  };
-  return go(e);
+    stack.pop_back();
+  }
+  return memo.at(e.value());
 }
 
 ExprRef BddManager::to_expr(ExprPool& pool, BddRef f) {

@@ -60,7 +60,10 @@ class BddManager {
   explicit BddManager(BddBudget budget = {});
   /// Flushes the accumulated work counters into the global metrics
   /// registry (obs) — per-manager stats stay cheap plain members so the
-  /// unique-table/ITE hot paths never touch shared state.
+  /// unique-table/ITE hot paths never touch shared state — and records
+  /// this manager's node count (terminals included) as one sample of
+  /// the `bdd.manager_nodes` histogram, whose max is the largest
+  /// manager of the run.
   ~BddManager();
 
   /// Work counters of this manager (unique-table and ITE-cache hit
@@ -111,8 +114,11 @@ class BddManager {
   /// Distinct internal nodes reachable from f (BDD size).
   [[nodiscard]] std::size_t size(BddRef f) const;
 
-  /// Build a BDD from an expression.
-  [[nodiscard]] BddRef from_expr(const ExprPool& pool, ExprRef e);
+  /// Build a BDD from an expression. A variable v becomes var_bdd(v),
+  /// or var(v) without one. An And/Or builds its b operand before a, so
+  /// a var_bdd with side effects sees the variables in a fixed order.
+  [[nodiscard]] BddRef from_expr(const ExprPool& pool, ExprRef e,
+                                 const std::function<BddRef(BoolVar)>& var_bdd = nullptr);
 
   /// Re-synthesize an expression (factored form via Shannon expansion
   /// with memoization). Result is logically equivalent to f.

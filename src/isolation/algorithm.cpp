@@ -55,14 +55,16 @@ std::uint64_t warmup_cycles_per_lane(std::uint64_t warmup_cycles, std::uint64_t 
 ActivityStats measure_activity(const Netlist& nl, const ExprPool* pool, const NetVarMap* vars,
                                const IsolationOptions& opt,
                                const std::function<void(ProbeHost&)>& register_on,
-                               CycleSink* sink) {
+                               CycleSink* sink, const std::function<void()>& warmup_poll) {
   OPISO_REQUIRE(opt.lane_stimuli != nullptr, "measure_activity: lane stimulus factory required");
   ParallelSimulator sim(nl, opt.sim_lanes, pool, vars);
   if (opt.confidence.enabled) sim.enable_batch_stats(opt.confidence.batch_frames);
   if (register_on) register_on(sim);
   sim.set_stimulus(opt.lane_stimuli);
   const std::uint64_t lanes = sim.lanes();
-  if (opt.warmup_cycles > 0) sim.warmup(warmup_cycles_per_lane(opt.warmup_cycles, lanes));
+  if (opt.warmup_cycles > 0) {
+    sim.warmup(warmup_cycles_per_lane(opt.warmup_cycles, lanes), warmup_poll);
+  }
   sim.set_cycle_sink(sink);
   sim.run(std::max<std::uint64_t>(1, opt.sim_cycles / lanes));
   return sim.stats();
@@ -147,11 +149,13 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
   if (opt.rewrite) {
     // Datapath rewriting runs first so isolation sees the cheaper
     // structure (and its fresh idle-prone operators). The rewrite
-    // inherits this run's cost weights and candidate width floor.
+    // inherits this run's cost weights, candidate width floor and BDD
+    // node budget, which bounds its equivalence proof.
     RewriteOptions ropt = opt.rewrite_options;
     ropt.omega_p = opt.omega_p;
     ropt.omega_a = opt.omega_a;
     ropt.iso_min_width = opt.candidates.min_width;
+    ropt.bdd_node_budget = opt.bdd_node_budget;
     const RewriteResult rw = rewrite_datapath(nl, ropt);
     result.rewrite = rewrite_report_section(rw);
     if (rw.rewritten) {

@@ -41,7 +41,8 @@ struct IsolationOptions {
   bool choose_style_per_candidate = false;
   /// Unique-table node budget of the BDD round trip that canonically
   /// simplifies each activation function before it is synthesized —
-  /// Sec. 3's "optimized version thereof" (0 = unlimited).
+  /// Sec. 3's "optimized version thereof" — and, with `rewrite`, of
+  /// the rewrite's equivalence proof (0 = unlimited).
   /// When an activation function blows past the budget, the canonical
   /// simplification is skipped and the structurally derived expression
   /// — logically equivalent by construction — is synthesized as-is
@@ -90,10 +91,11 @@ struct IsolationOptions {
 
   /// Run the equality-saturation datapath rewrite (opt/rewrite_rules
   /// .hpp) on the design before isolating. The rewrite shares this
-  /// run's ωp/ωa weights and candidate width floor; it degrades to the
-  /// unchanged input on any budget exhaustion and gates every extracted
-  /// netlist behind verify::equiv, so enabling it never changes
-  /// behavior — only (possibly) the structure isolation then works on.
+  /// run's ωp/ωa weights, candidate width floor and bdd_node_budget,
+  /// which replace rewrite_options' own; it degrades to the unchanged
+  /// input on any budget exhaustion and gates every extracted netlist
+  /// behind verify::equiv, so enabling it never changes behavior —
+  /// only (possibly) the structure isolation then works on.
   bool rewrite = false;
   RewriteOptions rewrite_options{};
 
@@ -209,11 +211,14 @@ using StimulusFactory = std::function<std::unique_ptr<Stimulus>()>;
 /// up, at least one measured macro-cycle). Batch-means moments are
 /// collected when options.confidence is enabled. `register_on`
 /// attaches probes (ExprRefs in `pool` over `vars`) before the run;
-/// `sink`, when given, observes exactly the measured cycles.
+/// `sink`, when given, observes exactly the measured cycles, and
+/// `warmup_poll` is called every ParallelSimulator::kWarmupPollCycles
+/// warmup macro-cycles (a sweep task's wall-clock check).
 [[nodiscard]] ActivityStats measure_activity(
     const Netlist& nl, const ExprPool* pool, const NetVarMap* vars,
     const IsolationOptions& options,
-    const std::function<void(ProbeHost&)>& register_on = nullptr, CycleSink* sink = nullptr);
+    const std::function<void(ProbeHost&)>& register_on = nullptr, CycleSink* sink = nullptr,
+    const std::function<void()>& warmup_poll = nullptr);
 
 /// One coverage round on `nl`: the measure_activity round with one
 /// activation probe per isolation candidate of `nl` (derived under

@@ -4,140 +4,44 @@
 // comb_loop pass has findings.
 
 #include <algorithm>
-#include <array>
 #include <map>
-#include <span>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "lint/passes.hpp"
-#include "verify/equiv.hpp"
+#include "verify/grounder.hpp"
 
 namespace opiso::lint {
 
 namespace {
 
-/// Grounds 1-bit nets (and observability expressions over them) to BDDs
-/// over a common leaf set: primary inputs, register/latch outputs,
-/// constants (folded) and any net driven by a cell the grounding cannot
-/// expand (wide operands). Expanding through the 1-bit control logic is
-/// what makes the soundness check meaningful — the synthesized AS logic
-/// and the derived observability function must meet in the same
-/// variable space, not each behind an opaque variable of its own.
-class NetGrounder {
- public:
-  NetGrounder(LintContext& ctx, BddManager& mgr) : ctx_(ctx), mgr_(mgr) {}
+/// lint's grounder: it expands the 1-bit control logic (1-bit operators
+/// over 1-bit inputs, except multipliers and shifts) and makes every
+/// other net a NetVarMap variable — primary inputs, register and latch
+/// outputs, and wide operands' results. Expanding through the control
+/// logic is what makes the soundness check meaningful: the synthesized
+/// AS logic and the derived observability function must meet in the
+/// same variable space, not each behind an opaque variable of its own.
+NetGrounder control_grounder(LintContext& ctx, BddManager& mgr) {
+  const auto leaf = [&ctx, &mgr](NetId net, const Cell& drv) -> std::optional<BddRef> {
+    const Netlist& nl = ctx.nl();
+    const auto one_bit = [&nl](NetId n) { return nl.net(n).width == 1; };
+    const bool expand = one_bit(net) && cell_kind_is_operator(drv.kind) &&
+                        drv.kind != CellKind::Mul && drv.kind != CellKind::Shl &&
+                        drv.kind != CellKind::Shr &&
+                        std::all_of(drv.ins.begin(), drv.ins.end(), one_bit);
+    if (expand) return std::nullopt;
+    return mgr.var(ctx.vars().var_of(nl, net));
+  };
+  return NetGrounder(ctx.nl(), mgr, leaf);
+}
 
-  BddRef of_net(NetId net) {
-    const Netlist& nl = ctx_.nl();
-    std::vector<std::uint32_t> stack{net.value()};
-    while (!stack.empty()) {
-      const std::uint32_t n = stack.back();
-      if (net_memo_.count(n) != 0) {
-        stack.pop_back();
-        continue;
-      }
-      const NetId nid{n};
-      const Cell& drv = nl.cell(nl.net(nid).driver);
-      if (!expandable(nl, drv)) {
-        net_memo_[n] = leaf(nid, drv);
-        stack.pop_back();
-        continue;
-      }
-      bool ready = true;
-      for (NetId in : drv.ins) {
-        if (net_memo_.count(in.value()) == 0) {
-          stack.push_back(in.value());
-          ready = false;
-        }
-      }
-      if (!ready) continue;
-      net_memo_[n] = combine(drv);
-      stack.pop_back();
-    }
-    return net_memo_.at(net.value());
-  }
-
-  /// Ground an observability expression: Var v → of_net(net carrying v).
-  BddRef of_expr(ExprRef e) {
-    const ExprPool& pool = ctx_.pool();
-    std::vector<ExprRef> stack{e};
-    while (!stack.empty()) {
-      const ExprRef r = stack.back();
-      if (expr_memo_.count(r.value()) != 0) {
-        stack.pop_back();
-        continue;
-      }
-      const ExprNode& node = pool.node(r);
-      switch (node.op) {
-        case ExprOp::Const0: expr_memo_[r.value()] = mgr_.zero(); break;
-        case ExprOp::Const1: expr_memo_[r.value()] = mgr_.one(); break;
-        case ExprOp::Var:
-          expr_memo_[r.value()] = of_net(ctx_.vars().net_of(node.var));
-          break;
-        case ExprOp::Not: {
-          auto it = expr_memo_.find(node.a.value());
-          if (it == expr_memo_.end()) {
-            stack.push_back(node.a);
-            continue;
-          }
-          expr_memo_[r.value()] = mgr_.bnot(it->second);
-          break;
-        }
-        case ExprOp::And:
-        case ExprOp::Or: {
-          auto ia = expr_memo_.find(node.a.value());
-          auto ib = expr_memo_.find(node.b.value());
-          if (ia == expr_memo_.end() || ib == expr_memo_.end()) {
-            if (ia == expr_memo_.end()) stack.push_back(node.a);
-            if (ib == expr_memo_.end()) stack.push_back(node.b);
-            continue;
-          }
-          expr_memo_[r.value()] = node.op == ExprOp::And ? mgr_.band(ia->second, ib->second)
-                                                         : mgr_.bor(ia->second, ib->second);
-          break;
-        }
-      }
-      stack.pop_back();
-    }
-    return expr_memo_.at(e.value());
-  }
-
-  BddManager& mgr() { return mgr_; }
-
- private:
-  static bool one_bit_ins(const Netlist& nl, const Cell& c) {
-    return std::all_of(c.ins.begin(), c.ins.end(),
-                       [&](NetId in) { return nl.net(in).width == 1; });
-  }
-
-  static bool expandable(const Netlist& nl, const Cell& c) {
-    if (!c.out.valid() || nl.net(c.out).width != 1 || !one_bit_ins(nl, c)) return false;
-    // PI / Reg / Latch / IsoLatch carry state or stimulus and constants
-    // are leaves; multipliers and shifts stay opaque.
-    return cell_kind_is_operator(c.kind) && c.kind != CellKind::Mul &&
-           c.kind != CellKind::Shl && c.kind != CellKind::Shr;
-  }
-
-  BddRef leaf(NetId net, const Cell& drv) {
-    if (drv.kind == CellKind::Constant) {
-      return (drv.param & 1u) != 0 ? mgr_.one() : mgr_.zero();
-    }
-    return mgr_.var(ctx_.vars().var_of(ctx_.nl(), net));
-  }
-
-  BddRef combine(const Cell& c) {
-    std::array<BddRef, 3> ins;
-    for (std::size_t i = 0; i < c.ins.size(); ++i) ins[i] = net_memo_.at(c.ins[i].value());
-    return one_bit_cell_bdd(mgr_, c.kind, std::span<const BddRef>(ins.data(), c.ins.size()));
-  }
-
-  LintContext& ctx_;
-  BddManager& mgr_;
-  std::unordered_map<std::uint32_t, BddRef> net_memo_;
-  std::unordered_map<std::uint32_t, BddRef> expr_memo_;
-};
+/// An observability function over the grounded nets of its variables.
+BddRef ground_expr(LintContext& ctx, BddManager& mgr, NetGrounder& grounder, ExprRef e) {
+  return mgr.from_expr(ctx.pool(), e,
+                       [&](BoolVar v) { return grounder.of_net(ctx.vars().net_of(v)); });
+}
 
 /// One satisfying assignment of f over its support, rendered with net
 /// names ("sel=0, en1=1"). At most `max_vars` variables are printed.
@@ -214,7 +118,7 @@ class DeadLogicPass final : public LintPass {
     // the module's leg is never chosen).
     const ActivationAnalysis& act = ctx.activation();
     BddManager mgr(ctx.options().bdd);
-    NetGrounder grounder(ctx, mgr);
+    NetGrounder grounder = control_grounder(ctx, mgr);
     for (CellId id : nl.cell_ids()) {
       const Cell& c = nl.cell(id);
       if (!cell_kind_is_arith(c.kind) || !c.out.valid() || !net_live[c.out.value()]) continue;
@@ -222,7 +126,7 @@ class DeadLogicPass final : public LintPass {
       bool dead = ctx.pool().is_const0(obs);
       if (!dead && !ctx.pool().is_const1(obs)) {
         try {
-          dead = mgr.is_zero(grounder.of_expr(obs));
+          dead = mgr.is_zero(ground_expr(ctx, mgr, grounder, obs));
         } catch (const ResourceError& e) {
           note = std::string("observability refinement degraded: ") + e.what();
           continue;
@@ -266,7 +170,7 @@ class IsolationSoundnessPass final : public LintPass {
 
     const ActivationAnalysis& act = ctx.activation();
     BddManager mgr(ctx.options().bdd);
-    NetGrounder grounder(ctx, mgr);
+    NetGrounder grounder = control_grounder(ctx, mgr);
 
     for (const auto& [key, banks] : groups) {
       const CellId consumer{key.first};
@@ -291,7 +195,7 @@ class IsolationSoundnessPass final : public LintPass {
       };
 
       try {
-        const BddRef obs_bdd = grounder.of_expr(obs);
+        const BddRef obs_bdd = ground_expr(ctx, mgr, grounder, obs);
         const BddRef as_bdd = grounder.of_net(as_net);
         if (mgr.implies(obs_bdd, as_bdd)) continue;
         const BddRef violation = mgr.band(obs_bdd, mgr.bnot(as_bdd));

@@ -281,4 +281,11 @@ void Netlist::validate() const {
   (void)topological_order(*this);
 }
 
+bool has_latches(const Netlist& nl) {
+  for (CellId id : nl.cell_ids()) {
+    if (cell_kind_is_latch(nl.cell(id).kind)) return true;
+  }
+  return false;
+}
+
 }  // namespace opiso

@@ -135,4 +135,7 @@ class Netlist {
   std::unordered_map<std::string, CellId> cell_by_name_;
 };
 
+/// True when `nl` holds level-sensitive state (a Latch or an IsoLatch).
+[[nodiscard]] bool has_latches(const Netlist& nl);
+
 }  // namespace opiso

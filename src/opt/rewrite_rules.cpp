@@ -708,13 +708,6 @@ struct Emitter {
   }
 };
 
-bool netlist_has_latches(const Netlist& nl) {
-  for (CellId id : nl.cell_ids()) {
-    if (cell_kind_is_latch(nl.cell(id).kind)) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
@@ -724,16 +717,12 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
   res.netlist = nl;
   res.cells_before = nl.num_cells();
   res.cells_after = nl.num_cells();
-  if (netlist_has_latches(nl)) {
+  if (has_latches(nl)) {
     res.fallback_reason = "latch-bearing design: verify::equiv has no latch semantics";
     obs::metrics().counter("rewrite.fallbacks").add(1);
     return res;
   }
-  bool has_pi = false;
-  for (CellId id : nl.cell_ids()) {
-    if (nl.cell(id).kind == CellKind::PrimaryInput) has_pi = true;
-  }
-  if (!has_pi) {
+  if (nl.primary_inputs().empty()) {
     res.fallback_reason = "design has no primary inputs to profile";
     obs::metrics().counter("rewrite.fallbacks").add(1);
     return res;
@@ -796,11 +785,21 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
     }
     res.cost_before = cost_before;
 
-    // 3. Emit + verify.
+    // 3. Emit, price, verify.
     Emitter em(nl, b, ex, cost);
     Netlist rewritten = em.run();
     extract_span.end();
     res.cost_after = em.emitted_cost;
+    // Honest power of the extraction, whatever becomes of it: every
+    // emitted net carries one profiled class, so its toggles are the
+    // ones the rewritten netlist shows on the same stimulus.
+    ActivityStats after;
+    after.cycles = prof.stats.cycles;
+    after.toggles.assign(rewritten.num_nets(), 0);
+    for (const auto& [c, net] : em.done) {
+      after.toggles[net.value()] = prof.stats.toggles[prof.class_net[c].value()];
+    }
+    res.est_power_after_mw = estimator.estimate(rewritten, after).total_mw;
     if (!(res.cost_after < res.cost_before - 1e-12)) {
       res.fallback_reason = "extraction found no cheaper representative";
       obs::metrics().counter("rewrite.no_improvement").add(1);
@@ -822,17 +821,6 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
     res.netlist = std::move(rewritten);
     res.rewritten = true;
     obs::metrics().counter("rewrite.applied").add(1);
-
-    // 4. Honest power delta: every emitted net carries one profiled
-    //    class, so its toggles are the ones the rewritten netlist
-    //    shows on the same stimulus.
-    ActivityStats after;
-    after.cycles = prof.stats.cycles;
-    after.toggles.assign(res.netlist.num_nets(), 0);
-    for (const auto& [c, net] : em.done) {
-      after.toggles[net.value()] = prof.stats.toggles[prof.class_net[c].value()];
-    }
-    res.est_power_after_mw = estimator.estimate(res.netlist, after).total_mw;
   } catch (const ResourceError& e) {
     res.netlist = nl;
     res.rewritten = false;
@@ -891,7 +879,7 @@ obs::JsonValue rewrite_report_section(const RewriteResult& r) {
   ext["cost_before"] = r.cost_before;
   ext["cost_after"] = r.cost_after;
   ext["est_power_before_mw"] = r.est_power_before_mw;
-  ext["est_power_after_mw"] = r.est_power_after_mw;
+  if (r.est_power_after_mw) ext["est_power_after_mw"] = *r.est_power_after_mw;
   ext["pr_idle"] = r.pr_idle;
   doc["extraction"] = std::move(ext);
   obs::JsonValue cells = obs::JsonValue::object();

@@ -42,6 +42,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "netlist/netlist.hpp"
@@ -54,7 +55,9 @@ struct RewriteOptions {
   double omega_p = 1.0;              ///< paper's ωp (power weight)
   double omega_a = 0.2;              ///< paper's ωa (area weight)
   unsigned iso_min_width = 2;        ///< isolatable-arith width floor (CandidateConfig)
-  std::size_t bdd_node_budget = 1u << 20;  ///< verify::equiv BDD budget (0 = unlimited)
+  /// BDD node budget of the verify::equiv proof (0 = unlimited);
+  /// isolate --rewrite copies IsolationOptions::bdd_node_budget here.
+  std::size_t bdd_node_budget = 1u << 20;
   bool verify = true;                ///< gate extraction behind verify::equiv
 };
 
@@ -74,7 +77,9 @@ struct RewriteResult {
   double cost_before = 0.0;    ///< Σ node cost of the input netlist
   double cost_after = 0.0;     ///< Σ node cost of the extracted netlist
   double est_power_before_mw = 0.0;  ///< macro-model power at profiled activity
-  double est_power_after_mw = 0.0;   ///< same for the rewritten netlist, from the same run
+  /// Same for the emitted extraction, from the same run, whether it
+  /// was then kept or not; unset when nothing was emitted.
+  std::optional<double> est_power_after_mw;
   double pr_idle = 0.0;        ///< measured width-weighted register idle probability
   std::size_t cells_before = 0;
   std::size_t cells_after = 0;

@@ -397,17 +397,24 @@ void ParallelSimulator::advance(std::uint64_t cycles) {
   }
 }
 
-void ParallelSimulator::run(std::uint64_t cycles) {
+void ParallelSimulator::run(std::uint64_t cycles) { simulate(cycles, nullptr); }
+
+void ParallelSimulator::simulate(std::uint64_t cycles, const std::function<void()>& poll) {
   OPISO_REQUIRE(lane_stims_.size() == lanes_,
                 "ParallelSimulator::run: set_stimulus() must be called first");
   OPISO_SPAN("sim.run");
   const auto wall_start = std::chrono::steady_clock::now();
   const std::uint64_t toggles_start =
       std::accumulate(stats_.toggles.begin(), stats_.toggles.end(), std::uint64_t{0});
-  if (words_ == 1) {
-    advance<1>(cycles);
-  } else {
-    advance<kPlaneWords>(cycles);
+  for (std::uint64_t left = cycles; left > 0;) {
+    const std::uint64_t chunk = poll ? std::min(left, kWarmupPollCycles) : left;
+    if (words_ == 1) {
+      advance<1>(chunk);
+    } else {
+      advance<kPlaneWords>(chunk);
+    }
+    left -= chunk;
+    if (poll) poll();
   }
   // Coarse-boundary metrics flush (once per run(), never per cycle).
   const std::uint64_t run_ns = static_cast<std::uint64_t>(

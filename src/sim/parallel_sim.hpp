@@ -88,11 +88,14 @@ class ParallelSimulator : public ProbeHost {
   /// lane-cycles total). Statistics accumulate; lane state persists.
   void run(std::uint64_t cycles);
 
-  /// Run then drop statistics: flushes the reset transient.
-  void warmup(std::uint64_t cycles) {
-    run(cycles);
+  /// Run then drop statistics: flushes the reset transient. `poll`,
+  /// when given, is called after every kWarmupPollCycles macro-cycles
+  /// (a wall-clock budget check, which may throw); it sees no frame.
+  void warmup(std::uint64_t cycles, const std::function<void()>& poll = nullptr) {
+    simulate(cycles, poll);
     reset_stats();
   }
+  static constexpr std::uint64_t kWarmupPollCycles = 1024;
 
   /// Drops the statistics, batch-means windows included.
   void reset_stats() { stats_.reset(); }
@@ -114,6 +117,8 @@ class ParallelSimulator : public ProbeHost {
   [[nodiscard]] std::uint64_t lane_value(NetId net, unsigned lane) const;
 
  private:
+  /// run(), with `poll` called after every kWarmupPollCycles cycles.
+  void simulate(std::uint64_t cycles, const std::function<void()>& poll);
   // The per-cycle stages, instantiated per plane block width W (words_).
   template <unsigned W> void advance(std::uint64_t cycles);
   template <unsigned W> void drive_inputs();

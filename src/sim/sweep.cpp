@@ -26,8 +26,9 @@ constexpr std::uint64_t kBudgetChunkCycles = 1024;
 // Enforces the wall-clock budget and keeps `elapsed` (the deterministic
 // progress measure recorded in failure reports) up to date. A plain
 // task's round drives it as a cycle sink, which checks the clock every
-// kBudgetChunkCycles measured macro-cycles; an isolate task advances it
-// once per measurement round.
+// kBudgetChunkCycles measured macro-cycles, and as the warmup's poll,
+// which checks it every ParallelSimulator::kWarmupPollCycles warmup
+// macro-cycles; an isolate task advances it once per measurement round.
 class TaskGuard final : public CycleSink {
  public:
   TaskGuard(const SweepTask& task, const SweepBudget& budget, std::uint64_t& elapsed)
@@ -129,8 +130,9 @@ SweepResult run_sweep_task_impl(const SweepTask& task, const SweepBudget& budget
     r.coverage = res.coverage;
   } else {
     const bool timed = budget.task_wall_clock_sec > 0.0;
-    const ActivityStats stats =
-        measure_activity(nl, nullptr, nullptr, opt, nullptr, timed ? &guard : nullptr);
+    const ActivityStats stats = measure_activity(
+        nl, nullptr, nullptr, opt, nullptr, timed ? &guard : nullptr,
+        timed ? std::function<void()>([&guard] { guard.check_clock(); }) : nullptr);
     guard.advance(stats.cycles - elapsed);  // the cycles since the last check
     r.lane_cycles = stats.cycles;
     r.toggles = std::accumulate(stats.toggles.begin(), stats.toggles.end(), std::uint64_t{0});

@@ -1,44 +1,26 @@
 #include "verify/equiv.hpp"
 
-#include <array>
-#include <map>
+#include <optional>
+#include <set>
 #include <unordered_map>
 
 #include "lower/gate_level.hpp"
-#include "netlist/traversal.hpp"
 #include "obs/trace.hpp"
+#include "verify/grounder.hpp"
 
 namespace opiso {
 
 namespace {
 
-bool has_latches(const Netlist& nl) {
-  for (CellId id : nl.cell_ids()) {
-    if (cell_kind_is_latch(nl.cell(id).kind)) return true;
-  }
-  return false;
-}
-
-/// Shared variable space across both designs, keyed by net name.
-struct VarSpace {
-  BddManager& mgr;
-  std::unordered_map<std::string, BoolVar> vars;
-
-  BddRef var_for(const std::string& name) {
-    auto [it, inserted] = vars.emplace(name, static_cast<BoolVar>(vars.size()));
-    (void)inserted;
-    return mgr.var(it->second);
-  }
-};
-
-/// Seed the variable space in interleaved bit order: bit 0 of every
+/// Give every primary-input and register bit of `g` that has none a
+/// variable, keyed by net name, in interleaved bit order: bit 0 of every
 /// word, then bit 1, and so on. Word-major (blocked) order — the
 /// first-encounter default — makes the BDD of a w-bit adder output
 /// exponential in w; interleaving keeps it linear, which is the
 /// difference between rewritten-datapath checks finishing in
 /// milliseconds and blowing a multi-million-node budget.
-void seed_interleaved_order(const Netlist& g, VarSpace& space) {
-  std::map<std::pair<unsigned, std::string>, bool> order;
+void seed_interleaved_order(const Netlist& g, std::unordered_map<std::string, BoolVar>& vars) {
+  std::set<std::pair<unsigned, std::string>> order;
   for (CellId id : g.cell_ids()) {
     const Cell& c = g.cell(id);
     if (c.kind != CellKind::PrimaryInput && c.kind != CellKind::Reg) continue;
@@ -57,45 +39,9 @@ void seed_interleaved_order(const Netlist& g, VarSpace& space) {
       }
       if (all_digits) bit = v;
     }
-    order.emplace(std::make_pair(bit, name), true);
+    order.emplace(bit, name);
   }
-  for (const auto& [key, unused] : order) {
-    (void)unused;
-    (void)space.var_for(key.second);
-  }
-}
-
-/// BDD of every net of a lowered (all-1-bit) netlist, with PI bits and
-/// register output bits as variables.
-std::vector<BddRef> build_net_bdds(const Netlist& g, BddManager& mgr, VarSpace& space) {
-  std::vector<BddRef> fn(g.num_nets(), BddRef::invalid());
-  for (CellId id : topological_order(g)) {
-    const Cell& c = g.cell(id);
-    if (!c.out.valid()) continue;
-    BddRef f;
-    auto in = [&](int p) {
-      const BddRef r = fn[c.ins[static_cast<size_t>(p)].value()];
-      OPISO_ASSERT(r.valid(), "equiv: net evaluated before its driver");
-      return r;
-    };
-    switch (c.kind) {
-      case CellKind::PrimaryInput:
-      case CellKind::Reg:
-        f = space.var_for(g.net(c.out).name);
-        break;
-      case CellKind::Constant:
-        f = (c.param & 1) ? mgr.one() : mgr.zero();
-        break;
-      default: {
-        std::array<BddRef, 3> ins;
-        for (std::size_t p = 0; p < c.ins.size(); ++p) ins[p] = in(static_cast<int>(p));
-        f = one_bit_cell_bdd(mgr, c.kind, std::span<const BddRef>(ins.data(), c.ins.size()));
-        break;
-      }
-    }
-    fn[c.out.value()] = f;
-  }
-  return fn;
+  for (const auto& [bit, name] : order) vars.emplace(name, static_cast<BoolVar>(vars.size()));
 }
 
 /// Per cell of `g`: set for the registers a primary output reads,
@@ -120,33 +66,6 @@ std::vector<char> registers_read_by_outputs(const Netlist& g) {
 
 }  // namespace
 
-BddRef one_bit_cell_bdd(BddManager& mgr, CellKind kind, std::span<const BddRef> in) {
-  switch (kind) {
-    case CellKind::Buf: return in[0];
-    case CellKind::Not: return mgr.bnot(in[0]);
-    case CellKind::And:
-    case CellKind::IsoAnd: return mgr.band(in[0], in[1]);
-    case CellKind::Or: return mgr.bor(in[0], in[1]);
-    case CellKind::Xor:
-    case CellKind::Add:
-    case CellKind::Sub: return mgr.bxor(in[0], in[1]);
-    case CellKind::Nand: return mgr.bnot(mgr.band(in[0], in[1]));
-    case CellKind::Nor: return mgr.bnot(mgr.bor(in[0], in[1]));
-    case CellKind::Xnor:
-    case CellKind::Eq: return mgr.bnot(mgr.bxor(in[0], in[1]));
-    case CellKind::Lt: return mgr.band(mgr.bnot(in[0]), in[1]);
-    case CellKind::Mux2: return mgr.ite(in[0], in[2], in[1]);
-    case CellKind::IsoOr: return mgr.bor(in[0], mgr.bnot(in[1]));
-    default:
-      throw NetlistError("no one-bit BDD rule for cell kind '" +
-                         std::string(cell_kind_name(kind)) + "'");
-  }
-}
-
-EquivResult check_isolation_equivalence(const Netlist& original, const Netlist& transformed) {
-  return check_isolation_equivalence(original, transformed, BddBudget{});
-}
-
 EquivResult check_isolation_equivalence(const Netlist& original, const Netlist& transformed,
                                         const BddBudget& budget) {
   OPISO_SPAN("verify.equiv");
@@ -161,12 +80,22 @@ EquivResult check_isolation_equivalence(const Netlist& original, const Netlist& 
   const GateLevelResult ga = lower_to_gates(original);
   const GateLevelResult gb = lower_to_gates(transformed);
 
+  // One grounder per design, both over one variable per primary-input
+  // and register bit name. An obligation grounds only the nets it reads.
   BddManager mgr(budget);
-  VarSpace space{mgr, {}};
-  seed_interleaved_order(ga.netlist, space);
-  seed_interleaved_order(gb.netlist, space);
-  const std::vector<BddRef> fa = build_net_bdds(ga.netlist, mgr, space);
-  const std::vector<BddRef> fb = build_net_bdds(gb.netlist, mgr, space);
+  std::unordered_map<std::string, BoolVar> vars;
+  seed_interleaved_order(ga.netlist, vars);
+  seed_interleaved_order(gb.netlist, vars);
+  const auto state_bits = [&mgr, &vars](const Netlist& g) {
+    return [&mgr, &vars, &g](NetId net, const Cell& driver) -> std::optional<BddRef> {
+      if (driver.kind != CellKind::PrimaryInput && driver.kind != CellKind::Reg) {
+        return std::nullopt;
+      }
+      return mgr.var(vars.at(g.net(net).name));
+    };
+  };
+  NetGrounder fa(ga.netlist, mgr, state_bits(ga.netlist));
+  NetGrounder fb(gb.netlist, mgr, state_bits(gb.netlist));
 
   // --- register obligations, matched by bit-net name -------------------
   // A register bit no output reads may be missing from the transformed
@@ -190,15 +119,15 @@ EquivResult check_isolation_equivalence(const Netlist& original, const Netlist& 
     }
     ++matched;
     const Cell& cb = gb.netlist.cell(it->second);
-    const BddRef en_a = fa[ca.ins[1].value()];
-    const BddRef en_b = fb[cb.ins[1].value()];
+    const BddRef en_a = fa.of_net(ca.ins[1]);
+    const BddRef en_b = fb.of_net(cb.ins[1]);
     ++res.obligations_checked;
     if (!mgr.equal(en_a, en_b)) {
       res.reason = "enable functions differ for register bit '" + name + "'";
       return res;
     }
-    const BddRef d_a = fa[ca.ins[0].value()];
-    const BddRef d_b = fb[cb.ins[0].value()];
+    const BddRef d_a = fa.of_net(ca.ins[0]);
+    const BddRef d_b = fb.of_net(cb.ins[0]);
     ++res.obligations_checked;
     if (!mgr.is_zero(mgr.band(en_a, mgr.bxor(d_a, d_b)))) {
       res.reason = "register bit '" + name + "' can load a different value while enabled";
@@ -219,7 +148,7 @@ EquivResult check_isolation_equivalence(const Netlist& original, const Netlist& 
     const NetId na = ga.netlist.cell(ga.netlist.primary_outputs()[i]).ins[0];
     const NetId nb = gb.netlist.cell(gb.netlist.primary_outputs()[i]).ins[0];
     ++res.obligations_checked;
-    if (!mgr.equal(fa[na.value()], fb[nb.value()])) {
+    if (!mgr.equal(fa.of_net(na), fb.of_net(nb))) {
       res.reason = "primary output bit " + std::to_string(i) + " ('" +
                    ga.netlist.net(na).name + "') differs";
       return res;

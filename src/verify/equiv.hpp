@@ -4,9 +4,10 @@
 // The paper notes that latch insertion complicates verification
 // (Sec. 5.2); this module provides the machinery to *prove* the
 // transform safe instead of only simulating it. Both designs are
-// lowered to gates and their next-state/output functions are built as
-// ROBDDs over a shared variable set (primary-input bits and register
-// output bits, matched by name — the transform never renames either).
+// lowered to gates and the next-state/output functions each obligation
+// reads are built as ROBDDs (verify/grounder.hpp) over a shared variable
+// set (primary-input bits and register output bits, matched by name —
+// the transform never renames either).
 //
 // Soundness argument (induction over cycles, equal reset states):
 //   * every register pair loads under identical enables,
@@ -26,9 +27,7 @@
 // The latch style remains covered by the simulation-based lock-step
 // tests.
 
-#include <span>
 #include <string>
-#include <vector>
 
 #include "boolfn/bdd.hpp"
 #include "netlist/netlist.hpp"
@@ -43,27 +42,16 @@ struct EquivResult {
   std::size_t bdd_nodes = 0;  ///< manager size after all checks
 };
 
-/// BDD of a one-bit cell of `kind` over its input pins' BDDs: the one
-/// rule the equivalence checker and lint's isolation-soundness proof
-/// share. At one bit Add and Sub are Xor, Eq is Xnor and Lt is !a & b.
-/// Sources and state (PrimaryInput, Constant, Reg) stay with the
-/// caller; any other kind without a one-bit rule throws.
-[[nodiscard]] BddRef one_bit_cell_bdd(BddManager& mgr, CellKind kind,
-                                      std::span<const BddRef> in);
-
 /// Prove that `transformed` is observationally equivalent to `original`
 /// (same PO streams for every input stream from the all-zero state).
 /// Both netlists must be latch-free; widths must keep bit-level BDDs
-/// tractable (array multipliers beyond ~8x8 explode by nature).
-[[nodiscard]] EquivResult check_isolation_equivalence(const Netlist& original,
-                                                      const Netlist& transformed);
-
-/// Budgeted variant: the internal BddManager is built with `budget`, so
-/// a blow-up throws ResourceError (resource.bdd-nodes) instead of
-/// running away — callers degrade the same way the activation-function
-/// derivation does (catch and fall back to the conservative answer).
+/// tractable (array multipliers beyond ~8x8 explode by nature). The
+/// internal BddManager is built with `budget`, so a blow-up throws
+/// ResourceError (resource.bdd-nodes) instead of running away — callers
+/// degrade the same way the activation-function derivation does (catch
+/// and fall back to the conservative answer).
 [[nodiscard]] EquivResult check_isolation_equivalence(const Netlist& original,
                                                       const Netlist& transformed,
-                                                      const BddBudget& budget);
+                                                      const BddBudget& budget = {});
 
 }  // namespace opiso

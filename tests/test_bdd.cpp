@@ -105,6 +105,24 @@ TEST_F(BddTest, FromExprToExprRoundTrip) {
   }
 }
 
+TEST_F(BddTest, FromExprBuildsTheBOperandFirst) {
+  // lint allocates a variable inside var_bdd, so the walk order is part
+  // of its output: its variable order and its counterexample text.
+  ExprPool pool;
+  const ExprRef x0 = pool.var(0);
+  const ExprRef x1 = pool.var(1);
+  const ExprRef x2 = pool.var(2);
+  const ExprRef both = pool.land(x0, x1);
+  const ExprRef e = pool.lor(both, pool.lnot(x2));  // b is !x2, made after `both`
+  std::vector<BoolVar> seen;
+  const BddRef f = m.from_expr(pool, e, [&](BoolVar v) {
+    seen.push_back(v);
+    return m.var(v);
+  });
+  EXPECT_EQ(seen, (std::vector<BoolVar>{2, 1, 0}));
+  EXPECT_EQ(f, m.from_expr(pool, e));
+}
+
 TEST(BddBudgetTest, NodeBudgetThrowsStructuredResourceError) {
   // Terminals occupy two slots, so a 4-node budget dies within a few
   // variables — and does so with the stable resource.bdd-nodes code.

@@ -4,6 +4,7 @@
 // bitwise under the plane engine and the reference interpreter).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <sstream>
 
@@ -24,6 +25,11 @@ namespace {
 
 Netlist load_fir4() {
   return parse_rtl_file(std::string(OPISO_DESIGNS_RTL_DIR) + "/fir4.rtl");
+}
+
+/// The BDD-budget FIR: its cheaper extraction's proof exceeds 2^20 nodes.
+Netlist load_fir4_w7() {
+  return parse_rtl_file(std::string(OPISO_DESIGNS_RTL_DIR) + "/fir4_w7.rtl");
 }
 
 std::size_t count_kind(const Netlist& nl, CellKind kind) {
@@ -216,6 +222,32 @@ TEST(Rewrite, NodeBudgetDegradesToInput) {
   EXPECT_FALSE(r.fallback_reason.empty());
   EXPECT_EQ(r.netlist.num_cells(), nl.num_cells());
   testutil::expect_observably_equivalent(nl, r.netlist, 0xB1D6, 500);
+}
+
+TEST(Rewrite, EveryEmittedExtractionIsPriced) {
+  // The proof of fir4_w7's extraction runs out of BDD nodes; the
+  // extraction still carries the after-power the unproven rewrite keeps.
+  const Netlist nl = load_fir4_w7();
+  const RewriteResult proved = rewrite_datapath(nl);
+  ASSERT_FALSE(proved.rewritten);
+  EXPECT_NE(proved.fallback_reason.find("BDD node budget"), std::string::npos)
+      << proved.fallback_reason;
+  ASSERT_TRUE(proved.est_power_after_mw.has_value());
+  EXPECT_GT(*proved.est_power_after_mw, 0.0);
+  RewriteOptions unverified;
+  unverified.verify = false;
+  const RewriteResult trusted = rewrite_datapath(nl, unverified);
+  ASSERT_TRUE(trusted.rewritten) << trusted.fallback_reason;
+  ASSERT_TRUE(trusted.est_power_after_mw.has_value());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(*proved.est_power_after_mw),
+            std::bit_cast<std::uint64_t>(*trusted.est_power_after_mw));
+
+  // Nothing emitted, nothing priced: the key is absent, never 0.
+  RewriteOptions tiny;
+  tiny.max_nodes = 10;
+  const RewriteResult none = rewrite_datapath(nl, tiny);
+  EXPECT_TRUE(none.budget_exhausted);
+  EXPECT_FALSE(rewrite_report_section(none).at("extraction").contains("est_power_after_mw"));
 }
 
 TEST(Rewrite, LatchDesignFallsBack) {

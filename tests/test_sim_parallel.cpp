@@ -292,6 +292,33 @@ TEST(SimParallel, CycleSinkSeesTheReferenceValuesOnOneLane) {
   }
 }
 
+TEST(SimParallel, WarmupPollSeesNoFrameAndMovesNoStatistic) {
+  // The poll runs after every kWarmupPollCycles warmup macro-cycles; the
+  // measured run and the frames its sink sees do not change.
+  const Netlist nl = make_design1();
+  const std::uint64_t warmup = 2 * ParallelSimulator::kWarmupPollCycles + 7;
+  RecordingSink plain_sink;
+  ParallelSimulator plain(nl, 8);
+  plain.set_stimulus(uniform_lanes(5));
+  plain.warmup(warmup);
+  plain.set_cycle_sink(&plain_sink);
+  plain.run(50);
+
+  std::size_t polls = 0;
+  RecordingSink polled_sink;
+  ParallelSimulator polled(nl, 8);
+  polled.set_stimulus(uniform_lanes(5));
+  polled.warmup(warmup, [&polls] { ++polls; });
+  polled.set_cycle_sink(&polled_sink);
+  polled.run(50);
+
+  EXPECT_EQ(polls, 3u);
+  EXPECT_EQ(polled.stats().cycles, plain.stats().cycles);
+  EXPECT_EQ(polled.stats().toggles, plain.stats().toggles);
+  EXPECT_EQ(polled_sink.toggles, plain_sink.toggles);
+  EXPECT_EQ(polled_sink.values, plain_sink.values);
+}
+
 TEST(SimParallel, CycleSinkValuesAreLaneZeroOfAManyLaneRun) {
   const Netlist nl = make_design1();
   RecordingSink got;

@@ -377,6 +377,19 @@ TEST(SweepBudgetTest, WallClockBudgetStopsRunawayTask) {
   EXPECT_EQ(out.failures[0].design, "design2");
 }
 
+TEST(SweepBudgetTest, WallClockBudgetStopsRunawayWarmup) {
+  // 2^30 warmup cycles per lane would take minutes; the budget is
+  // polled during the warmup too, before any measured cycle.
+  const SweepTask t =
+      plain_task("design2", [] { return make_design2(); }, 1, 64, 64, std::uint64_t{1} << 30);
+  SweepRunOptions options;
+  options.budget.task_wall_clock_sec = 0.05;
+  const SweepOutcome out = SweepRunner(1).run({t}, options);
+  ASSERT_EQ(out.failures.size(), 1u);
+  EXPECT_EQ(out.failures[0].code, "resource.wall-clock");
+  EXPECT_EQ(out.failures[0].elapsed_lane_cycles, 0u) << "no measured cycle ran";
+}
+
 TEST(SweepRunner, FailFastSkipsRemainingTasks) {
   // Single-threaded so the schedule is sequential and the skip set is
   // predictable: task 0 fails, tasks 1 and 2 must be skipped.

@@ -1,11 +1,18 @@
 // Tests for the BDD-based formal equivalence checker: correct isolation
-// proves equivalent; deliberately broken "isolation" is caught.
+// proves equivalent; deliberately broken "isolation" is caught. Also the
+// net grounder it builds BDDs with: the one-bit rule per cell kind.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "designs/designs.hpp"
 #include "isolation/activation.hpp"
 #include "isolation/transform.hpp"
 #include "verify/equiv.hpp"
+#include "verify/grounder.hpp"
 
 namespace opiso {
 namespace {
@@ -153,6 +160,80 @@ TEST(Verify, RejectsAMissingRegisterAnOutputReads) {
   EXPECT_FALSE(res.equivalent);
   EXPECT_NE(res.reason.find("register bit 'r."), std::string::npos) << res.reason;
   EXPECT_NE(res.reason.find("missing"), std::string::npos) << res.reason;
+}
+
+/// An 8-bit x + y on the output, and optionally an 8x8 x * y nothing reads.
+Netlist sum_with_dangling_product(bool with_product) {
+  Netlist nl("sum");
+  const NetId x = nl.add_input("x", 8);
+  const NetId y = nl.add_input("y", 8);
+  nl.add_output("o", nl.add_binop(CellKind::Add, "s", x, y));
+  if (with_product) (void)nl.add_binop(CellKind::Mul, "p", x, y);
+  nl.validate();
+  return nl;
+}
+
+TEST(Verify, GroundsOnlyWhatTheObligationsRead) {
+  // No obligation reads the multiplier, so its proof builds none of the
+  // multiplier's nodes.
+  const Netlist lean = sum_with_dangling_product(false);
+  const Netlist dangling = sum_with_dangling_product(true);
+  const EquivResult want = check_isolation_equivalence(lean, lean);
+  const EquivResult got = check_isolation_equivalence(dangling, dangling);
+  ASSERT_TRUE(want.equivalent) << want.reason;
+  ASSERT_TRUE(got.equivalent) << got.reason;
+  EXPECT_EQ(got.obligations_checked, want.obligations_checked);
+  EXPECT_EQ(got.bdd_nodes, want.bdd_nodes);
+}
+
+/// One `kind` cell "c" over `arity` 1-bit primary inputs, driving "o".
+Netlist one_cell(CellKind kind, int arity) {
+  Netlist nl("one_cell");
+  std::vector<NetId> ins;
+  for (int p = 0; p < arity; ++p) ins.push_back(nl.add_input("i" + std::to_string(p), 1));
+  (void)nl.add_cell(kind, "c", ins, nl.add_net("o", nl.infer_width(kind, ins)));
+  nl.validate();
+  return nl;
+}
+
+/// The BDD of `nl`'s net "o" with input pin p of cell "c" as variable p.
+BddRef ground_one_cell(const Netlist& nl, BddManager& mgr) {
+  const std::vector<NetId>& pins = nl.cell(nl.find_cell("c")).ins;
+  NetGrounder grounder(nl, mgr, [&](NetId net, const Cell& drv) -> std::optional<BddRef> {
+    if (drv.kind != CellKind::PrimaryInput) return std::nullopt;
+    return mgr.var(static_cast<BoolVar>(std::find(pins.begin(), pins.end(), net) - pins.begin()));
+  });
+  return grounder.of_net(nl.find_net("o"));
+}
+
+TEST(Grounder, OneBitRuleIsTheCellSemantics) {
+  // Every kind with a one-bit rule grounds to the truth table
+  // cell_kind_eval gives at width 1.
+  const std::vector<std::pair<CellKind, int>> kinds = {
+      {CellKind::Buf, 1},    {CellKind::Not, 1},   {CellKind::And, 2},  {CellKind::Or, 2},
+      {CellKind::Xor, 2},    {CellKind::Nand, 2},  {CellKind::Nor, 2},  {CellKind::Xnor, 2},
+      {CellKind::Add, 2},    {CellKind::Sub, 2},   {CellKind::Eq, 2},   {CellKind::Lt, 2},
+      {CellKind::IsoAnd, 2}, {CellKind::IsoOr, 2}, {CellKind::Mux2, 3}};
+  for (const auto& [kind, arity] : kinds) {
+    const Netlist nl = one_cell(kind, arity);
+    BddManager mgr;
+    const BddRef f = ground_one_cell(nl, mgr);
+    for (unsigned row = 0; row < (1u << arity); ++row) {
+      std::vector<std::uint64_t> in;
+      for (int p = 0; p < arity; ++p) in.push_back((row >> p) & 1u);
+      const bool want = cell_kind_eval(kind, 0, 1, in) != 0;
+      const bool got = mgr.eval(f, [row](BoolVar v) { return ((row >> v) & 1u) != 0; });
+      EXPECT_EQ(got, want) << cell_kind_name(kind) << " on row " << row;
+    }
+  }
+}
+
+TEST(Grounder, KindWithoutAOneBitRuleThrows) {
+  for (const CellKind kind : {CellKind::Mul, CellKind::Latch}) {
+    const Netlist nl = one_cell(kind, 2);
+    BddManager mgr;
+    EXPECT_THROW((void)ground_one_cell(nl, mgr), NetlistError) << cell_kind_name(kind);
+  }
 }
 
 TEST(Verify, RefusesLatchDesigns) {
