@@ -7,13 +7,15 @@
 // using the one-sided rules in ci/bench_baseline/sweep_tolerances.json
 // — wall_ms may not rise more than 10%, lane_cycles_per_sec may not
 // fall more than 10%, and movement in the improving direction is
-// always accepted. Deterministic fields (lane_cycles, iterations)
+// always accepted. Deterministic fields (lane_cycles, stimulus_words)
 // are gated exactly, so a workload change that silently shrinks the
-// measured work cannot masquerade as a speedup.
+// measured work cannot masquerade as a speedup, and a change that adds
+// stimulus work fails on any host.
 //
 // Each timing is best-of-kReps to shave scheduler noise; the simulated
-// work itself is deterministic (fixed seeds), so lane_cycles is stable
-// across runs and machines.
+// work itself is deterministic (fixed seeds), so lane_cycles and
+// stimulus_words (the engine's sim.stimulus_words counter over one
+// repetition) are stable across runs and machines.
 
 #include <chrono>
 #include <cstdio>
@@ -43,6 +45,7 @@ struct BenchRow {
   std::string name;
   double wall_ms = 0.0;                  ///< best of kReps
   std::uint64_t lane_cycles = 0;         ///< deterministic work measure
+  std::uint64_t stimulus_words = 0;      ///< stimulus words of one repetition
   double lane_cycles_per_sec = 0.0;      ///< lane_cycles / best wall time
 };
 
@@ -52,20 +55,23 @@ BenchRow time_bench(const std::string& name,
                     const std::function<std::uint64_t()>& body) {
   BenchRow row;
   row.name = name;
+  const obs::Counter& words = obs::metrics().counter("sim.stimulus_words");
   double best_ms = 0.0;
   for (int rep = 0; rep < kReps; ++rep) {
+    const std::uint64_t words_before = words.value();
     const auto t0 = std::chrono::steady_clock::now();
     row.lane_cycles = body();
     const auto t1 = std::chrono::steady_clock::now();
+    row.stimulus_words = words.value() - words_before;
     const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (rep == 0 || ms < best_ms) best_ms = ms;
   }
   row.wall_ms = best_ms;
   row.lane_cycles_per_sec =
       best_ms > 0.0 ? static_cast<double>(row.lane_cycles) / (best_ms / 1e3) : 0.0;
-  std::printf("  %-24s %10.2f ms  %12llu lane-cycles  %12.0f lc/s\n", name.c_str(),
-              row.wall_ms, static_cast<unsigned long long>(row.lane_cycles),
-              row.lane_cycles_per_sec);
+  std::printf("  %-24s %10.2f ms  %12llu lane-cycles  %12llu stimulus words  %12.0f lc/s\n",
+              name.c_str(), row.wall_ms, static_cast<unsigned long long>(row.lane_cycles),
+              static_cast<unsigned long long>(row.stimulus_words), row.lane_cycles_per_sec);
   return row;
 }
 
@@ -189,6 +195,7 @@ obs::JsonValue row_to_json(const BenchRow& r) {
   obs::JsonValue row = obs::JsonValue::object();
   row["wall_ms"] = r.wall_ms;
   row["lane_cycles"] = r.lane_cycles;
+  row["stimulus_words"] = r.stimulus_words;
   row["lane_cycles_per_sec"] = r.lane_cycles_per_sec;
   return row;
 }

@@ -55,7 +55,7 @@ std::uint64_t warmup_cycles_per_lane(std::uint64_t warmup_cycles, std::uint64_t 
 ActivityStats measure_activity(const Netlist& nl, const ExprPool* pool, const NetVarMap* vars,
                                const IsolationOptions& opt,
                                const std::function<void(ProbeHost&)>& register_on,
-                               CycleSink* sink, const std::function<void()>& warmup_poll) {
+                               CycleSink* sink, const std::function<void()>& poll) {
   OPISO_REQUIRE(opt.lane_stimuli != nullptr, "measure_activity: lane stimulus factory required");
   ParallelSimulator sim(nl, opt.sim_lanes, pool, vars);
   if (opt.confidence.enabled) sim.enable_batch_stats(opt.confidence.batch_frames);
@@ -63,14 +63,15 @@ ActivityStats measure_activity(const Netlist& nl, const ExprPool* pool, const Ne
   sim.set_stimulus(opt.lane_stimuli);
   const std::uint64_t lanes = sim.lanes();
   if (opt.warmup_cycles > 0) {
-    sim.warmup(warmup_cycles_per_lane(opt.warmup_cycles, lanes), warmup_poll);
+    sim.warmup(warmup_cycles_per_lane(opt.warmup_cycles, lanes), poll);
   }
   sim.set_cycle_sink(sink);
-  sim.run(std::max<std::uint64_t>(1, opt.sim_cycles / lanes));
+  sim.run(std::max<std::uint64_t>(1, opt.sim_cycles / lanes), poll);
   return sim.stats();
 }
 
-CoverageRound measure_coverage(const Netlist& nl, const IsolationOptions& opt) {
+CoverageRound measure_coverage(const Netlist& nl, const IsolationOptions& opt,
+                               const std::function<void()>& poll) {
   ExprPool pool;
   NetVarMap vars;
   const ActivationAnalysis analysis = derive_activation(nl, pool, vars, opt.activation);
@@ -83,7 +84,7 @@ CoverageRound measure_coverage(const Netlist& nl, const IsolationOptions& opt) {
     for (const IsolationCandidate& c : cands) {
       exercise.push_back({nl.cell(c.cell).name, sim.add_probe(c.activation)});
     }
-  });
+  }, nullptr, poll);
   round.coverage = build_coverage_section(nl, round.stats, exercise);
   return round;
 }
@@ -123,7 +124,8 @@ double estimate_slack_after_isolation(const Netlist& nl, const DelayModel& dm,
 }
 
 IsolationResult run_operand_isolation(const Netlist& design, const StimulusFactory& stimuli,
-                                      const IsolationOptions& options) {
+                                      const IsolationOptions& options,
+                                      const std::function<void()>& poll) {
   OPISO_REQUIRE(options.lane_stimuli != nullptr || stimuli != nullptr,
                 "run_operand_isolation: stimulus factory required");
   // A caller with only a single-stream factory measures on one lane of
@@ -162,7 +164,8 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
       // One extra round on the input: probes do not touch toggle
       // counts, so this is bit for bit the power a plain isolate run
       // measures in its first iteration.
-      const ActivityStats input_stats = measure_activity(nl, nullptr, nullptr, opt);
+      const ActivityStats input_stats =
+          measure_activity(nl, nullptr, nullptr, opt, nullptr, nullptr, poll);
       result.power_before_mw = PowerEstimator(opt.power).estimate(nl, input_stats).total_mw;
       measured_before = true;
       nl = rw.netlist;
@@ -200,7 +203,7 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
     SavingsEstimator estimator(nl, pool, vars, cands, opt.power);
     const ActivityStats stats = measure_activity(
         nl, &pool, &vars, opt,
-        [&estimator](ProbeHost& sim) { estimator.register_probes(sim); });
+        [&estimator](ProbeHost& sim) { estimator.register_probes(sim); }, nullptr, poll);
     const PowerBreakdown pb = PowerEstimator(opt.power).estimate(nl, stats);
     if (!measured_before) {
       result.power_before_mw = pb.total_mw;
@@ -348,7 +351,7 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
   // candidate of the final netlist (the isolated ones included).
   {
     OPISO_SPAN("isolate.final_measure");
-    CoverageRound round = measure_coverage(nl, opt);
+    CoverageRound round = measure_coverage(nl, opt, poll);
     const PowerEstimator estimator(opt.power);
     result.power_after_mw = estimator.estimate(nl, round.stats).total_mw;
     result.coverage = std::move(round.coverage);

@@ -70,8 +70,9 @@ struct IsolationOptions {
   /// Cycles simulated (and discarded) before statistics collection, so
   /// the reset transient does not skew the measured probabilities.
   std::uint64_t warmup_cycles = 32;
-  /// Per-lane stimulus streams (lane index -> fresh generator; seeds
-  /// should differ per lane). When set, every measurement round runs
+  /// Per-lane stimulus streams (lane index -> fresh generator; lane l
+  /// of one uniform family, sweep_lane_seed(seed, l), drives the plane
+  /// engine fastest). When set, every measurement round runs
   /// sim_lanes of them side by side on the plane engine (sim/parallel
   /// _sim.hpp) and splits sim_cycles and warmup_cycles across the lanes,
   /// so the statistical sample size is comparable. When unset, a round
@@ -211,14 +212,14 @@ using StimulusFactory = std::function<std::unique_ptr<Stimulus>()>;
 /// up, at least one measured macro-cycle). Batch-means moments are
 /// collected when options.confidence is enabled. `register_on`
 /// attaches probes (ExprRefs in `pool` over `vars`) before the run;
-/// `sink`, when given, observes exactly the measured cycles, and
-/// `warmup_poll` is called every ParallelSimulator::kWarmupPollCycles
-/// warmup macro-cycles (a sweep task's wall-clock check).
+/// `sink`, when given, observes exactly the measured cycles, and `poll`
+/// is called every ParallelSimulator::kPollCycles macro-cycles of the
+/// warmup and of the measured run (a sweep task's wall-clock check).
 [[nodiscard]] ActivityStats measure_activity(
     const Netlist& nl, const ExprPool* pool, const NetVarMap* vars,
     const IsolationOptions& options,
     const std::function<void(ProbeHost&)>& register_on = nullptr, CycleSink* sink = nullptr,
-    const std::function<void()>& warmup_poll = nullptr);
+    const std::function<void()>& poll = nullptr);
 
 /// One coverage round on `nl`: the measure_activity round with one
 /// activation probe per isolation candidate of `nl` (derived under
@@ -229,14 +230,16 @@ struct CoverageRound {
   ActivityStats stats;
   obs::JsonValue coverage;  ///< opiso.coverage/v1
 };
-[[nodiscard]] CoverageRound measure_coverage(const Netlist& nl, const IsolationOptions& options);
+[[nodiscard]] CoverageRound measure_coverage(const Netlist& nl, const IsolationOptions& options,
+                                             const std::function<void()>& poll = nullptr);
 
 /// Run the full Algorithm-1 flow on a copy of `design`. Without
 /// options.lane_stimuli every round runs one lane on a stream from
-/// `stimuli`.
+/// `stimuli`. `poll` goes to every measurement round (measure_activity).
 [[nodiscard]] IsolationResult run_operand_isolation(const Netlist& design,
                                                     const StimulusFactory& stimuli,
-                                                    const IsolationOptions& options = {});
+                                                    const IsolationOptions& options = {},
+                                                    const std::function<void()>& poll = nullptr);
 
 /// Cheap pre-commit estimate of the candidate's slack after isolation:
 /// bank delay on the data paths plus the activation-logic path merging

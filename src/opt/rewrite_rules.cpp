@@ -810,6 +810,12 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
       budget.max_nodes = opt.bdd_node_budget;
       const EquivResult eq = check_isolation_equivalence(nl, rewritten, budget);
       res.verify_obligations = eq.obligations_checked;
+      if (eq.budget_exhausted) {
+        res.fallback_reason = "resource budget: " + eq.reason;
+        res.verify_stopped_at = eq.stopped_at;
+        obs::metrics().counter("rewrite.budget_fallbacks").add(1);
+        return res;
+      }
       if (!eq.equivalent) {
         res.fallback_reason = "verify::equiv rejected the extraction: " + eq.reason;
         obs::metrics().counter("rewrite.verify_rejections").add(1);
@@ -888,6 +894,7 @@ obs::JsonValue rewrite_report_section(const RewriteResult& r) {
   doc["cells"] = std::move(cells);
   obs::JsonValue ver = obs::JsonValue::object();
   ver["obligations_checked"] = static_cast<std::uint64_t>(r.verify_obligations);
+  if (!r.verify_stopped_at.empty()) ver["stopped_at"] = r.verify_stopped_at;
   doc["verify"] = std::move(ver);
   return doc;
 }

@@ -84,6 +84,8 @@ struct RewriteResult {
   std::size_t cells_before = 0;
   std::size_t cells_after = 0;
   std::size_t verify_obligations = 0;  ///< obligations verify::equiv discharged
+  /// The obligation the proof was building when its BDD budget ran out.
+  std::string verify_stopped_at;
 };
 
 /// Rewrite `nl` under `opt`. Never throws for resource reasons and never

@@ -154,35 +154,23 @@ void ParallelSimulator::set_stimulus(const LaneStimulusFactory& make) {
     OPISO_REQUIRE(lane_stims_.back() != nullptr,
                   "ParallelSimulator: stimulus factory returned null");
   }
-  // SoA fast path: when every lane is a plain uniform generator, gather
-  // the per-lane xoshiro states into four parallel arrays so one loop
-  // advances all lanes (identical sequences, computed blockwise).
-  uniform_fast_ = true;
-  for (const auto& s : lane_stims_) {
-    if (s->uniform_rng() == nullptr) {
-      uniform_fast_ = false;
-      break;
-    }
+  // Plane path: lane l is lane l of one uniform family.
+  input_keys_.clear();
+  const auto* lane0 = dynamic_cast<const UniformStimulus*>(lane_stims_[0].get());
+  if (lane0 == nullptr) return;
+  const std::uint64_t family = lane0->lane().family;
+  for (unsigned l = 0; l < lanes_; ++l) {
+    const auto* u = dynamic_cast<const UniformStimulus*>(lane_stims_[l].get());
+    if (u == nullptr || u->lane() != UniformLane{family, l}) return;
   }
-  if (uniform_fast_) {
-    // The draw buffer is padded to whole 8-lane transposition groups;
-    // padding lanes never draw, so their words stay zero and never
-    // contaminate real lanes' planes.
-    lanes_padded_ = (lanes_ + 7) & ~std::size_t{7};
-    rng_soa_.assign(4 * lanes_padded_, 0);
-    for (unsigned l = 0; l < lanes_; ++l) {
-      const std::array<std::uint64_t, 4> st = lane_stims_[l]->uniform_rng()->state();
-      for (unsigned i = 0; i < 4; ++i) rng_soa_[i * lanes_padded_ + l] = st[i];
+  std::uint64_t input = 0;
+  for (CellId pi : nl_.primary_inputs()) {
+    for (unsigned b = 0; b < nl_.cell(pi).width; ++b) {
+      for (unsigned k = 0; k < words_; ++k) {
+        input_keys_.push_back(uniform_stream_key(family, input, b, k));
+      }
     }
-    pi_masks_.clear();
-    for (CellId pi : nl_.primary_inputs()) {
-      pi_masks_.push_back(width_mask(nl_.cell(pi).width));
-    }
-    uniform_buf_.assign(pi_masks_.size() * lanes_padded_, 0);
-  } else {
-    rng_soa_.clear();
-    pi_masks_.clear();
-    uniform_buf_.clear();
+    ++input;
   }
 }
 
@@ -190,148 +178,28 @@ void ParallelSimulator::enable_batch_stats(std::uint32_t batch_frames) {
   batch_.emplace(stats_, nl_.num_nets(), batch_frames);
 }
 
-namespace {
-
-/// Transpose an 8x8 bit matrix packed row-major into a word (element
-/// (i,j) = bit 8i+j) with three delta-swap rounds (Hacker's Delight).
-inline std::uint64_t transpose8x8(std::uint64_t x) {
-  std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
-  x = x ^ t ^ (t << 7);
-  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
-  x = x ^ t ^ (t << 14);
-  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
-  x = x ^ t ^ (t << 28);
-  return x;
-}
-
-inline std::uint64_t rotl64(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-/// N consecutive xoshiro256** draws per lane, all lanes in one pass:
-/// draw p of lane l lands in out[p * stride + l], masked to masks[p].
-/// N is a template parameter so the draw loop fully unrolls and the
-/// lane loop body is straight-line — the compiler then vectorizes over
-/// lanes with the four state words held in registers across all N
-/// draws, instead of spilling them between draws. The multiplies by 5
-/// and 9 are written as shift-adds so the loop vectorizes on ISAs
-/// without a 64-bit vector multiply.
-template <unsigned N>
-void uniform_draws(std::uint64_t* __restrict s0, std::uint64_t* __restrict s1,
-                   std::uint64_t* __restrict s2, std::uint64_t* __restrict s3, std::size_t n,
-                   const std::uint64_t* __restrict masks, std::uint64_t* __restrict out,
-                   std::size_t stride) {
-  for (std::size_t l = 0; l < n; ++l) {
-    std::uint64_t a = s0[l];
-    std::uint64_t b = s1[l];
-    std::uint64_t c = s2[l];
-    std::uint64_t d = s3[l];
-    for (unsigned p = 0; p < N; ++p) {
-      const std::uint64_t b5 = (b << 2) + b;
-      const std::uint64_t r7 = rotl64(b5, 7);
-      out[p * stride + l] = ((r7 << 3) + r7) & masks[p];
-      const std::uint64_t t = b << 17;
-      c ^= a;
-      d ^= b;
-      b ^= c;
-      a ^= d;
-      c ^= t;
-      d = rotl64(d, 45);
-    }
-    s0[l] = a;
-    s1[l] = b;
-    s2[l] = c;
-    s3[l] = d;
-  }
-}
-
-}  // namespace
-
 template <unsigned W>
 void ParallelSimulator::drive_inputs() {
-  // Per lane, each stimulus sees the (PI, cycle) call sequence of a
-  // plain cycle-by-cycle simulation — the transposition into planes is
-  // pure bookkeeping, so lane l replays the run of stream l exactly.
-  // The words are gathered first and transposed in 8x8 bit blocks: the
-  // blocked form runs in O(width) per 8 lanes instead of O(width) per
-  // lane, and drive_inputs is the one per-lane (non-amortized) stage of
-  // the macro-cycle, so it is the engine's throughput ceiling.
-  std::uint64_t tmp[kMaxLanes];
-  const unsigned groups = (lanes_ + 7) / 8;
-  if (uniform_fast_) {
-    // All this cycle's draws for all PIs in one pass over the SoA
-    // state arrays, in chunks of up to 8 draws per pass — within a
-    // chunk the lane states live in registers, so the per-draw cost is
-    // the xoshiro arithmetic plus one store. Per lane, draw order is
-    // PI insertion order, the same call sequence as above.
-    std::uint64_t* const s0 = rng_soa_.data();
-    std::uint64_t* const s1 = s0 + lanes_padded_;
-    std::uint64_t* const s2 = s1 + lanes_padded_;
-    std::uint64_t* const s3 = s2 + lanes_padded_;
-    // Only the active lanes draw; padding entries of the buffer stay 0.
-    const std::size_t n = lanes_;
-    const std::size_t stride = lanes_padded_;
-    std::size_t p = 0;
-    while (p < pi_masks_.size()) {
-      const std::uint64_t* const masks = pi_masks_.data() + p;
-      std::uint64_t* const out = uniform_buf_.data() + p * stride;
-      // Chunks are capped at 4 draws: larger unrolled bodies exceed the
-      // vector register budget and the compiler spills the lane states,
-      // costing more than the chunking saves.
-      switch (std::min<std::size_t>(pi_masks_.size() - p, 4)) {
-        case 4: uniform_draws<4>(s0, s1, s2, s3, n, masks, out, stride); p += 4; break;
-        case 3: uniform_draws<3>(s0, s1, s2, s3, n, masks, out, stride); p += 3; break;
-        case 2: uniform_draws<2>(s0, s1, s2, s3, n, masks, out, stride); p += 2; break;
-        default: uniform_draws<1>(s0, s1, s2, s3, n, masks, out, stride); p += 1; break;
-      }
-    }
-  }
-  std::size_t pi_index = 0;
+  const std::uint64_t* key = input_keys_.data();
   for (CellId pi : nl_.primary_inputs()) {
     const Cell& c = nl_.cell(pi);
-    const unsigned width = c.width;
-    const std::size_t off = plane_off_[c.out.value()] * W;
-    const std::uint64_t* lane_words;
-    if (uniform_fast_) {
-      lane_words = uniform_buf_.data() + pi_index * lanes_padded_;
-    } else {
-      const std::uint64_t wmask = width_mask(width);
-      for (unsigned l = 0; l < lanes_; ++l) {
-        tmp[l] = lane_stims_[l]->next(nl_, pi, cycle_) & wmask;
+    std::uint64_t* const planes = &planes_[plane_off_[c.out.value()] * W];
+    const unsigned words = c.width * W;
+    if (!input_keys_.empty()) {
+      // Plane word i is word cycle_ of its stream: bit l of it is lane
+      // l's bit, as UniformStimulus::next() defines it.
+      for (unsigned i = 0; i < words; ++i) {
+        planes[i] = uniform_word(key[i], cycle_) & lane_mask_[i % W];
       }
-      for (unsigned l = lanes_; l < 8 * groups; ++l) tmp[l] = 0;
-      lane_words = tmp;
+      key += words;
+      continue;
     }
-    ++pi_index;
-    for (unsigned b = 0; b < width * W; ++b) planes_[off + b] = 0;
-    // The transposition is phrased as three flat loops — truncating
-    // byte pack, delta-swap rounds over all groups, byte scatter — so
-    // each vectorizes over the group dimension instead of handling one
-    // 8-lane group at a time. Group g's word lands in byte g of the
-    // destination plane's word array; that byte view of a little-endian
-    // word array IS the lane order (group g = word g/8, byte g%8), so
-    // the scatter is contiguous byte stores. Big-endian hosts take the
-    // shift-or scatter instead.
-    std::uint64_t xg[kMaxLanes / 8];
-    for (unsigned cb = 0; cb * 8 < width; ++cb) {  // byte column cb: bits 8cb..8cb+7
-      std::uint8_t* const pb = reinterpret_cast<std::uint8_t*>(xg);
-      for (unsigned l = 0; l < 8 * groups; ++l) {
-        pb[l] = static_cast<std::uint8_t>(lane_words[l] >> (8 * cb));
-      }
-      // byte j of xg[g] now holds bit 8cb+j of lanes 8g..8g+7
-      for (unsigned g = 0; g < groups; ++g) xg[g] = transpose8x8(xg[g]);
-      const unsigned bits = std::min(8u, width - 8 * cb);
-      for (unsigned j = 0; j < bits; ++j) {
-        std::uint64_t* const dst = &planes_[off + (8 * cb + j) * W];
-        if constexpr (std::endian::native == std::endian::little) {
-          std::uint8_t* const out = reinterpret_cast<std::uint8_t*>(dst);
-          for (unsigned g = 0; g < groups; ++g) {
-            out[g] = static_cast<std::uint8_t>(xg[g] >> (8 * j));
-          }
-        } else {
-          for (unsigned g = 0; g < groups; ++g) {
-            dst[g / 8] |= ((xg[g] >> (8 * j)) & 0xFF) << (8 * (g % 8));
-          }
-        }
-      }
+    // Per lane, each stimulus sees the (PI, cycle) call sequence of a
+    // plain cycle-by-cycle simulation.
+    std::fill(planes, planes + words, 0);
+    for (unsigned l = 0; l < lanes_; ++l) {
+      const std::uint64_t v = lane_stims_[l]->next(nl_, pi, cycle_);
+      for (unsigned b = 0; b < c.width; ++b) planes[b * W + l / 64] |= ((v >> b) & 1) << (l % 64);
     }
   }
 }
@@ -397,9 +265,7 @@ void ParallelSimulator::advance(std::uint64_t cycles) {
   }
 }
 
-void ParallelSimulator::run(std::uint64_t cycles) { simulate(cycles, nullptr); }
-
-void ParallelSimulator::simulate(std::uint64_t cycles, const std::function<void()>& poll) {
+void ParallelSimulator::run(std::uint64_t cycles, const std::function<void()>& poll) {
   OPISO_REQUIRE(lane_stims_.size() == lanes_,
                 "ParallelSimulator::run: set_stimulus() must be called first");
   OPISO_SPAN("sim.run");
@@ -407,7 +273,7 @@ void ParallelSimulator::simulate(std::uint64_t cycles, const std::function<void(
   const std::uint64_t toggles_start =
       std::accumulate(stats_.toggles.begin(), stats_.toggles.end(), std::uint64_t{0});
   for (std::uint64_t left = cycles; left > 0;) {
-    const std::uint64_t chunk = poll ? std::min(left, kWarmupPollCycles) : left;
+    const std::uint64_t chunk = poll ? std::min(left, kPollCycles) : left;
     if (words_ == 1) {
       advance<1>(chunk);
     } else {
@@ -422,11 +288,17 @@ void ParallelSimulator::simulate(std::uint64_t cycles, const std::function<void(
                                                            wall_start)
           .count());
   const std::uint64_t lane_cycles = cycles * lanes_;
+  // One word per input plane word on the plane path, one per next() call
+  // on the per-lane path.
+  const std::uint64_t stimulus_words =
+      cycles * (input_keys_.empty() ? std::uint64_t{lanes_} * nl_.primary_inputs().size()
+                                    : input_keys_.size());
   const std::uint64_t toggles_end =
       std::accumulate(stats_.toggles.begin(), stats_.toggles.end(), std::uint64_t{0});
   obs::MetricsRegistry& m = obs::metrics();
   m.counter("sim.runs").add(1);
   m.counter("sim.cycles").add(lane_cycles);
+  m.counter("sim.stimulus_words").add(stimulus_words);
   m.counter("sim.toggles").add(toggles_end - toggles_start);
   m.counter("sim.run_ns").add(run_ns);
   if (run_ns > 0) {

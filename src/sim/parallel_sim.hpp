@@ -24,11 +24,14 @@
 // the plain cycle-by-cycle simulation of its stream. The contract holds
 // for every plane-block width and ISA the kernels compile to.
 //
-// When every lane's stimulus is a plain UniformStimulus, the engine
-// advances all lane RNG states in lockstep structure-of-arrays form —
-// the same per-lane xoshiro sequences, computed blockwise without the
-// per-lane virtual dispatch — so stimulus generation vectorizes along
-// with the plane kernels.
+// Inputs are driven one of two ways. When lane l's stimulus is lane l
+// of one uniform family (sim/stimulus.hpp), every input plane word is
+// one word of that family's counter-based stream: one hash per plane
+// word, with no per-lane work. Any other stimulus is called once per
+// lane, input and cycle, and its value scattered into the planes bit by
+// bit. Either way lane l sees the value its own stimulus's next() would
+// return for that cycle (the plane path computes UniformStimulus::next()
+// a plane word at a time), so the contract above holds on both.
 //
 // Probes are gates of the same program: add_probe compiles a probe's
 // Expr DAG into one-bit And/Or/Not/Constant ops appended after the
@@ -63,8 +66,9 @@ class ParallelSimulator : public ProbeHost {
  public:
   static constexpr unsigned kMaxLanes = 64 * kPlaneWords;
 
-  /// One independent stimulus stream per lane. Lane seeds should differ
-  /// per lane or every lane simulates the same trajectory.
+  /// One independent stimulus stream per lane. Lanes that read the same
+  /// stream simulate the same trajectory; lane l of one uniform family
+  /// (sweep_lane_seed(seed, l)) drives the inputs plane-natively.
   using LaneStimulusFactory = std::function<std::unique_ptr<Stimulus>(unsigned lane)>;
 
   /// The netlist must outlive the simulator; `lanes` in [1, kMaxLanes].
@@ -86,16 +90,17 @@ class ParallelSimulator : public ProbeHost {
 
   /// Simulate `cycles` cycles in every lane (lanes() * cycles
   /// lane-cycles total). Statistics accumulate; lane state persists.
-  void run(std::uint64_t cycles);
+  /// `poll`, when given, is called after every kPollCycles macro-cycles
+  /// and after the last (a wall-clock budget check, which may throw);
+  /// it sees no frame and changes no result.
+  void run(std::uint64_t cycles, const std::function<void()>& poll = nullptr);
 
-  /// Run then drop statistics: flushes the reset transient. `poll`,
-  /// when given, is called after every kWarmupPollCycles macro-cycles
-  /// (a wall-clock budget check, which may throw); it sees no frame.
+  /// Run then drop statistics: flushes the reset transient.
   void warmup(std::uint64_t cycles, const std::function<void()>& poll = nullptr) {
-    simulate(cycles, poll);
+    run(cycles, poll);
     reset_stats();
   }
-  static constexpr std::uint64_t kWarmupPollCycles = 1024;
+  static constexpr std::uint64_t kPollCycles = 1024;
 
   /// Drops the statistics, batch-means windows included.
   void reset_stats() { stats_.reset(); }
@@ -117,8 +122,6 @@ class ParallelSimulator : public ProbeHost {
   [[nodiscard]] std::uint64_t lane_value(NetId net, unsigned lane) const;
 
  private:
-  /// run(), with `poll` called after every kWarmupPollCycles cycles.
-  void simulate(std::uint64_t cycles, const std::function<void()>& poll);
   // The per-cycle stages, instantiated per plane block width W (words_).
   template <unsigned W> void advance(std::uint64_t cycles);
   template <unsigned W> void drive_inputs();
@@ -144,13 +147,10 @@ class ParallelSimulator : public ProbeHost {
   std::vector<std::uint64_t> state_;     ///< reg/latch held planes
 
   std::vector<std::unique_ptr<Stimulus>> lane_stims_;
-  // SoA xoshiro fast path (all lanes UniformStimulus): state word i of
-  // lane l at rng_soa_[i * lanes_padded_ + l].
-  bool uniform_fast_ = false;
-  std::size_t lanes_padded_ = 0;
-  std::vector<std::uint64_t> rng_soa_;
-  std::vector<std::uint64_t> pi_masks_;     ///< per PI: width mask (fast path)
-  std::vector<std::uint64_t> uniform_buf_;  ///< per cycle: PI p draws at [p*lanes_padded_..]
+  /// Plane path: the stream key of every input plane word, inputs in
+  /// primary_inputs() order and each in plane order. Empty when the
+  /// lanes are not lanes 0..L-1 of one uniform family.
+  std::vector<std::uint64_t> input_keys_;
 
   static constexpr std::size_t kUncompiled = ~std::size_t{0};
   std::vector<std::size_t> expr_plane_;   ///< per Expr node: its plane, or kUncompiled

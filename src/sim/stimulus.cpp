@@ -13,10 +13,19 @@ const std::string& pi_net_name(const Netlist& nl, CellId pi) {
 }  // namespace
 
 // ---------------------------------------------------------------- Uniform
-UniformStimulus::UniformStimulus(std::uint64_t seed) : rng_(seed) {}
-
-std::uint64_t UniformStimulus::next(const Netlist& nl, CellId pi, std::uint64_t) {
-  return rng_.next_bits(nl.cell(pi).width);
+std::uint64_t UniformStimulus::next(const Netlist& nl, CellId pi, std::uint64_t cycle) {
+  // Cell ids grow with insertion, so primary_inputs() is sorted.
+  const std::vector<CellId>& inputs = nl.primary_inputs();
+  const auto it = std::lower_bound(inputs.begin(), inputs.end(), pi);
+  OPISO_REQUIRE(it != inputs.end() && *it == pi, "UniformStimulus: not a primary input");
+  const auto input = static_cast<std::uint64_t>(it - inputs.begin());
+  std::uint64_t value = 0;
+  for (unsigned b = 0; b < nl.cell(pi).width; ++b) {
+    const std::uint64_t word =
+        uniform_word(uniform_stream_key(lane_.family, input, b, lane_.lane / 64), cycle);
+    value |= ((word >> (lane_.lane % 64)) & 1) << b;
+  }
+  return value;
 }
 
 // ---------------------------------------------------------------- Constant

@@ -7,6 +7,13 @@
 // realizes an exact stationary Markov bit stream with a requested
 // Pr[1] and toggle rate; CompositeStimulus routes different generators
 // to different primary inputs.
+//
+// Uniform stimulus is counter-based: a family K names a set of lanes,
+// and lane l of K reads bit l % 64 of one 64-bit word per (input, bit,
+// cycle). So one word of a family's stream is one plane word of the
+// lane-parallel engine (sim/parallel_sim.hpp), and a lane's stream is a
+// function of (K, l) alone, whatever the threads, plane width or lane
+// count of the run that reads it.
 
 #include <cstdint>
 #include <memory>
@@ -25,24 +32,47 @@ class Stimulus {
  public:
   virtual ~Stimulus() = default;
   [[nodiscard]] virtual std::uint64_t next(const Netlist& nl, CellId pi, std::uint64_t cycle) = 0;
-
-  /// Non-null iff this generator is a plain uniform draw from the
-  /// returned Rng (one next_bits(width) per call, no other state). The
-  /// lane-parallel engine uses this to advance all lane RNGs in
-  /// structure-of-arrays lockstep instead of through virtual dispatch;
-  /// a caller that takes the pointer owns the stream from then on.
-  [[nodiscard]] virtual Rng* uniform_rng() { return nullptr; }
 };
 
-/// Uniform random words on every input.
+/// Lane `lane` of the uniform family `family`.
+struct UniformLane {
+  std::uint64_t family = 1;
+  unsigned lane = 0;
+  friend constexpr bool operator==(const UniformLane&, const UniformLane&) = default;
+};
+
+/// Key of the uniform stream of family `family` behind bit `bit` of
+/// plane word `word` (lanes 64·word .. 64·word+63) of the primary input
+/// at position `input` of primary_inputs(). The fields are packed
+/// without overlap (input < 2^32, bit < 64, word < 2^26) and splitmix64
+/// is a bijection, so within a family no two (input, bit, word) share a
+/// key; families are set apart by splitmix64(family).
+[[nodiscard]] constexpr std::uint64_t uniform_stream_key(std::uint64_t family,
+                                                         std::uint64_t input, unsigned bit,
+                                                         std::uint64_t word) {
+  return splitmix64(splitmix64(family) ^ (input << 32 | std::uint64_t{bit} << 26 | word));
+}
+
+/// Word `cycle` of the stream keyed `key`: SplitMix64 output number
+/// `cycle` of the generator seeded with the key.
+[[nodiscard]] constexpr std::uint64_t uniform_word(std::uint64_t key, std::uint64_t cycle) {
+  return splitmix64(key + (cycle + 1) * kSplitMixGamma);
+}
+
+/// Uniform random words on every input: lane `lane().lane` of family
+/// `lane().family`. Bit b of input p at cycle t is bit lane % 64 of
+/// uniform_word(uniform_stream_key(family, p, b, lane / 64), t), so
+/// next() keeps no state and depends on the cycle it is given.
 class UniformStimulus : public Stimulus {
  public:
-  explicit UniformStimulus(std::uint64_t seed = 1);
+  /// Lane 0 of family `family`.
+  explicit UniformStimulus(std::uint64_t family = 1) : lane_{family, 0} {}
+  explicit UniformStimulus(UniformLane lane) : lane_(lane) {}
   std::uint64_t next(const Netlist& nl, CellId pi, std::uint64_t cycle) override;
-  Rng* uniform_rng() override { return &rng_; }
+  [[nodiscard]] UniformLane lane() const { return lane_; }
 
  private:
-  Rng rng_;
+  UniformLane lane_;
 };
 
 /// Holds every input at a constant value (defaults to 0); selected

@@ -9,7 +9,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "power/estimator.hpp"
-#include "sim/cycle_trace.hpp"
 #include "sim/parallel_sim.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -18,18 +17,12 @@ namespace opiso {
 
 namespace {
 
-// Measured macro-cycles between wall-clock checks: small enough that a
-// runaway task stops promptly, large enough that the clock reads stay
-// off the hot path.
-constexpr std::uint64_t kBudgetChunkCycles = 1024;
-
 // Enforces the wall-clock budget and keeps `elapsed` (the deterministic
-// progress measure recorded in failure reports) up to date. A plain
-// task's round drives it as a cycle sink, which checks the clock every
-// kBudgetChunkCycles measured macro-cycles, and as the warmup's poll,
-// which checks it every ParallelSimulator::kWarmupPollCycles warmup
-// macro-cycles; an isolate task advances it once per measurement round.
-class TaskGuard final : public CycleSink {
+// progress measure recorded in failure reports) up to date. Every
+// measurement round polls the clock every ParallelSimulator::kPollCycles
+// macro-cycles, warmup included; `elapsed` advances once per completed
+// round.
+class TaskGuard {
  public:
   TaskGuard(const SweepTask& task, const SweepBudget& budget, std::uint64_t& elapsed)
       : task_(task), budget_(budget), elapsed_(elapsed),
@@ -51,16 +44,17 @@ class TaskGuard final : public CycleSink {
     }
   }
 
-  void on_cycle(const Netlist&, const CycleFrame& frame) override {
-    if (++cycles_ % kBudgetChunkCycles == 0) advance(kBudgetChunkCycles * frame.lanes);
+  /// The rounds' poll: null without a wall-clock budget, so an unbudgeted
+  /// round runs in one piece.
+  [[nodiscard]] std::function<void()> poll() const {
+    if (budget_.task_wall_clock_sec <= 0.0) return nullptr;
+    return [this] { check_clock(); };
   }
-  [[nodiscard]] bool wants_values() const override { return false; }
 
  private:
   const SweepTask& task_;
   const SweepBudget& budget_;
   std::uint64_t& elapsed_;
-  std::uint64_t cycles_ = 0;  ///< measured macro-cycles seen by on_cycle
   std::chrono::steady_clock::time_point start_;
 };
 
@@ -107,16 +101,14 @@ SweepResult run_sweep_task_impl(const SweepTask& task, const SweepBudget& budget
   r.seed = task.seed;
   r.lanes = lanes;
   if (task.isolate) {
-    // The wall-clock budget is checked between iterations (the loop's
-    // natural chunk); elapsed progress counts one measurement round per
-    // iteration.
+    // Elapsed progress counts one measurement round per iteration.
     const std::uint64_t round = lane_round * lanes;
     const std::function<void(const IterationLog&)> chained = opt.on_iteration;
     opt.on_iteration = [&guard, round, &chained](const IterationLog& log) {
       guard.advance(round);
       if (chained) chained(log);
     };
-    const IsolationResult res = run_operand_isolation(nl, nullptr, opt);
+    const IsolationResult res = run_operand_isolation(nl, nullptr, opt, guard.poll());
     guard.advance(round);  // the final post-loop measurement
     r.lane_cycles = (res.iterations.size() + 1) * round;
     r.isolated_mode = true;
@@ -129,11 +121,9 @@ SweepResult run_sweep_task_impl(const SweepTask& task, const SweepBudget& budget
     r.confidence = res.confidence;
     r.coverage = res.coverage;
   } else {
-    const bool timed = budget.task_wall_clock_sec > 0.0;
-    const ActivityStats stats = measure_activity(
-        nl, nullptr, nullptr, opt, nullptr, timed ? &guard : nullptr,
-        timed ? std::function<void()>([&guard] { guard.check_clock(); }) : nullptr);
-    guard.advance(stats.cycles - elapsed);  // the cycles since the last check
+    const ActivityStats stats =
+        measure_activity(nl, nullptr, nullptr, opt, nullptr, nullptr, guard.poll());
+    guard.advance(stats.cycles);
     r.lane_cycles = stats.cycles;
     r.toggles = std::accumulate(stats.toggles.begin(), stats.toggles.end(), std::uint64_t{0});
     const PowerEstimator estimator(opt.power);

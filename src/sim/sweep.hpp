@@ -22,12 +22,15 @@
 #include "isolation/algorithm.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/json.hpp"
+#include "sim/stimulus.hpp"
 
 namespace opiso {
 
-/// Deterministic per-lane RNG stream seed for a task seed.
-[[nodiscard]] constexpr std::uint64_t sweep_lane_seed(std::uint64_t task_seed, unsigned lane) {
-  return task_seed ^ (0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(lane) + 1));
+/// The uniform stream of lane `lane` of a task seeded `task_seed`: lane
+/// `lane` of family `task_seed`, so the task's lanes drive the plane
+/// engine's inputs one plane word at a time.
+[[nodiscard]] constexpr UniformLane sweep_lane_seed(std::uint64_t task_seed, unsigned lane) {
+  return {task_seed, lane};
 }
 
 struct SweepTask {
@@ -74,9 +77,10 @@ struct SweepResult {
 /// Per-task resource budget. Zero fields are unlimited. The stimulus
 /// budget is checked up front (cycles × lanes is known before the task
 /// runs, so the check is deterministic); the wall-clock budget is
-/// checked every 1024 measured macro-cycles of a plain task and between
-/// the iterations of an isolate task, so a runaway task stops promptly
-/// instead of holding a worker forever.
+/// checked every ParallelSimulator::kPollCycles macro-cycles of every
+/// measurement round, warmup included, so a runaway task stops promptly
+/// instead of holding a worker forever. A budget that never trips
+/// changes no result.
 struct SweepBudget {
   double task_wall_clock_sec = 0.0;        ///< per-task wall-clock limit
   std::uint64_t task_max_lane_cycles = 0;  ///< per-task cycles × lanes limit
@@ -88,10 +92,10 @@ struct SweepBudget {
 [[nodiscard]] SweepResult run_sweep_task(const SweepTask& task, const SweepBudget& budget = {});
 
 /// Record of one task that threw or blew its budget during a sweep.
-/// `elapsed_lane_cycles` counts the simulated lane-cycles completed
-/// before the failure — a deterministic elapsed measure, unlike wall
-/// time, so reports with failures still diff bitwise identical across
-/// --threads values.
+/// `elapsed_lane_cycles` counts the measured lane-cycles of the
+/// measurement rounds completed before the failure — a deterministic
+/// elapsed measure, unlike wall time, so reports with failures still
+/// diff bitwise identical across --threads values.
 struct SweepTaskFailure {
   std::size_t task_index = 0;
   std::string design;

@@ -4,25 +4,28 @@
 // A thin wrapper around xoshiro256** with convenience draws used by the
 // stimulus generators: uniform words, Bernoulli bits with exact
 // probability, and range draws. Deterministic seeding keeps every
-// experiment in EXPERIMENTS.md byte-reproducible.
+// experiment in EXPERIMENTS.md byte-reproducible. splitmix64 is the
+// SplitMix64 output function, which also defines the counter-based
+// uniform stimulus (sim/stimulus.hpp).
 
-#include <array>
 #include <cstdint>
 
 namespace opiso {
 
+inline constexpr std::uint64_t kSplitMixGamma = 0x9E3779B97F4A7C15ull;
+
+/// SplitMix64's output function: a bijective 64-bit mix.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull) {
+  explicit Rng(std::uint64_t seed = kSplitMixGamma) {
     // SplitMix64 seeding as recommended by the xoshiro authors.
-    std::uint64_t z = seed;
-    for (auto& s : state_) {
-      z += 0x9E3779B97F4A7C15ull;
-      std::uint64_t x = z;
-      x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-      x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-      s = x ^ (x >> 31);
-    }
+    for (auto& s : state_) s = splitmix64(seed += kSplitMixGamma);
   }
 
   /// Uniform 64-bit word.
@@ -53,12 +56,6 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   std::uint64_t next_range(std::uint64_t lo, std::uint64_t hi) {
     return lo + next_u64() % (hi - lo + 1);
-  }
-
-  /// Raw xoshiro state, for engines that advance many Rngs in lockstep
-  /// structure-of-arrays form (sim/parallel_sim.cpp).
-  [[nodiscard]] std::array<std::uint64_t, 4> state() const {
-    return {state_[0], state_[1], state_[2], state_[3]};
   }
 
  private:

@@ -106,53 +106,69 @@ EquivResult check_isolation_equivalence(const Netlist& original, const Netlist& 
     const Cell& c = gb.netlist.cell(id);
     if (c.kind == CellKind::Reg) regs_b.emplace(gb.netlist.net(c.out).name, id);
   }
-  std::size_t matched = 0;
-  for (CellId id : ga.netlist.cell_ids()) {
-    const Cell& ca = ga.netlist.cell(id);
-    if (ca.kind != CellKind::Reg) continue;
-    const std::string& name = ga.netlist.net(ca.out).name;
-    auto it = regs_b.find(name);
-    if (it == regs_b.end()) {
-      if (!read_a[id.value()]) continue;
-      res.reason = "register bit '" + name + "' missing from transformed design";
+  // An obligation is named before its BDDs are built, so a budget that
+  // runs out can say which one it stopped.
+  std::string obligation;
+  try {
+    std::size_t matched = 0;
+    for (CellId id : ga.netlist.cell_ids()) {
+      const Cell& ca = ga.netlist.cell(id);
+      if (ca.kind != CellKind::Reg) continue;
+      const std::string& name = ga.netlist.net(ca.out).name;
+      auto it = regs_b.find(name);
+      if (it == regs_b.end()) {
+        if (!read_a[id.value()]) continue;
+        res.reason = "register bit '" + name + "' missing from transformed design";
+        return res;
+      }
+      ++matched;
+      const Cell& cb = gb.netlist.cell(it->second);
+      obligation = "enable of register bit '" + name + "'";
+      const BddRef en_a = fa.of_net(ca.ins[1]);
+      const BddRef en_b = fb.of_net(cb.ins[1]);
+      ++res.obligations_checked;
+      if (!mgr.equal(en_a, en_b)) {
+        res.reason = "enable functions differ for register bit '" + name + "'";
+        return res;
+      }
+      obligation = "load value of register bit '" + name + "'";
+      const BddRef d_a = fa.of_net(ca.ins[0]);
+      const BddRef d_b = fb.of_net(cb.ins[0]);
+      const bool loads_equal = mgr.is_zero(mgr.band(en_a, mgr.bxor(d_a, d_b)));
+      ++res.obligations_checked;
+      if (!loads_equal) {
+        res.reason = "register bit '" + name + "' can load a different value while enabled";
+        return res;
+      }
+    }
+    if (matched != regs_b.size()) {
+      res.reason = "transformed design has extra registers";
       return res;
     }
-    ++matched;
-    const Cell& cb = gb.netlist.cell(it->second);
-    const BddRef en_a = fa.of_net(ca.ins[1]);
-    const BddRef en_b = fb.of_net(cb.ins[1]);
-    ++res.obligations_checked;
-    if (!mgr.equal(en_a, en_b)) {
-      res.reason = "enable functions differ for register bit '" + name + "'";
-      return res;
-    }
-    const BddRef d_a = fa.of_net(ca.ins[0]);
-    const BddRef d_b = fb.of_net(cb.ins[0]);
-    ++res.obligations_checked;
-    if (!mgr.is_zero(mgr.band(en_a, mgr.bxor(d_a, d_b)))) {
-      res.reason = "register bit '" + name + "' can load a different value while enabled";
-      return res;
-    }
-  }
-  if (matched != regs_b.size()) {
-    res.reason = "transformed design has extra registers";
-    return res;
-  }
 
-  // --- primary outputs, by position ------------------------------------
-  if (ga.netlist.primary_outputs().size() != gb.netlist.primary_outputs().size()) {
-    res.reason = "primary output counts differ";
-    return res;
-  }
-  for (std::size_t i = 0; i < ga.netlist.primary_outputs().size(); ++i) {
-    const NetId na = ga.netlist.cell(ga.netlist.primary_outputs()[i]).ins[0];
-    const NetId nb = gb.netlist.cell(gb.netlist.primary_outputs()[i]).ins[0];
-    ++res.obligations_checked;
-    if (!mgr.equal(fa.of_net(na), fb.of_net(nb))) {
-      res.reason = "primary output bit " + std::to_string(i) + " ('" +
-                   ga.netlist.net(na).name + "') differs";
+    // --- primary outputs, by position ----------------------------------
+    if (ga.netlist.primary_outputs().size() != gb.netlist.primary_outputs().size()) {
+      res.reason = "primary output counts differ";
       return res;
     }
+    for (std::size_t i = 0; i < ga.netlist.primary_outputs().size(); ++i) {
+      const NetId na = ga.netlist.cell(ga.netlist.primary_outputs()[i]).ins[0];
+      const NetId nb = gb.netlist.cell(gb.netlist.primary_outputs()[i]).ins[0];
+      obligation =
+          "primary output bit " + std::to_string(i) + " ('" + ga.netlist.net(na).name + "')";
+      const bool same = mgr.equal(fa.of_net(na), fb.of_net(nb));
+      ++res.obligations_checked;
+      if (!same) {
+        res.reason = obligation + " differs";
+        return res;
+      }
+    }
+  } catch (const ResourceError& e) {
+    res.budget_exhausted = true;
+    res.reason = e.what();
+    res.stopped_at = obligation;
+    res.bdd_nodes = mgr.num_nodes();
+    return res;
   }
 
   res.equivalent = true;

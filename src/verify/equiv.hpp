@@ -37,19 +37,22 @@ namespace opiso {
 struct EquivResult {
   bool equivalent = false;
   bool unsupported = false;  ///< no verdict: the checker cannot model the designs
+  /// No verdict: the BDD budget ran out while `stopped_at` was being built.
+  bool budget_exhausted = false;
   std::string reason;  ///< first failing obligation, or why there is no verdict
+  std::string stopped_at;  ///< the obligation the budget stopped (budget_exhausted only)
+  /// Obligations proven, plus the failing one when the designs differ.
   std::size_t obligations_checked = 0;
-  std::size_t bdd_nodes = 0;  ///< manager size after all checks
+  std::size_t bdd_nodes = 0;  ///< manager size after all checks, or when the budget ran out
 };
 
 /// Prove that `transformed` is observationally equivalent to `original`
 /// (same PO streams for every input stream from the all-zero state).
 /// Both netlists must be latch-free; widths must keep bit-level BDDs
 /// tractable (array multipliers beyond ~8x8 explode by nature). The
-/// internal BddManager is built with `budget`, so a blow-up throws
-/// ResourceError (resource.bdd-nodes) instead of running away — callers
-/// degrade the same way the activation-function derivation does (catch
-/// and fall back to the conservative answer).
+/// internal BddManager is built with `budget`; a blow-up stops the proof
+/// with the budget_exhausted verdict, whose reason is the budget's
+/// message, instead of running away.
 [[nodiscard]] EquivResult check_isolation_equivalence(const Netlist& original,
                                                       const Netlist& transformed,
                                                       const BddBudget& budget = {});

@@ -30,10 +30,10 @@ void expect_traces_equal(const CycleTrace& a, const CycleTrace& b) {
   ASSERT_EQ(a.net_totals(), b.net_totals());
 }
 
-CycleTrace capture_scalar(const Netlist& nl, std::uint64_t seed, std::uint64_t warmup,
+CycleTrace capture_scalar(const Netlist& nl, UniformLane lane, std::uint64_t warmup,
                           std::uint64_t cycles, std::uint64_t window) {
   Simulator sim(nl);
-  UniformStimulus stim(seed);
+  UniformStimulus stim(lane);
   if (warmup > 0) sim.warmup(stim, warmup);
   CycleTrace trace(window);
   sim.set_cycle_sink(&trace);
@@ -93,9 +93,9 @@ TEST(CycleTrace, WindowingPreservesSumsExactly) {
   const Netlist nl = make_design2();
   // Same run, three window sizes; 77 is deliberately not a divisor of
   // 300 so the trailing partial sample is exercised.
-  const CycleTrace full = capture_scalar(nl, 3, 8, 300, 1);
+  const CycleTrace full = capture_scalar(nl, {3}, 8, 300, 1);
   for (std::uint64_t window : {4u, 77u, 300u, 1000u}) {
-    const CycleTrace folded = capture_scalar(nl, 3, 8, 300, window);
+    const CycleTrace folded = capture_scalar(nl, {3}, 8, 300, window);
     SCOPED_TRACE(testing::Message() << "window=" << window);
     EXPECT_EQ(folded.cycles(), full.cycles());
     EXPECT_EQ(folded.net_totals(), full.net_totals());
@@ -159,8 +159,8 @@ TEST(CycleTrace, ParallelMatchesScalarOracle) {
 }
 
 TEST(CycleTrace, MergeRequiresMatchingShape) {
-  const CycleTrace a = capture_scalar(make_fig1(), 1, 0, 10, 1);
-  CycleTrace b = capture_scalar(make_fig1(), 2, 0, 20, 1);
+  const CycleTrace a = capture_scalar(make_fig1(), {1}, 0, 10, 1);
+  CycleTrace b = capture_scalar(make_fig1(), {2}, 0, 20, 1);
   EXPECT_THROW(b.merge(a), Error);
 }
 

@@ -99,14 +99,19 @@ TEST(Rewrite, Fir4ProofNodeSequenceIsPinned) {
   EXPECT_EQ(eq.bdd_nodes, 247509u);
 
   const obs::Counter& allocated = obs::metrics().counter("bdd.nodes_allocated");
+  std::size_t proven = 0;
   for (const std::size_t max_nodes : {std::size_t{4096}, std::size_t{65536}, std::size_t{200000}}) {
     const std::uint64_t before = allocated.value();
-    try {
-      (void)check_isolation_equivalence(nl, r.netlist, BddBudget{max_nodes, 0});
-      ADD_FAILURE() << "a budget of " << max_nodes << " nodes did not trip";
-    } catch (const ResourceError& e) {
-      EXPECT_EQ(e.code(), ErrCode::ResourceBddNodes);
-    }
+    const EquivResult cut = check_isolation_equivalence(nl, r.netlist, BddBudget{max_nodes, 0});
+    EXPECT_TRUE(cut.budget_exhausted) << "a budget of " << max_nodes << " nodes did not trip";
+    EXPECT_FALSE(cut.equivalent);
+    EXPECT_EQ(cut.reason, "BDD node budget of " + std::to_string(max_nodes) + " nodes exceeded");
+    EXPECT_FALSE(cut.stopped_at.empty());
+    EXPECT_EQ(cut.bdd_nodes, max_nodes);
+    // A larger budget proves at least as many obligations before it stops.
+    EXPECT_GE(cut.obligations_checked, proven);
+    EXPECT_LT(cut.obligations_checked, eq.obligations_checked);
+    proven = cut.obligations_checked;
     // The budget counts the two terminals; the counter does not.
     EXPECT_EQ(allocated.value() - before, max_nodes - 2) << "budget " << max_nodes;
   }

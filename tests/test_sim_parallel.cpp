@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <set>
 #include <span>
@@ -16,6 +17,7 @@
 #include "frontend/rtl_parser.hpp"
 #include "isolation/activation.hpp"
 #include "isolation/transform.hpp"
+#include "obs/metrics.hpp"
 #include "reference_simulator.hpp"
 #include "sim/cycle_trace.hpp"
 #include "sim/parallel_sim.hpp"
@@ -233,8 +235,8 @@ TEST(SimParallel, ShiftParamEdgeCases) {
 }
 
 TEST(SimParallel, MatchesReferenceWithNonUniformStimulus) {
-  // ControlledBitStimulus is not a plain uniform draw, so this pins the
-  // per-lane virtual-dispatch path (the SoA fast path handles uniform).
+  // ControlledBitStimulus is not a uniform family, so this pins the
+  // per-lane path (lanes of one uniform family take the plane path).
   const LaneFactory make = [](unsigned lane) {
     return std::make_unique<ControlledBitStimulus>(0.3, 0.2, 1000 + lane);
   };
@@ -255,6 +257,50 @@ TEST(SimParallel, MatchesReferenceWithTableStimulus) {
   };
   for (unsigned lanes : {1u, 64u}) {
     expect_matches_oracle(make_design1(8), lanes, 150, make, /*warmup=*/9);
+  }
+}
+
+/// Words the engine's stimulus produced during `body`.
+std::uint64_t stimulus_words(const std::function<void()>& body) {
+  const obs::Counter& words = obs::metrics().counter("sim.stimulus_words");
+  const std::uint64_t before = words.value();
+  body();
+  return words.value() - before;
+}
+
+TEST(SimParallel, UniformLanesOutOfFamilyOrderMatchReference) {
+  // Uniform lanes that are not lanes 0..L-1 of one family take the
+  // per-lane path: one next() per lane and input per cycle (the
+  // reference interpreter counts no stimulus words).
+  const Netlist nl = make_fig1();
+  const auto expect_per_lane = [&nl](unsigned lanes, const std::function<unsigned(unsigned)>& of) {
+    const LaneFactory make = [of](unsigned lane) {
+      return std::make_unique<UniformStimulus>(sweep_lane_seed(3, of(lane)));
+    };
+    const std::uint64_t words =
+        stimulus_words([&] { expect_matches_oracle(nl, lanes, 40, make, /*warmup=*/3); });
+    EXPECT_EQ(words, std::uint64_t{43} * lanes * nl.primary_inputs().size()) << lanes;
+  };
+  // Lane i reads lane L-1-i.
+  for (unsigned lanes : {5u, 64u, 65u, ParallelSimulator::kMaxLanes}) {
+    expect_per_lane(lanes, [lanes](unsigned lane) { return lanes - 1 - lane; });
+  }
+  // One lane that reads lane 1 of its family.
+  expect_per_lane(1, [](unsigned) { return 1u; });
+}
+
+TEST(SimParallel, StimulusWordsCountOneWordPerInputPlaneWord) {
+  // In family order every input plane word is one stream word: per
+  // cycle, the input bits times the block's words, whatever the lanes.
+  const Netlist nl = make_design1();
+  unsigned input_bits = 0;
+  for (CellId pi : nl.primary_inputs()) input_bits += nl.cell(pi).width;
+  for (unsigned lanes : {1u, 5u, 64u, 65u, ParallelSimulator::kMaxLanes}) {
+    ParallelSimulator sim(nl, lanes);
+    sim.set_stimulus(uniform_lanes(9));
+    const unsigned words = lanes <= 64 ? 1 : kPlaneWords;
+    EXPECT_EQ(stimulus_words([&] { sim.run(10); }), std::uint64_t{10} * input_bits * words)
+        << "lanes=" << lanes;
   }
 }
 
@@ -292,27 +338,31 @@ TEST(SimParallel, CycleSinkSeesTheReferenceValuesOnOneLane) {
   }
 }
 
-TEST(SimParallel, WarmupPollSeesNoFrameAndMovesNoStatistic) {
-  // The poll runs after every kWarmupPollCycles warmup macro-cycles; the
-  // measured run and the frames its sink sees do not change.
+TEST(SimParallel, PollSeesNoFrameAndMovesNoStatistic) {
+  // The poll runs after every kPollCycles macro-cycles of the warmup
+  // and of the measured run, and after the last; the measured run and
+  // the frames its sink sees do not change.
   const Netlist nl = make_design1();
-  const std::uint64_t warmup = 2 * ParallelSimulator::kWarmupPollCycles + 7;
+  const std::uint64_t warmup = 2 * ParallelSimulator::kPollCycles + 7;
+  const std::uint64_t measured = ParallelSimulator::kPollCycles + 50;
   RecordingSink plain_sink;
   ParallelSimulator plain(nl, 8);
   plain.set_stimulus(uniform_lanes(5));
   plain.warmup(warmup);
   plain.set_cycle_sink(&plain_sink);
-  plain.run(50);
+  plain.run(measured);
 
   std::size_t polls = 0;
+  const auto poll = [&polls] { ++polls; };
   RecordingSink polled_sink;
   ParallelSimulator polled(nl, 8);
   polled.set_stimulus(uniform_lanes(5));
-  polled.warmup(warmup, [&polls] { ++polls; });
-  polled.set_cycle_sink(&polled_sink);
-  polled.run(50);
-
+  polled.warmup(warmup, poll);
   EXPECT_EQ(polls, 3u);
+  polled.set_cycle_sink(&polled_sink);
+  polled.run(measured, poll);
+
+  EXPECT_EQ(polls, 5u);
   EXPECT_EQ(polled.stats().cycles, plain.stats().cycles);
   EXPECT_EQ(polled.stats().toggles, plain.stats().toggles);
   EXPECT_EQ(polled_sink.toggles, plain_sink.toggles);

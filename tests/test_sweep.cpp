@@ -188,9 +188,11 @@ TEST(SweepTask, IsolateTaskIsOneAlgorithm1Run) {
   EXPECT_EQ(got.power_after_mw, want.power_after_mw);
 }
 
-TEST(SweepLaneSeed, StreamsAreDistinct) {
-  EXPECT_NE(sweep_lane_seed(1, 0), sweep_lane_seed(1, 1));
-  EXPECT_NE(sweep_lane_seed(1, 0), sweep_lane_seed(2, 0));
+TEST(SweepLaneSeed, NamesLaneOfTheSeedsFamily) {
+  EXPECT_EQ(sweep_lane_seed(1, 0), (UniformLane{1, 0}));
+  EXPECT_EQ(sweep_lane_seed(7, 300), (UniformLane{7, 300}));
+  EXPECT_EQ(UniformStimulus(sweep_lane_seed(5, 9)).lane(), (UniformLane{5, 9}));
+  EXPECT_EQ(UniformStimulus(5).lane(), sweep_lane_seed(5, 0));
 }
 
 // ---------------------------------------------------- robustness layer
@@ -388,6 +390,38 @@ TEST(SweepBudgetTest, WallClockBudgetStopsRunawayWarmup) {
   ASSERT_EQ(out.failures.size(), 1u);
   EXPECT_EQ(out.failures[0].code, "resource.wall-clock");
   EXPECT_EQ(out.failures[0].elapsed_lane_cycles, 0u) << "no measured cycle ran";
+}
+
+TEST(SweepBudgetTest, WallClockBudgetStopsRunawayIsolateRounds) {
+  // Every measurement round of Algorithm 1 polls the budget: a huge
+  // warmup, and a huge measured run, stop before the first round ends.
+  for (const bool huge_warmup : {true, false}) {
+    SweepTask t = plain_task("design2", [] { return make_design2(); }, 1, 64,
+                             huge_warmup ? 64 : std::uint64_t{1} << 30,
+                             huge_warmup ? std::uint64_t{1} << 30 : 0);
+    t.isolate = true;
+    SweepRunOptions options;
+    options.budget.task_wall_clock_sec = 0.05;
+    const SweepOutcome out = SweepRunner(1).run({t}, options);
+    ASSERT_EQ(out.failures.size(), 1u) << "huge_warmup=" << huge_warmup;
+    EXPECT_EQ(out.failures[0].code, "resource.wall-clock");
+    EXPECT_EQ(out.failures[0].elapsed_lane_cycles, 0u) << "no round completed";
+  }
+}
+
+TEST(SweepBudgetTest, UntrippedWallClockBudgetChangesNoResult) {
+  // Rounds longer than ParallelSimulator::kPollCycles run in polled
+  // pieces under a budget, and in one piece without.
+  std::vector<SweepTask> tasks = {
+      plain_task("design2", [] { return make_design2(); }, 5, 16, 2100, 1100),
+      plain_task("design1", [] { return make_design1(); }, 4, 8, 1500, 1100)};
+  tasks.back().isolate = true;
+  SweepRunOptions budgeted;
+  budgeted.budget.task_wall_clock_sec = 1000.0;
+  std::ostringstream a, b;
+  build_sweep_report(SweepRunner(2).run(tasks)).write(a, 1);
+  build_sweep_report(SweepRunner(2).run(tasks, budgeted)).write(b, 1);
+  EXPECT_EQ(a.str(), b.str());
 }
 
 TEST(SweepRunner, FailFastSkipsRemainingTasks) {
