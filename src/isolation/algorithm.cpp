@@ -160,12 +160,14 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
     ropt.bdd_node_budget = opt.bdd_node_budget;
     const RewriteResult rw = rewrite_datapath(nl, ropt);
     result.rewrite = rewrite_report_section(rw);
+    result.lane_cycles += rw.profile_cycles;
     if (rw.rewritten) {
       // One extra round on the input: probes do not touch toggle
       // counts, so this is bit for bit the power a plain isolate run
       // measures in its first iteration.
       const ActivityStats input_stats =
           measure_activity(nl, nullptr, nullptr, opt, nullptr, nullptr, poll);
+      result.lane_cycles += input_stats.cycles;
       result.power_before_mw = PowerEstimator(opt.power).estimate(nl, input_stats).total_mw;
       measured_before = true;
       nl = rw.netlist;
@@ -204,6 +206,7 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
     const ActivityStats stats = measure_activity(
         nl, &pool, &vars, opt,
         [&estimator](ProbeHost& sim) { estimator.register_probes(sim); }, nullptr, poll);
+    result.lane_cycles += stats.cycles;
     const PowerBreakdown pb = PowerEstimator(opt.power).estimate(nl, stats);
     if (!measured_before) {
       result.power_before_mw = pb.total_mw;
@@ -352,6 +355,7 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
   {
     OPISO_SPAN("isolate.final_measure");
     CoverageRound round = measure_coverage(nl, opt, poll);
+    result.lane_cycles += round.stats.cycles;
     const PowerEstimator estimator(opt.power);
     result.power_after_mw = estimator.estimate(nl, round.stats).total_mw;
     result.coverage = std::move(round.coverage);

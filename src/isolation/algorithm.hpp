@@ -173,6 +173,10 @@ struct IsolationResult {
   /// power interval missed it. Drivers flag this (task-failure style)
   /// instead of silently extending the simulation.
   bool confidence_converged = true;
+  /// Lane-cycles the run simulated: the measured (non-warmup) cycles of
+  /// every measurement round, the input round of a rewritten design
+  /// included, plus every cycle of the rewriter's profiling run.
+  std::uint64_t lane_cycles = 0;
 
   double power_before_mw = 0.0;
   double power_after_mw = 0.0;

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -11,43 +10,6 @@
 namespace opiso::obs {
 
 namespace {
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void write_number(std::ostream& os, double d) {
-  if (!std::isfinite(d)) {
-    // JSON has no Infinity/NaN; null is the conventional stand-in.
-    os << "null";
-    return;
-  }
-  if (d == std::floor(d) && std::abs(d) < 9.007199254740992e15) {
-    os << static_cast<long long>(d);
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  os << buf;
-}
 
 // Recursive-descent nesting budget: '[[[[...' on untrusted input must
 // exhaust this limit (structured parse error) rather than the stack.
@@ -157,13 +119,13 @@ class Parser {
       }
       ++pos_;
     }
-    const std::string token(text_.substr(start, pos_ - start));
+    const std::string_view token = text_.substr(start, pos_ - start);
+    const char* first = token.data();
+    const char* last = token.data() + token.size();
     if (integral && !token.empty()) {
       // Exact path: integer tokens round-trip through int64/uint64 so
       // counters beyond 2^53 survive parse() unchanged. Out-of-range
       // tokens fall back to the double path below.
-      const char* first = token.data();
-      const char* last = token.data() + token.size();
       if (token[0] == '-') {
         std::int64_t v = 0;
         const auto [ptr, ec] = std::from_chars(first, last, v);
@@ -181,21 +143,16 @@ class Parser {
         }
       }
     }
-    try {
-      std::size_t used = 0;
-      const double d = std::stod(token, &used);
-      if (used != token.size()) fail(ErrCode::JsonNumber, "malformed number");
-      if (!std::isfinite(d)) {
-        // Huge exponents overflow to ±inf; a non-finite value would be
-        // unserializable (the writer would emit null), so reject it here.
-        fail(ErrCode::JsonNumber, "number '" + token + "' is out of double range");
-      }
-      return JsonValue(d);
-    } catch (const ParseError&) {
-      throw;
-    } catch (const std::logic_error&) {
-      fail(ErrCode::JsonNumber, "malformed number");
+    // Every double the writer emits parses back, subnormals included;
+    // a literal that would overflow to ±inf or underflow to zero is
+    // rejected.
+    double d = 0.0;
+    const auto [ptr, ec] = std::from_chars(first, last, d);
+    if (ec == std::errc::result_out_of_range) {
+      fail(ErrCode::JsonNumber, "number '" + std::string(token) + "' is out of double range");
     }
+    if (ec != std::errc() || ptr != last) fail(ErrCode::JsonNumber, "malformed number");
+    return JsonValue(d);
   }
 
   JsonValue parse_value() {
@@ -371,66 +328,167 @@ std::size_t JsonValue::size() const {
   return 0;
 }
 
-void JsonValue::write_indented(std::ostream& os, int indent, int depth) const {
-  const auto pad = [&](int d) {
-    if (indent <= 0) return;
-    os << '\n';
-    for (int i = 0; i < indent * d; ++i) os << ' ';
-  };
-  switch (kind_) {
-    case Kind::Null: os << "null"; break;
-    case Kind::Bool: os << (bool_ ? "true" : "false"); break;
-    case Kind::Number:
-      if (rep_ == NumRep::Int64) {
-        os << static_cast<std::int64_t>(ibits_);
-      } else if (rep_ == NumRep::Uint64) {
-        os << ibits_;
-      } else {
-        write_number(os, num_);
-      }
-      break;
-    case Kind::String: write_escaped(os, str_); break;
-    case Kind::Array: {
-      if (elements_.empty()) {
-        os << "[]";
-        break;
-      }
-      os << '[';
-      for (std::size_t i = 0; i < elements_.size(); ++i) {
-        if (i) os << ',';
-        pad(depth + 1);
-        elements_[i].write_indented(os, indent, depth + 1);
-      }
-      pad(depth);
-      os << ']';
-      break;
-    }
-    case Kind::Object: {
-      if (members_.empty()) {
-        os << "{}";
-        break;
-      }
-      os << '{';
-      for (std::size_t i = 0; i < members_.size(); ++i) {
-        if (i) os << ',';
-        pad(depth + 1);
-        write_escaped(os, members_[i].first);
-        os << (indent > 0 ? ": " : ":");
-        members_[i].second.write_indented(os, indent, depth + 1);
-      }
-      pad(depth);
-      os << '}';
-      break;
-    }
-  }
+// ---------------------------------------------------------------------------
+// JsonWriter
+
+void JsonWriter::newline(std::size_t depth) {
+  if (indent_ <= 0) return;
+  out_ += '\n';
+  out_.append(static_cast<std::size_t>(indent_) * depth, ' ');
 }
 
-void JsonValue::write(std::ostream& os, int indent) const { write_indented(os, indent, 0); }
+void JsonWriter::separate() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (nonempty_.empty()) return;  // the document's top-level value
+  if (nonempty_.back()) out_ += ',';
+  nonempty_.back() = true;
+  newline(nonempty_.size());
+}
+
+void JsonWriter::close(char bracket) {
+  const bool had_elements = nonempty_.back();
+  nonempty_.pop_back();
+  if (had_elements) newline(nonempty_.size());
+  out_ += bracket;
+}
+
+JsonWriter& JsonWriter::begin_object() {
+  separate();
+  out_ += '{';
+  nonempty_.push_back(false);
+  return *this;
+}
+
+JsonWriter& JsonWriter::end_object() {
+  close('}');
+  return *this;
+}
+
+JsonWriter& JsonWriter::begin_array() {
+  separate();
+  out_ += '[';
+  nonempty_.push_back(false);
+  return *this;
+}
+
+JsonWriter& JsonWriter::end_array() {
+  close(']');
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view k) {
+  separate();
+  escaped(k);
+  out_ += indent_ > 0 ? ": " : ":";
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::nullptr_t) {
+  separate();
+  out_ += "null";
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(bool b) {
+  separate();
+  out_ += b ? "true" : "false";
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(long long i) {
+  separate();
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, i).ptr);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(unsigned long long i) {
+  separate();
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, i).ptr);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(double d) {
+  // JSON has no Infinity/NaN; null is the conventional stand-in.
+  if (!std::isfinite(d)) return value(nullptr);
+  if (d == std::floor(d) && std::abs(d) < 9.007199254740992e15) {
+    return value(static_cast<long long>(d));
+  }
+  separate();
+  // General format at precision 17 is printf's %.17g, byte for byte.
+  char buf[32];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general, 17).ptr);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s) {
+  separate();
+  escaped(s);
+  return *this;
+}
+
+void JsonWriter::escaped(std::string_view s) {
+  out_ += '"';
+  std::size_t run = 0;  // start of the bytes not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out_.append(s, run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\r': out_ += "\\r"; break;
+      case '\t': out_ += "\\t"; break;
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out_.append(u, sizeof u);
+      }
+    }
+  }
+  out_.append(s, run, s.size() - run);
+  out_ += '"';
+}
+
+JsonWriter& JsonWriter::value(const JsonValue& v) {
+  using Kind = JsonValue::Kind;
+  using NumRep = JsonValue::NumRep;
+  switch (v.kind_) {
+    case Kind::Null: return value(nullptr);
+    case Kind::Bool: return value(v.bool_);
+    case Kind::Number:
+      if (v.rep_ == NumRep::Int64) return value(static_cast<long long>(v.ibits_));
+      if (v.rep_ == NumRep::Uint64) return value(static_cast<unsigned long long>(v.ibits_));
+      return value(v.num_);
+    case Kind::String: return value(std::string_view(v.str_));
+    case Kind::Array:
+      begin_array();
+      for (const JsonValue& e : v.elements_) value(e);
+      return end_array();
+    case Kind::Object:
+      begin_object();
+      for (const auto& [k, m] : v.members_) key(k).value(m);
+      return end_object();
+  }
+  return *this;
+}
+
+void JsonValue::write(std::ostream& os, int indent) const {
+  const std::string text = dump(indent);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
+}
 
 std::string JsonValue::dump(int indent) const {
-  std::ostringstream os;
-  write(os, indent);
-  return os.str();
+  JsonWriter w(indent);
+  w.value(*this);
+  return w.take();
 }
 
 JsonValue JsonValue::parse(std::string_view text) { return Parser(text).parse_document(); }

@@ -2,11 +2,14 @@
 // Minimal JSON document model for the observability layer.
 //
 // Everything the obs subsystem emits (metrics snapshots, run reports,
-// bench trajectories) is built as a JsonValue tree and serialized with
-// dump(); parse() is the matching reader so reports are round-trippable
-// artifacts — tests and downstream tooling can load what a run wrote
-// without an external dependency. Objects preserve insertion order so
-// reports diff cleanly between runs.
+// bench trajectories) is rendered by one formatter, JsonWriter, which
+// appends tokens to one buffer. A document is either built as a
+// JsonValue tree and rendered with dump()/write(), or streamed straight
+// into a JsonWriter from the caller's own structs (the run report);
+// both give the same bytes. parse() is the matching reader so reports
+// are round-trippable artifacts — tests and downstream tooling can load
+// what a run wrote without an external dependency. Objects preserve
+// insertion order so reports diff cleanly between runs.
 //
 // Numbers constructed from integral types keep an exact int64/uint64
 // representation that survives dump() → parse() round trips, so large
@@ -15,6 +18,7 @@
 // stay doubles; integral double values within the exact range still
 // print without a fractional part.
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -101,8 +105,9 @@ class JsonValue {
   }
   [[nodiscard]] const std::vector<JsonValue>& elements() const { return elements_; }
 
-  /// Serialize. indent = 0 → compact one-liner; indent > 0 →
-  /// pretty-printed with that many spaces per level.
+  /// Serialize through JsonWriter. indent = 0 → compact one-liner;
+  /// indent > 0 → pretty-printed with that many spaces per level.
+  /// write() renders the whole document, then makes one os.write.
   [[nodiscard]] std::string dump(int indent = 0) const;
   void write(std::ostream& os, int indent = 0) const;
 
@@ -111,7 +116,7 @@ class JsonValue {
   [[nodiscard]] static JsonValue parse(std::string_view text);
 
  private:
-  void write_indented(std::ostream& os, int indent, int depth) const;
+  friend class JsonWriter;
 
   Kind kind_ = Kind::Null;
   NumRep rep_ = NumRep::Double;
@@ -121,6 +126,69 @@ class JsonValue {
   std::string str_;
   std::vector<JsonValue> elements_;                          // Array
   std::vector<std::pair<std::string, JsonValue>> members_;   // Object
+};
+
+/// Renders JSON text into one string, token by token: the repo's one
+/// JSON formatter. The layout is fixed by the indent: with indent > 0,
+/// each element of a container, and the closing bracket of a non-empty
+/// one, starts on a new line indented `indent` spaces per level; an
+/// empty container is {} or []; a key is followed by ": " (indent > 0)
+/// or ":" (indent <= 0).
+///
+/// Numbers: integral types keep their exact Int64/Uint64 form; a double
+/// that is not finite is null, one that is integral with |d| < 2^53
+/// prints as an integer (so -0.0 is 0), and any other prints the 17
+/// significant digits of printf's %.17g. Strings escape ", \, \n, \r
+/// and \t, write every other byte below 0x20 as \u00xx and pass every
+/// other byte (DEL, UTF-8) through.
+///
+/// The caller balances begin_/end_ calls and gives each object member
+/// its key() first; the writer does not check the nesting.
+class JsonWriter {
+ public:
+  explicit JsonWriter(int indent = 0) : indent_(indent) {}
+
+  JsonWriter& begin_object();
+  JsonWriter& end_object();
+  JsonWriter& begin_array();
+  JsonWriter& end_array();
+  /// The key of the next object member; its value follows.
+  JsonWriter& key(std::string_view k);
+
+  // One value per JSON kind. The overloads mirror JsonValue's
+  // constructors, so a string literal is a string (never a bool) and
+  // each integral type keeps its signedness.
+  JsonWriter& value(std::nullptr_t);
+  JsonWriter& value(bool b);
+  JsonWriter& value(double d);
+  JsonWriter& value(int i) { return value(static_cast<long long>(i)); }
+  JsonWriter& value(long i) { return value(static_cast<long long>(i)); }
+  JsonWriter& value(long long i);
+  JsonWriter& value(unsigned i) { return value(static_cast<unsigned long long>(i)); }
+  JsonWriter& value(unsigned long i) { return value(static_cast<unsigned long long>(i)); }
+  JsonWriter& value(unsigned long long i);
+  JsonWriter& value(const char* s) { return value(std::string_view(s)); }
+  JsonWriter& value(const std::string& s) { return value(std::string_view(s)); }
+  JsonWriter& value(std::string_view s);
+  /// A whole subtree.
+  JsonWriter& value(const JsonValue& v);
+
+  /// The text rendered so far.
+  [[nodiscard]] const std::string& str() const { return out_; }
+  [[nodiscard]] std::string take() { return std::move(out_); }
+
+ private:
+  /// Before a key, or a value that has no key: the comma after the
+  /// previous element and the new line.
+  void separate();
+  void newline(std::size_t depth);
+  void escaped(std::string_view s);
+  void close(char bracket);
+
+  std::string out_;
+  int indent_;
+  std::vector<bool> nonempty_;  ///< per open container: an element was written
+  bool after_key_ = false;
 };
 
 }  // namespace opiso::obs

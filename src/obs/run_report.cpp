@@ -17,73 +17,6 @@ namespace opiso::obs {
 
 namespace {
 
-JsonValue options_json(const IsolationOptions& opt) {
-  JsonValue o = JsonValue::object();
-  o["style"] = std::string(isolation_style_name(opt.style));
-  o["choose_style_per_candidate"] = opt.choose_style_per_candidate;
-  o["use_reachability_dont_cares"] = opt.use_reachability_dont_cares;
-  o["primary_model"] = opt.primary_model == PrimaryModel::Refined ? "refined" : "simple";
-  o["omega_p"] = opt.omega_p;
-  o["omega_a"] = opt.omega_a;
-  o["h_min"] = opt.h_min;
-  o["slack_threshold_ns"] = opt.slack_threshold_ns;
-  o["sim_cycles"] = opt.sim_cycles;
-  o["warmup_cycles"] = opt.warmup_cycles;
-  o["register_lookahead"] = opt.activation.register_lookahead;
-  if (opt.confidence.enabled) {
-    o["confidence_level"] = opt.confidence.level;
-    o["confidence_batch_frames"] = opt.confidence.batch_frames;
-    if (opt.confidence.min_power_ci_halfwidth_mw >= 0.0) {
-      o["min_ci_halfwidth_mw"] = opt.confidence.min_power_ci_halfwidth_mw;
-    }
-  }
-  return o;
-}
-
-JsonValue term_json(const SavingsTerm& term) {
-  JsonValue t = JsonValue::object();
-  t["kind"] = term.kind;
-  t["mw"] = term.mw;
-  t["probability"] = term.probability;
-  t["rate_a"] = term.rate_a;
-  if (term.rate_b != 0.0) t["rate_b"] = term.rate_b;
-  if (!term.source_a.empty()) t["source_a"] = term.source_a;
-  if (!term.source_b.empty()) t["source_b"] = term.source_b;
-  if (term.rescaled_a) t["rescaled_a"] = true;
-  if (term.rescaled_b) t["rescaled_b"] = true;
-  if (!term.fanout.empty()) {
-    t["fanout"] = term.fanout;
-    t["fanout_port"] = term.fanout_port;
-    t["z_j"] = term.z_j;
-  }
-  return t;
-}
-
-JsonValue candidate_json(const CandidateEvaluation& ev) {
-  JsonValue c = JsonValue::object();
-  c["cell"] = ev.cell_name;
-  c["block"] = ev.block;
-  c["style"] = std::string(isolation_style_name(ev.style));
-  c["pr_redundant"] = ev.pr_redundant;
-  if (ev.pr_redundant_ci_halfwidth > 0.0) {
-    c["pr_redundant_ci_halfwidth"] = ev.pr_redundant_ci_halfwidth;
-  }
-  c["primary_mw"] = ev.primary_mw;
-  c["secondary_mw"] = ev.secondary_mw;
-  c["overhead_mw"] = ev.overhead_mw;
-  c["r_power"] = ev.r_power;
-  c["r_area"] = ev.r_area;
-  c["h"] = ev.h;
-  c["slack_before_ns"] = ev.slack_before_ns;
-  c["est_slack_after_ns"] = ev.est_slack_after_ns;
-  c["decision"] = candidate_decision(ev);
-  c["activation"] = ev.activation_str;
-  JsonValue terms = JsonValue::array();
-  for (const SavingsTerm& t : ev.attribution) terms.push_back(term_json(t));
-  c["terms"] = std::move(terms);
-  return c;
-}
-
 // ---------------------------------------------------------------------------
 // Reading a report back. A member the text views read that is missing
 // or of the wrong JSON type is a ParseError naming it, so a damaged or
@@ -160,64 +93,133 @@ const char* candidate_decision(const CandidateEvaluation& ev) {
   return "rejected";
 }
 
-JsonValue build_run_report(const IsolationResult& result, const IsolationOptions& options) {
-  JsonValue doc = JsonValue::object();
-  doc["schema"] = "opiso.run_report/v1";
-  doc["design"] = result.netlist.name();
-  doc["options"] = options_json(options);
+void write_run_report(JsonWriter& w, const IsolationResult& result,
+                      const IsolationOptions& options) {
+  w.begin_object();
+  w.key("schema").value("opiso.run_report/v1");
+  w.key("design").value(result.netlist.name());
 
-  JsonValue& summary = doc["summary"];
-  summary["power_before_mw"] = result.power_before_mw;
-  summary["power_after_mw"] = result.power_after_mw;
-  summary["power_reduction_pct"] = result.power_reduction_pct();
-  summary["area_before_um2"] = result.area_before_um2;
-  summary["area_after_um2"] = result.area_after_um2;
-  summary["area_increase_pct"] = result.area_increase_pct();
-  summary["slack_before_ns"] = result.slack_before_ns;
-  summary["slack_after_ns"] = result.slack_after_ns;
-  summary["slack_reduction_pct"] = result.slack_reduction_pct();
-  summary["modules_isolated"] = result.records.size();
-  summary["iterations"] = result.iterations.size();
+  w.key("options").begin_object();
+  w.key("style").value(isolation_style_name(options.style));
+  w.key("choose_style_per_candidate").value(options.choose_style_per_candidate);
+  w.key("use_reachability_dont_cares").value(options.use_reachability_dont_cares);
+  w.key("primary_model")
+      .value(options.primary_model == PrimaryModel::Refined ? "refined" : "simple");
+  w.key("omega_p").value(options.omega_p);
+  w.key("omega_a").value(options.omega_a);
+  w.key("h_min").value(options.h_min);
+  w.key("slack_threshold_ns").value(options.slack_threshold_ns);
+  w.key("sim_cycles").value(options.sim_cycles);
+  w.key("warmup_cycles").value(options.warmup_cycles);
+  w.key("register_lookahead").value(options.activation.register_lookahead);
+  if (options.confidence.enabled) {
+    w.key("confidence_level").value(options.confidence.level);
+    w.key("confidence_batch_frames").value(options.confidence.batch_frames);
+    if (options.confidence.min_power_ci_halfwidth_mw >= 0.0) {
+      w.key("min_ci_halfwidth_mw").value(options.confidence.min_power_ci_halfwidth_mw);
+    }
+  }
+  w.end_object();
 
-  JsonValue iterations = JsonValue::array();
+  w.key("summary").begin_object();
+  w.key("power_before_mw").value(result.power_before_mw);
+  w.key("power_after_mw").value(result.power_after_mw);
+  w.key("power_reduction_pct").value(result.power_reduction_pct());
+  w.key("area_before_um2").value(result.area_before_um2);
+  w.key("area_after_um2").value(result.area_after_um2);
+  w.key("area_increase_pct").value(result.area_increase_pct());
+  w.key("slack_before_ns").value(result.slack_before_ns);
+  w.key("slack_after_ns").value(result.slack_after_ns);
+  w.key("slack_reduction_pct").value(result.slack_reduction_pct());
+  w.key("modules_isolated").value(result.records.size());
+  w.key("iterations").value(result.iterations.size());
+  w.end_object();
+
+  w.key("iterations").begin_array();
   for (const IterationLog& log : result.iterations) {
-    JsonValue it = JsonValue::object();
-    it["iteration"] = log.iteration;
-    it["total_power_mw"] = log.total_power_mw;
+    w.begin_object();
+    w.key("iteration").value(log.iteration);
+    w.key("total_power_mw").value(log.total_power_mw);
     if (log.power_mw_ci_halfwidth > 0.0) {
       // The ΔP convergence trace: total power ± this per iteration.
-      it["power_mw_ci_halfwidth"] = log.power_mw_ci_halfwidth;
+      w.key("power_mw_ci_halfwidth").value(log.power_mw_ci_halfwidth);
     }
-    it["pool_size"] = log.pool_size;
-    it["num_isolated"] = log.num_isolated;
-    JsonValue cands = JsonValue::array();
-    for (const CandidateEvaluation& ev : log.evaluations) cands.push_back(candidate_json(ev));
-    it["candidates"] = std::move(cands);
-    iterations.push_back(std::move(it));
+    w.key("pool_size").value(log.pool_size);
+    w.key("num_isolated").value(log.num_isolated);
+    w.key("candidates").begin_array();
+    for (const CandidateEvaluation& ev : log.evaluations) {
+      w.begin_object();
+      w.key("cell").value(ev.cell_name);
+      w.key("block").value(ev.block);
+      w.key("style").value(isolation_style_name(ev.style));
+      w.key("pr_redundant").value(ev.pr_redundant);
+      if (ev.pr_redundant_ci_halfwidth > 0.0) {
+        w.key("pr_redundant_ci_halfwidth").value(ev.pr_redundant_ci_halfwidth);
+      }
+      w.key("primary_mw").value(ev.primary_mw);
+      w.key("secondary_mw").value(ev.secondary_mw);
+      w.key("overhead_mw").value(ev.overhead_mw);
+      w.key("r_power").value(ev.r_power);
+      w.key("r_area").value(ev.r_area);
+      w.key("h").value(ev.h);
+      w.key("slack_before_ns").value(ev.slack_before_ns);
+      w.key("est_slack_after_ns").value(ev.est_slack_after_ns);
+      w.key("decision").value(candidate_decision(ev));
+      w.key("activation").value(ev.activation_str);
+      w.key("terms").begin_array();
+      for (const SavingsTerm& t : ev.attribution) {
+        w.begin_object();
+        w.key("kind").value(t.kind);
+        w.key("mw").value(t.mw);
+        w.key("probability").value(t.probability);
+        w.key("rate_a").value(t.rate_a);
+        if (t.rate_b != 0.0) w.key("rate_b").value(t.rate_b);
+        if (!t.source_a.empty()) w.key("source_a").value(t.source_a);
+        if (!t.source_b.empty()) w.key("source_b").value(t.source_b);
+        if (t.rescaled_a) w.key("rescaled_a").value(true);
+        if (t.rescaled_b) w.key("rescaled_b").value(true);
+        if (!t.fanout.empty()) {
+          w.key("fanout").value(t.fanout);
+          w.key("fanout_port").value(t.fanout_port);
+          w.key("z_j").value(t.z_j);
+        }
+        w.end_object();
+      }
+      w.end_array();
+      w.end_object();
+    }
+    w.end_array();
+    w.end_object();
   }
-  doc["iterations"] = std::move(iterations);
+  w.end_array();
 
-  JsonValue records = JsonValue::array();
+  w.key("isolated_modules").begin_array();
   for (const IsolationRecord& rec : result.records) {
-    JsonValue r = JsonValue::object();
-    r["cell"] = result.netlist.cell(rec.candidate).name;
-    r["style"] = std::string(isolation_style_name(rec.style));
-    r["as_net"] = result.netlist.net(rec.as_net).name;
-    r["isolated_bits"] = rec.isolated_bits;
-    r["activation_literals"] = rec.literal_count;
-    records.push_back(std::move(r));
+    w.begin_object();
+    w.key("cell").value(result.netlist.cell(rec.candidate).name);
+    w.key("style").value(isolation_style_name(rec.style));
+    w.key("as_net").value(result.netlist.net(rec.as_net).name);
+    w.key("isolated_bits").value(rec.isolated_bits);
+    w.key("activation_literals").value(rec.literal_count);
+    w.end_object();
   }
-  doc["isolated_modules"] = std::move(records);
+  w.end_array();
 
-  if (!result.confidence.is_null()) doc["confidence"] = result.confidence;
-  if (!result.coverage.is_null()) doc["coverage"] = result.coverage;
-  if (!result.rewrite.is_null()) doc["rewrite"] = result.rewrite;
+  if (!result.confidence.is_null()) w.key("confidence").value(result.confidence);
+  if (!result.coverage.is_null()) w.key("coverage").value(result.coverage);
+  if (!result.rewrite.is_null()) w.key("rewrite").value(result.rewrite);
 
   if (Tracer::instance().enabled() && Tracer::instance().num_events() > 0) {
-    doc["profile"] = profile_to_json(build_profile_tree(Tracer::instance().events()));
+    w.key("profile").value(profile_to_json(build_profile_tree(Tracer::instance().events())));
   }
-  doc["metrics"] = metrics().snapshot();
-  return doc;
+  w.key("metrics").value(metrics().snapshot());
+  w.end_object();
+}
+
+JsonValue build_run_report(const IsolationResult& result, const IsolationOptions& options) {
+  JsonWriter w;
+  write_run_report(w, result, options);
+  return JsonValue::parse(w.str());
 }
 
 void write_iteration_table(std::ostream& os, const JsonValue& report) {

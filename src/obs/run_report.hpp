@@ -52,7 +52,8 @@
 // primary_mw, secondary_mw and overhead_mw exactly. Zero or empty term
 // fields other than kind/mw/probability are omitted.
 //
-// This is the artifact --metrics writes for `opiso isolate`; diffing two
+// This is the artifact --metrics writes for `opiso isolate`, streamed
+// from the IsolationResult through one JsonWriter; diffing two
 // reports shows exactly where two runs diverged, and `opiso explain`
 // answers "why was this candidate (not) isolated?" from it alone.
 
@@ -67,8 +68,13 @@ namespace opiso::obs {
 /// Decision string for one candidate evaluation row.
 [[nodiscard]] const char* candidate_decision(const CandidateEvaluation& ev);
 
-/// Build the full report document (includes a metrics snapshot taken
-/// at call time).
+/// Write the full report document into `w`, members in schema order,
+/// rows and terms straight from `result` (no tree is built for them).
+/// The profile and metrics snapshot are taken at call time.
+void write_run_report(JsonWriter& w, const IsolationResult& result,
+                      const IsolationOptions& options);
+
+/// The same document as a tree: write_run_report's text, parsed.
 [[nodiscard]] JsonValue build_run_report(const IsolationResult& result,
                                          const IsolationOptions& options);
 

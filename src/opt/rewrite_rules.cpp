@@ -755,6 +755,7 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
     // 2. Profile every e-class in one simulation, then extract with
     //    the isolation-aware cost model.
     const Profile prof = profile_classes(nl, b);
+    res.profile_cycles = kProfileWarmup + kProfileCycles;
     obs::Span extract_span("rewrite.extract");
     CostModel cm;
     cm.pr_idle = prof.pr_idle;

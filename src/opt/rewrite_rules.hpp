@@ -81,6 +81,9 @@ struct RewriteResult {
   /// was then kept or not; unset when nothing was emitted.
   std::optional<double> est_power_after_mw;
   double pr_idle = 0.0;        ///< measured width-weighted register idle probability
+  /// Cycles of the one-lane profiling run, its warmup included; 0 when
+  /// the rewrite gave up before profiling.
+  std::uint64_t profile_cycles = 0;
   std::size_t cells_before = 0;
   std::size_t cells_after = 0;
   std::size_t verify_obligations = 0;  ///< obligations verify::equiv discharged

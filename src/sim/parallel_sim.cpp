@@ -163,10 +163,13 @@ void ParallelSimulator::set_stimulus(const LaneStimulusFactory& make) {
     const auto* u = dynamic_cast<const UniformStimulus*>(lane_stims_[l].get());
     if (u == nullptr || u->lane() != UniformLane{family, l}) return;
   }
+  // Only the words that carry a lane have a stream; the block's other
+  // words stay zero.
+  const unsigned lane_words = (lanes_ + 63) / 64;
   std::uint64_t input = 0;
   for (CellId pi : nl_.primary_inputs()) {
     for (unsigned b = 0; b < nl_.cell(pi).width; ++b) {
-      for (unsigned k = 0; k < words_; ++k) {
+      for (unsigned k = 0; k < lane_words; ++k) {
         input_keys_.push_back(uniform_stream_key(family, input, b, k));
       }
     }
@@ -181,24 +184,31 @@ void ParallelSimulator::enable_batch_stats(std::uint32_t batch_frames) {
 template <unsigned W>
 void ParallelSimulator::drive_inputs() {
   const std::uint64_t* key = input_keys_.data();
+  const unsigned lane_words = (lanes_ + 63) / 64;
+  // A local copy: the plane stores below could alias the member, which
+  // would make the compiler recompute the stream offset per word.
+  const std::uint64_t cycle = cycle_;
   for (CellId pi : nl_.primary_inputs()) {
     const Cell& c = nl_.cell(pi);
     std::uint64_t* const planes = &planes_[plane_off_[c.out.value()] * W];
-    const unsigned words = c.width * W;
     if (!input_keys_.empty()) {
-      // Plane word i is word cycle_ of its stream: bit l of it is lane
-      // l's bit, as UniformStimulus::next() defines it.
-      for (unsigned i = 0; i < words; ++i) {
-        planes[i] = uniform_word(key[i], cycle_) & lane_mask_[i % W];
+      // Word k of bit b is word cycle_ of its stream: bit l of it is
+      // lane 64k + l's bit, as UniformStimulus::next() defines it. The
+      // words past the last lane are never written: the lane mask keeps
+      // them zero in planes_ and prev_ alike.
+      for (unsigned b = 0; b < c.width; ++b, key += lane_words) {
+        for (unsigned k = 0; k < lane_words; ++k) {
+          planes[b * W + k] = uniform_word(key[k], cycle) & lane_mask_[k];
+        }
       }
-      key += words;
       continue;
     }
     // Per lane, each stimulus sees the (PI, cycle) call sequence of a
     // plain cycle-by-cycle simulation.
+    const unsigned words = c.width * W;
     std::fill(planes, planes + words, 0);
     for (unsigned l = 0; l < lanes_; ++l) {
-      const std::uint64_t v = lane_stims_[l]->next(nl_, pi, cycle_);
+      const std::uint64_t v = lane_stims_[l]->next(nl_, pi, cycle);
       for (unsigned b = 0; b < c.width; ++b) planes[b * W + l / 64] |= ((v >> b) & 1) << (l % 64);
     }
   }
@@ -288,8 +298,8 @@ void ParallelSimulator::run(std::uint64_t cycles, const std::function<void()>& p
                                                            wall_start)
           .count());
   const std::uint64_t lane_cycles = cycles * lanes_;
-  // One word per input plane word on the plane path, one per next() call
-  // on the per-lane path.
+  // One word per lane-carrying input plane word on the plane path, one
+  // per next() call on the per-lane path.
   const std::uint64_t stimulus_words =
       cycles * (input_keys_.empty() ? std::uint64_t{lanes_} * nl_.primary_inputs().size()
                                     : input_keys_.size());

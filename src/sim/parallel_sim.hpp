@@ -25,9 +25,9 @@
 // for every plane-block width and ISA the kernels compile to.
 //
 // Inputs are driven one of two ways. When lane l's stimulus is lane l
-// of one uniform family (sim/stimulus.hpp), every input plane word is
-// one word of that family's counter-based stream: one hash per plane
-// word, with no per-lane work. Any other stimulus is called once per
+// of one uniform family (sim/stimulus.hpp), every input plane word
+// that carries a lane is one word of that family's counter-based
+// stream: one hash per such word, with no per-lane work. Any other stimulus is called once per
 // lane, input and cycle, and its value scattered into the planes bit by
 // bit. Either way lane l sees the value its own stimulus's next() would
 // return for that cycle (the plane path computes UniformStimulus::next()
@@ -147,9 +147,10 @@ class ParallelSimulator : public ProbeHost {
   std::vector<std::uint64_t> state_;     ///< reg/latch held planes
 
   std::vector<std::unique_ptr<Stimulus>> lane_stims_;
-  /// Plane path: the stream key of every input plane word, inputs in
-  /// primary_inputs() order and each in plane order. Empty when the
-  /// lanes are not lanes 0..L-1 of one uniform family.
+  /// Plane path: the stream key of every input plane word that carries
+  /// a lane (the first ceil(lanes / 64) words of each bit plane),
+  /// inputs in primary_inputs() order and each in plane order. Empty
+  /// when the lanes are not lanes 0..L-1 of one uniform family.
   std::vector<std::uint64_t> input_keys_;
 
   static constexpr std::size_t kUncompiled = ~std::size_t{0};

@@ -20,8 +20,9 @@ namespace {
 // Enforces the wall-clock budget and keeps `elapsed` (the deterministic
 // progress measure recorded in failure reports) up to date. Every
 // measurement round polls the clock every ParallelSimulator::kPollCycles
-// macro-cycles, warmup included; `elapsed` advances once per completed
-// round.
+// macro-cycles, warmup included; `elapsed` advances by the lane-cycles
+// of a plain task's round, or of an isolate task's whole Algorithm-1
+// run, once it completes.
 class TaskGuard {
  public:
   TaskGuard(const SweepTask& task, const SweepBudget& budget, std::uint64_t& elapsed)
@@ -101,16 +102,9 @@ SweepResult run_sweep_task_impl(const SweepTask& task, const SweepBudget& budget
   r.seed = task.seed;
   r.lanes = lanes;
   if (task.isolate) {
-    // Elapsed progress counts one measurement round per iteration.
-    const std::uint64_t round = lane_round * lanes;
-    const std::function<void(const IterationLog&)> chained = opt.on_iteration;
-    opt.on_iteration = [&guard, round, &chained](const IterationLog& log) {
-      guard.advance(round);
-      if (chained) chained(log);
-    };
     const IsolationResult res = run_operand_isolation(nl, nullptr, opt, guard.poll());
-    guard.advance(round);  // the final post-loop measurement
-    r.lane_cycles = (res.iterations.size() + 1) * round;
+    guard.advance(res.lane_cycles);
+    r.lane_cycles = res.lane_cycles;
     r.isolated_mode = true;
     r.power_before_mw = res.power_before_mw;
     r.power_after_mw = res.power_after_mw;

@@ -57,7 +57,9 @@ struct SweepResult {
   std::string design;
   std::uint64_t seed = 0;
   unsigned lanes = 0;
-  std::uint64_t lane_cycles = 0;  ///< total simulated lane-cycles (post-warmup)
+  /// Total simulated lane-cycles after warmup (isolate tasks:
+  /// IsolationResult::lane_cycles).
+  std::uint64_t lane_cycles = 0;
   std::uint64_t toggles = 0;      ///< total bit toggles over all nets
   double power_mw = 0.0;          ///< macro-model power at the measured activity
 
@@ -92,8 +94,9 @@ struct SweepBudget {
 [[nodiscard]] SweepResult run_sweep_task(const SweepTask& task, const SweepBudget& budget = {});
 
 /// Record of one task that threw or blew its budget during a sweep.
-/// `elapsed_lane_cycles` counts the measured lane-cycles of the
-/// measurement rounds completed before the failure — a deterministic
+/// `elapsed_lane_cycles` counts the lane-cycles completed before the
+/// failure: a plain task's measured round, an isolate task's whole
+/// Algorithm-1 run (IsolationResult::lane_cycles) — a deterministic
 /// elapsed measure, unlike wall time, so reports with failures still
 /// diff bitwise identical across --threads values.
 struct SweepTaskFailure {

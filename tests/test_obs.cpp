@@ -5,8 +5,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include "designs/designs.hpp"
@@ -35,6 +37,160 @@ TEST(Json, BuildAndDump) {
   doc["list"].push_back("two");
   EXPECT_EQ(doc.dump(),
             R"({"name":"opiso","count":42,"pi":3.5,"ok":true,"nothing":null,"list":[1,"two"]})");
+
+  // The layout and number/string formatting edge cases, at each indent.
+  // The expected texts were captured from the ostream serializer that
+  // JsonWriter replaced, so they pin that every report keeps its bytes.
+  doc = JsonValue::object();
+  doc["neg_zero"] = -0.0;
+  doc["min_subnormal"] = 5e-324;
+  doc["big"] = 1e16;
+  doc["tenth"] = 0.1;
+  doc["two53_plus_1"] = 9007199254740993.0;  // rounds to 2^53
+  doc["nan"] = std::numeric_limits<double>::quiet_NaN();
+  doc["inf"] = std::numeric_limits<double>::infinity();
+  doc["ninf"] = -std::numeric_limits<double>::infinity();
+  doc["ctrl"] = std::string("\x01\x1f\b\f\n\r\t", 7);
+  doc["quote"] = "q\"b\\s";
+  doc["del_utf8"] = "\x7f\xc3\xa9";
+  doc[std::string("k\te\x01y", 5)] = true;
+  doc["empty_obj"] = JsonValue::object();
+  doc["empty_arr"] = JsonValue::array();
+  JsonValue& nested = doc["nested"];
+  nested.push_back(JsonValue::object());
+  nested.push_back(JsonValue::array());
+  JsonValue two = JsonValue::array();
+  two.push_back(2);
+  JsonValue deep = JsonValue::array();
+  deep.push_back(1);
+  deep.push_back(std::move(two));
+  nested.push_back(std::move(deep));
+  JsonValue kz = JsonValue::object();
+  kz["k"]["z"] = JsonValue();
+  nested.push_back(std::move(kz));
+  JsonValue& ints = doc["ints"];
+  ints.push_back(-1);
+  ints.push_back(0);
+  ints.push_back(std::numeric_limits<long long>::min());
+  ints.push_back(std::numeric_limits<unsigned long long>::max());
+
+  EXPECT_EQ(doc.dump(0),
+            "{\"neg_zero\":0,\"min_subnormal\":4.9406564584124654e-324,\"big\":10000000000000000,"
+            "\"tenth\":0.10000000000000001,\"two53_plus_1\":9007199254740992,\"nan\":null,"
+            "\"inf\":null,\"ninf\":null,\"ctrl\":\"\\u0001\\u001f\\u0008\\u000c\\n\\r\\t\","
+            "\"quote\":\"q\\\"b\\\\s\",\"del_utf8\":\"\x7f" "\xc3" "\xa9" "\","
+            "\"k\\te\\u0001y\":true,\"empty_obj\":{},\"empty_arr\":[],"
+            "\"nested\":[{},[],[1,[2]],{\"k\":{\"z\":null}}],"
+            "\"ints\":[-1,0,-9223372036854775808,18446744073709551615]}");
+  EXPECT_EQ(doc.dump(1),
+            "{\n"
+            " \"neg_zero\": 0,\n"
+            " \"min_subnormal\": 4.9406564584124654e-324,\n"
+            " \"big\": 10000000000000000,\n"
+            " \"tenth\": 0.10000000000000001,\n"
+            " \"two53_plus_1\": 9007199254740992,\n"
+            " \"nan\": null,\n"
+            " \"inf\": null,\n"
+            " \"ninf\": null,\n"
+            " \"ctrl\": \"\\u0001\\u001f\\u0008\\u000c\\n\\r\\t\",\n"
+            " \"quote\": \"q\\\"b\\\\s\",\n"
+            " \"del_utf8\": \"\x7f" "\xc3" "\xa9" "\",\n"
+            " \"k\\te\\u0001y\": true,\n"
+            " \"empty_obj\": {},\n"
+            " \"empty_arr\": [],\n"
+            " \"nested\": [\n"
+            "  {},\n"
+            "  [],\n"
+            "  [\n"
+            "   1,\n"
+            "   [\n"
+            "    2\n"
+            "   ]\n"
+            "  ],\n"
+            "  {\n"
+            "   \"k\": {\n"
+            "    \"z\": null\n"
+            "   }\n"
+            "  }\n"
+            " ],\n"
+            " \"ints\": [\n"
+            "  -1,\n"
+            "  0,\n"
+            "  -9223372036854775808,\n"
+            "  18446744073709551615\n"
+            " ]\n"
+            "}");
+  EXPECT_EQ(doc.dump(2),
+            "{\n"
+            "  \"neg_zero\": 0,\n"
+            "  \"min_subnormal\": 4.9406564584124654e-324,\n"
+            "  \"big\": 10000000000000000,\n"
+            "  \"tenth\": 0.10000000000000001,\n"
+            "  \"two53_plus_1\": 9007199254740992,\n"
+            "  \"nan\": null,\n"
+            "  \"inf\": null,\n"
+            "  \"ninf\": null,\n"
+            "  \"ctrl\": \"\\u0001\\u001f\\u0008\\u000c\\n\\r\\t\",\n"
+            "  \"quote\": \"q\\\"b\\\\s\",\n"
+            "  \"del_utf8\": \"\x7f" "\xc3" "\xa9" "\",\n"
+            "  \"k\\te\\u0001y\": true,\n"
+            "  \"empty_obj\": {},\n"
+            "  \"empty_arr\": [],\n"
+            "  \"nested\": [\n"
+            "    {},\n"
+            "    [],\n"
+            "    [\n"
+            "      1,\n"
+            "      [\n"
+            "        2\n"
+            "      ]\n"
+            "    ],\n"
+            "    {\n"
+            "      \"k\": {\n"
+            "        \"z\": null\n"
+            "      }\n"
+            "    }\n"
+            "  ],\n"
+            "  \"ints\": [\n"
+            "    -1,\n"
+            "    0,\n"
+            "    -9223372036854775808,\n"
+            "    18446744073709551615\n"
+            "  ]\n"
+            "}");
+  // write() renders the same text.
+  std::ostringstream os;
+  doc.write(os, 1);
+  EXPECT_EQ(os.str(), doc.dump(1));
+}
+
+// Streaming the same document token by token gives dump()'s bytes, and
+// a string literal is a string, never the bool overload.
+TEST(Json, WriterStreamsWhatDumpRenders) {
+  JsonValue tree = JsonValue::object();
+  tree["s"] = "literal";
+  tree["i"] = -3;
+  tree["u"] = std::size_t{7};
+  tree["d"] = 0.25;
+  tree["b"] = false;
+  tree["n"] = JsonValue();
+  tree["a"].push_back(JsonValue::object());
+  for (const int indent : {0, 1, 2}) {
+    JsonWriter w(indent);
+    w.begin_object();
+    w.key("s").value("literal");
+    w.key("i").value(-3);
+    w.key("u").value(std::size_t{7});
+    w.key("d").value(0.25);
+    w.key("b").value(false);
+    w.key("n").value(nullptr);
+    w.key("a").begin_array().begin_object().end_object().end_array();
+    w.end_object();
+    EXPECT_EQ(w.str(), tree.dump(indent)) << "indent " << indent;
+    JsonWriter sub(indent);
+    sub.value(tree);
+    EXPECT_EQ(sub.str(), tree.dump(indent));
+  }
 }
 
 TEST(Json, ParseRoundTrip) {
@@ -49,6 +205,25 @@ TEST(Json, ParseRoundTrip) {
   EXPECT_EQ(JsonValue::parse(once).dump(), once);
   // Pretty-printed output parses back to the same document.
   EXPECT_EQ(JsonValue::parse(v.dump(2)).dump(), once);
+
+  // Subnormal doubles the writer emits parse back to the same bits.
+  for (const char* sub : {"4.9406564584124654e-324", "2.2250738585072009e-308", "1e-320"}) {
+    SCOPED_TRACE(sub);
+    const JsonValue d = JsonValue::parse(sub);
+    EXPECT_EQ(d.as_number(), std::strtod(sub, nullptr));
+    EXPECT_EQ(JsonValue::parse(d.dump()).as_number(), d.as_number());
+  }
+  EXPECT_EQ(JsonValue::parse("1e-320").dump(), "9.9998886718268301e-321");
+  // Underflow to zero stays an error, like overflow to infinity.
+  for (const char* tiny : {"1e-400", "-2e-324"}) {
+    SCOPED_TRACE(tiny);
+    try {
+      (void)JsonValue::parse(tiny);
+      ADD_FAILURE() << "parsed an underflowing literal";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.code(), ErrCode::JsonNumber) << e.what();
+    }
+  }
 }
 
 TEST(Json, ParseErrors) {
@@ -404,6 +579,13 @@ TEST(RunReport, RoundTripsThroughParser) {
 
   // The whole document survives a parse → dump → parse cycle.
   EXPECT_EQ(JsonValue::parse(doc.dump()).dump(), doc.dump());
+
+  // The streamed text is the tree's: nothing ran between the calls, so
+  // all three carry one metrics snapshot.
+  JsonWriter w(1);
+  write_run_report(w, res, opt);
+  EXPECT_EQ(w.str(), build_run_report(res, opt).dump(1));
+  EXPECT_EQ(w.str(), JsonValue::parse(w.str()).dump(1));
 }
 
 TEST(RunReport, DecisionStrings) {

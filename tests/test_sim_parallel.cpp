@@ -290,16 +290,24 @@ TEST(SimParallel, UniformLanesOutOfFamilyOrderMatchReference) {
 }
 
 TEST(SimParallel, StimulusWordsCountOneWordPerInputPlaneWord) {
-  // In family order every input plane word is one stream word: per
-  // cycle, the input bits times the block's words, whatever the lanes.
+  // In family order every input plane word that carries a lane is one
+  // stream word: per cycle, the input bits times ceil(lanes / 64). The
+  // block's words past the last lane are never drawn.
   const Netlist nl = make_design1();
-  unsigned input_bits = 0;
+  std::uint64_t input_bits = 0;
   for (CellId pi : nl.primary_inputs()) input_bits += nl.cell(pi).width;
-  for (unsigned lanes : {1u, 5u, 64u, 65u, ParallelSimulator::kMaxLanes}) {
+  for (unsigned lanes : {1u, 5u, 64u, 65u, 100u, 128u, ParallelSimulator::kMaxLanes}) {
     ParallelSimulator sim(nl, lanes);
     sim.set_stimulus(uniform_lanes(9));
-    const unsigned words = lanes <= 64 ? 1 : kPlaneWords;
-    EXPECT_EQ(stimulus_words([&] { sim.run(10); }), std::uint64_t{10} * input_bits * words)
+    const unsigned words = (lanes + 63) / 64;
+    EXPECT_EQ(stimulus_words([&] { sim.run(10); }), 10 * input_bits * words)
+        << "lanes=" << lanes;
+  }
+  // The words left alone stay zero: the lanes still match the reference
+  // interpreter, warmup included.
+  for (unsigned lanes : {65u, 100u, 128u}) {
+    EXPECT_EQ(stimulus_words([&] { expect_matches_oracle(nl, lanes, 40, 9, /*warmup=*/3); }),
+              43 * input_bits * ((lanes + 63) / 64))
         << "lanes=" << lanes;
   }
 }

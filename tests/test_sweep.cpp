@@ -188,6 +188,40 @@ TEST(SweepTask, IsolateTaskIsOneAlgorithm1Run) {
   EXPECT_EQ(got.power_after_mw, want.power_after_mw);
 }
 
+// With --rewrite an isolate task also simulates the rewriter's 288-cycle
+// profiling run and one round on the input design; without a warmup its
+// lane_cycles is every cycle the engine ran.
+TEST(SweepTask, RewriteTaskCountsEverySimulatedCycle) {
+  SweepTask t;
+  t.design = "shared_add";
+  t.make_design = [] {
+    // Two adds behind a mux: the rewriter factors out one of them.
+    Netlist nl;
+    const NetId a = nl.add_input("a", 8);
+    const NetId b = nl.add_input("b", 8);
+    const NetId c = nl.add_input("c", 8);
+    const NetId s = nl.add_input("s", 1);
+    const NetId add1 = nl.add_binop(CellKind::Add, "add1", a, c);
+    const NetId add2 = nl.add_binop(CellKind::Add, "add2", b, c);
+    nl.add_output("o", nl.add_mux2("m", s, add1, add2));
+    return nl;
+  };
+  t.seed = 2;
+  t.options.sim_lanes = 64;
+  t.options.sim_cycles = 1024;
+  t.options.warmup_cycles = 0;  // as `opiso sweep` without --warmup
+  t.options.rewrite = true;
+  t.isolate = true;
+  const obs::Counter& cycles = obs::metrics().counter("sim.cycles");
+  const std::uint64_t before = cycles.value();
+  const SweepOutcome out = SweepRunner(1).run({t});
+  ASSERT_TRUE(out.ok());
+  const SweepResult& got = out.results[0];
+  EXPECT_EQ(got.lane_cycles, cycles.value() - before);
+  // The iterations' rounds, the final one, the input round, the profile.
+  EXPECT_EQ(got.lane_cycles, (got.iterations + 2) * 1024 + 288);
+}
+
 TEST(SweepLaneSeed, NamesLaneOfTheSeedsFamily) {
   EXPECT_EQ(sweep_lane_seed(1, 0), (UniformLane{1, 0}));
   EXPECT_EQ(sweep_lane_seed(7, 300), (UniformLane{7, 300}));

@@ -11,10 +11,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <iterator>
 #include <limits>
 #include <optional>
 #include <set>
@@ -208,11 +208,11 @@ struct Input {
   std::set<std::string_view> given;  ///< names of the flags on the command line
 };
 
-/// A command's exit code and the document --metrics writes (null: the
-/// metrics-registry snapshot).
+/// A command's exit code and the document --metrics writes, rendered
+/// (empty: the metrics-registry snapshot at the end of the run).
 struct Outcome {
   int exit_code = 0;
-  obs::JsonValue metrics;
+  std::string metrics;
 };
 
 /// Builtin designs, which a design operand may name instead of a file.
@@ -234,20 +234,28 @@ Netlist resolve_design(const std::string& name, bool lenient, SourceMap* lines =
   return load_netlist(name, NetlistReadOptions{!lenient}, lines);
 }
 
+/// The whole file: a regular file in one read of its size, anything
+/// else (a pipe) in chunks.
 std::string read_file(const std::string& path) {
-  std::ifstream is(path);
+  std::ifstream is(path, std::ios::binary);
   if (!is) throw IoError("cannot open '" + path + "'");
-  try {
-    return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
-  } catch (const std::ios_base::failure&) {  // a directory opens, then fails to read
-    throw IoError("cannot read '" + path + "'");
-  }
+  std::error_code not_regular;
+  const std::uintmax_t size = std::filesystem::file_size(path, not_regular);
+  std::string text(not_regular ? 0 : size, '\0');
+  is.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<std::size_t>(is.gcount()));
+  char chunk[1 << 16];
+  while (is.read(chunk, sizeof chunk), is.gcount() > 0) text.append(chunk, is.gcount());
+  // A directory opens, then fails to read.
+  if (is.bad()) throw IoError("cannot read '" + path + "'");
+  return text;
 }
 
 /// Run `write` on the file at `path`, or on stdout for "-" where
 /// `stdout_ok`. An unwritable path is an IoError (exit 1), like -o.
 void write_output(const std::string& path, bool stdout_ok,
                   const std::function<void(std::ostream&)>& write) {
+  OPISO_SPAN("obs.write");
   if (stdout_ok && path == "-") return write(std::cout);
   std::ofstream os(path);
   if (!os) throw IoError("cannot open '" + path + "' for writing");
@@ -255,12 +263,18 @@ void write_output(const std::string& path, bool stdout_ok,
   std::cerr << "wrote " << path << "\n";
 }
 
+/// A JSON artifact's text, as every command renders it.
+std::string render(const obs::JsonValue& doc) {
+  OPISO_SPAN("obs.report");
+  return doc.dump(1);
+}
+
 // "-" writes the document to stdout (and nothing else: the "wrote ..."
 // chatter stays on stderr-only paths so stdout is pipeable JSON).
-void write_json_file(const std::string& path, const obs::JsonValue& doc) {
-  write_output(path, true, [&doc](std::ostream& os) {
-    doc.write(os, 1);
-    os << '\n';
+void write_json_file(const std::string& path, const std::string& text) {
+  write_output(path, true, [&text](std::ostream& os) {
+    os.write(text.data(), static_cast<std::streamsize>(text.size()));
+    os.put('\n');
   });
 }
 
@@ -287,10 +301,10 @@ std::ostream& human_out(const Args& args) {
 
 // Observability artifacts (after the command has run, so counters and
 // spans cover the whole invocation).
-void write_obs_artifacts(const Args& args, obs::JsonValue metrics) {
+void write_obs_artifacts(const Args& args, const std::string& metrics) {
   if (!args.metrics_path.empty()) {
-    if (metrics.is_null()) metrics = obs::metrics().snapshot();
-    write_json_file(args.metrics_path, metrics);
+    write_json_file(args.metrics_path,
+                    metrics.empty() ? render(obs::metrics().snapshot()) : metrics);
   }
   if (!args.metrics_prom_path.empty()) {
     write_output(args.metrics_prom_path, true,
@@ -390,7 +404,14 @@ Outcome run_isolate(const Args& args, const Input& in) {
   const IsolationResult res = run_operand_isolation(in.designs[0], nullptr, opt);
   std::cerr << format_isolation_summary(res);
   Outcome out;
-  if (!args.metrics_path.empty()) out.metrics = obs::build_run_report(res, opt);
+  if (!args.metrics_path.empty()) {
+    // Rendered here, before -o is written, so the metrics snapshot
+    // covers Algorithm 1 and nothing after it.
+    OPISO_SPAN("obs.report");
+    obs::JsonWriter report(1);
+    obs::write_run_report(report, res, opt);
+    out.metrics = report.take();
+  }
   if (!args.out_path.empty()) emit(args, res.netlist);
   if (opt.confidence.enabled && !res.confidence_converged) {
     // The gate flags, never silently extends: the report (with
@@ -434,7 +455,7 @@ Outcome run_rewrite(const Args& args, const Input& in) {
     std::cerr << "unchanged: " << r.fallback_reason << "\n";
   }
   emit(args, r.netlist);
-  return {0, rewrite_report_section(r)};
+  return {0, render(rewrite_report_section(r))};
 }
 
 Outcome run_lower(const Args& args, const Input& in) {
@@ -476,11 +497,12 @@ Outcome run_lint(const Args& args, const Input& in) {
   // One design -> the bare opiso.lint/v1 document; several -> a
   // wrapper carrying one document per design.
   if (reports.size() == 1) {
-    out.metrics = reports.at(0);
+    out.metrics = render(reports.at(0));
   } else {
-    out.metrics = obs::JsonValue::object();
-    out.metrics["schema"] = "opiso.lint/v1";
-    out.metrics["reports"] = std::move(reports);
+    obs::JsonValue doc = obs::JsonValue::object();
+    doc["schema"] = "opiso.lint/v1";
+    doc["reports"] = std::move(reports);
+    out.metrics = render(doc);
   }
   return out;
 }
@@ -589,7 +611,7 @@ Outcome run_sweep(const Args& args, const Input& in) {
   // Deterministic exit-code policy: a sweep that completed but recorded
   // task failures exits 3 (distinct from hard errors = 1, usage = 2).
   Outcome out{outcome.ok() ? 0 : 3, {}};
-  if (!args.metrics_path.empty()) out.metrics = build_sweep_report(outcome);
+  if (!args.metrics_path.empty()) out.metrics = render(build_sweep_report(outcome));
   return out;
 }
 
@@ -599,8 +621,8 @@ Outcome run_sweep(const Args& args, const Input& in) {
 /// section an isolate run would embed for it.
 Outcome run_coverage(const Args& args, const Input& in) {
   const Netlist& design = in.designs[0];
-  Outcome out{0, measure_coverage(design, isolate_options(args)).coverage};
-  const obs::JsonValue& doc = out.metrics;
+  const obs::JsonValue doc = measure_coverage(design, isolate_options(args)).coverage;
+  Outcome out{0, render(doc)};
 
   std::ostream& os = human_out(args);
   const double pct = doc.at("toggle_coverage_pct").as_number();
@@ -692,7 +714,7 @@ Outcome run_wave(const Args& args, const Input& in) {
     if (!args.trace_power_path.empty()) {
       obs::JsonValue doc = obs::build_power_trace_section(design, orig.power, design.name());
       doc["estimator_total_mw"] = orig.mw;
-      write_json_file(args.trace_power_path, doc);
+      write_json_file(args.trace_power_path, render(doc));
     }
     return {};
   }
@@ -719,7 +741,7 @@ Outcome run_wave(const Args& args, const Input& in) {
       << doc.at("reclaimed_in_intervals_fj").as_int64() << " fJ in "
       << doc.at("idle_intervals").size() << " idle interval(s))\n";
 
-  if (!args.trace_power_path.empty()) write_json_file(args.trace_power_path, doc);
+  if (!args.trace_power_path.empty()) write_json_file(args.trace_power_path, render(doc));
   return {};
 }
 
@@ -1008,14 +1030,15 @@ int run(int argc, char** argv) {
   }
   obs::Tracer::instance().set_enabled(!args.trace_path.empty() || !args.profile_path.empty());
   if (cmd->load != Load::None) {
+    OPISO_SPAN("frontend.parse");
     const bool lenient = cmd->load == Load::Lenient;
     for (const std::string& name : args.positional) {
       SourceMap* lines = lenient ? &in.lines.emplace_back() : nullptr;
       in.designs.push_back(resolve_design(name, lenient, lines));
     }
   }
-  Outcome out = cmd->run(args, in);
-  write_obs_artifacts(args, std::move(out.metrics));
+  const Outcome out = cmd->run(args, in);
+  write_obs_artifacts(args, out.metrics);
   return out.exit_code;
 }
 
