@@ -116,7 +116,7 @@ CurvePoint measure_point(const Subject& s, std::uint64_t cycles) {
   const ActivityStats stats = sim.stats();
   const PowerEstimator estimator;
   const obs::SeriesInterval iv = obs::weighted_interval(
-      stats.net_batches, estimator.net_toggle_weights(s.netlist), /*lanes=*/1, kLevel);
+      stats.windows, estimator.net_toggle_weights(s.netlist), /*lanes=*/1, kLevel);
   // Centred on the design power: static term plus the toggle-driven sum.
   return {cycles, estimator.static_mw(s.netlist) + iv.mean, iv.halfwidth, iv.batches};
 }

@@ -165,7 +165,7 @@ std::uint64_t run_isolate_wide_once() {
 /// evaluation, which the isolate_* rows dilute. The activation
 /// analysis and candidates are derived once, outside the timed body.
 /// With opt.confidence enabled (the isolate-family CLI default) the
-/// round also fills the batch-means windows through a BatchSink.
+/// round also folds every frame into the batch-means windows.
 struct ProbeRound {
   Netlist nl = make_parametric_datapath({64, 4, 8, true});
   ExprPool pool;

@@ -443,6 +443,10 @@ Netlist parse_rtl(const std::string& text, const RtlParseOptions& options,
       if (!width) lx.fail("const needs a width");
       lx.expect(Tok::Assign, "'='");
       const Token value = lx.expect(Tok::Number, "constant value");
+      if ((value.number & ~width_mask(*width)) != 0) {
+        lx.fail(ErrCode::ParseNumber,
+                "constant " + value.text + " does not fit in " + std::to_string(*width) + " bits");
+      }
       el.define(lx, name.text, el.nl.add_const(name.text, value.number, *width));
     } else if (head == "wire") {
       const Token name = lx.expect(Tok::Ident, "wire name");

@@ -216,9 +216,9 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
     IterationLog log;
     log.iteration = iteration;
     log.total_power_mw = pb.total_mw;
-    if (opt.confidence.enabled && stats.net_batches.enabled()) {
+    if (opt.confidence.enabled && stats.windows.enabled()) {
       log.power_mw_ci_halfwidth =
-          obs::weighted_interval(stats.net_batches,
+          obs::weighted_interval(stats.windows,
                                  PowerEstimator(opt.power).net_toggle_weights(nl),
                                  opt.sim_lanes, opt.confidence.level)
               .halfwidth;
@@ -241,9 +241,10 @@ IsolationResult run_operand_isolation(const Netlist& design, const StimulusFacto
       const IsolationCandidate& cand = cands[i];
       if (cand.already_isolated || pool_ids.find(cand.cell.value()) == pool_ids.end()) continue;
       double pr_ci = 0.0;
-      if (opt.confidence.enabled && stats.probe_batches.enabled()) {
+      if (opt.confidence.enabled && stats.windows.enabled()) {
         // Pr(!f) and Pr(f) share an interval width (complement).
-        pr_ci = obs::batch_interval(stats.probe_batches, estimator.activation_probe(i),
+        pr_ci = obs::batch_interval(stats.windows,
+                                    stats.windows.num_nets() + estimator.activation_probe(i),
                                     opt.sim_lanes, opt.confidence.level)
                     .halfwidth;
       }

@@ -1,7 +1,9 @@
 #include "netlist/text_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "netlist/traversal.hpp"
 
@@ -36,37 +38,54 @@ Netlist read_netlist(std::istream& is, const NetlistReadOptions& options,
   Netlist nl;
   std::string line;
   int lineno = 0;
-  auto fail = [&](const std::string& msg) {
-    throw ParseError("rtn line " + std::to_string(lineno) + ": " + msg);
+  auto fail = [&](const std::string& msg, ErrCode code = ErrCode::ParseSyntax) {
+    throw ParseError(code, "rtn line " + std::to_string(lineno) + ": " + msg, lineno);
+  };
+  // A decimal number is the whole token: no sign, no suffix, no wrap.
+  auto number = [&](std::string_view tok, const std::string& what) {
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
+    if (ec == std::errc::result_out_of_range) {
+      fail(what + " '" + std::string(tok) + "' does not fit in 64 bits", ErrCode::ParseNumber);
+    }
+    if (ec != std::errc{} || end != tok.data() + tok.size()) {
+      fail("bad " + what + " '" + std::string(tok) + "'", ErrCode::ParseNumber);
+    }
+    return v;
   };
   while (std::getline(is, line)) {
     ++lineno;
     // Strip comments and surrounding whitespace.
     if (auto hash = line.find('#'); hash != std::string::npos) line.erase(hash);
     std::istringstream ls(line);
-    std::string head;
+    std::string head, tok;
     if (!(ls >> head)) continue;
     if (head == "design") {
       std::string name;
       if (!(ls >> name)) fail("design needs a name");
+      if (ls >> tok) fail("trailing tokens after the design name");
       nl.set_name(name);
     } else if (head == "net") {
       std::string name;
-      unsigned width = 0;
-      if (!(ls >> name >> width)) fail("net needs <name> <width>");
+      if (!(ls >> name >> tok)) fail("net needs <name> <width>");
+      const std::uint64_t width = number(tok, "net width");
+      if (width < 1 || width > 64) {
+        fail("width " + std::to_string(width) + " out of range [1,64]", ErrCode::ParseWidth);
+      }
+      if (ls >> tok) fail("trailing tokens after the net width");
       try {
-        nl.add_net(name, width);
+        nl.add_net(name, static_cast<unsigned>(width));
         if (source_map != nullptr) source_map->net_lines.emplace(name, lineno);
       } catch (const Error& e) {
         fail(e.what());
       }
     } else if (head == "cell") {
-      std::string name, kind_name, tok;
+      std::string name, kind_name;
       if (!(ls >> name >> kind_name)) fail("cell needs <name> <kind>");
       std::uint64_t param = 0;
       if (!(ls >> tok)) fail("cell line truncated");
       if (tok.rfind("param=", 0) == 0) {
-        param = std::stoull(tok.substr(6));
+        param = number(std::string_view(tok).substr(6), "param");
         if (!(ls >> tok)) fail("cell line truncated after param");
       }
       if (tok != "->") fail("expected '->'");
@@ -84,6 +103,12 @@ Netlist read_netlist(std::istream& is, const NetlistReadOptions& options,
       if (out_name != "-") {
         out = nl.find_net(out_name);
         if (!out.valid()) fail("unknown output net '" + out_name + "'");
+      }
+      if (kind_name == cell_kind_name(CellKind::Constant) && out.valid() &&
+          (param & ~width_mask(nl.net(out).width)) != 0) {
+        fail("constant " + std::to_string(param) + " does not fit its " +
+                 std::to_string(nl.net(out).width) + "-bit output net '" + out_name + "'",
+             ErrCode::ParseNumber);
       }
       try {
         nl.add_cell(cell_kind_from_name(kind_name), name, ins, out, param);

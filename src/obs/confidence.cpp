@@ -1,7 +1,7 @@
 #include "obs/confidence.hpp"
 
 // This translation unit is compiled with -ffp-contract=off (see
-// src/obs/CMakeLists.txt): all confidence arithmetic must be the same
+// src/obs/CMakeLists.txt): all interval arithmetic must be the same
 // IEEE operation sequence on every build of the same source, so the
 // determinism CI leg can diff confidence sections bitwise across
 // engines, thread counts and plane widths.
@@ -13,33 +13,36 @@
 
 namespace opiso::obs {
 
-void BatchAccumulator::configure(std::size_t num_series, std::uint32_t batch_frames) {
-  batch_frames_ = batch_frames;
-  num_series_ = num_series;
-  num_frames_ = 0;
-  cell_base_ = 0;
-  cells_.clear();
+void WindowCounts::add_frame(std::span<const std::uint32_t> nets,
+                             std::span<const std::uint32_t> probes) {
+  if (width_ == 0) return;
+  if (frames_ == 0) {
+    nets_ = nets.size();
+    probes_ = probes.size();
+  }
+  OPISO_ASSERT(nets.size() == nets_ && probes.size() == probes_,
+               "WindowCounts: the frame shape changed mid-run");
+  if (frames_++ % width_ == 0) cells_.resize(cells_.size() + nets_ + probes_, 0);
+  std::uint64_t* row = cells_.data() + cells_.size() - (nets_ + probes_);
+  for (std::size_t n = 0; n < nets_; ++n) row[n] += nets[n];
+  for (std::size_t p = 0; p < probes_; ++p) row[nets_ + p] += probes[p];
 }
 
-void BatchAccumulator::merge(const BatchAccumulator& other) {
-  if (!other.enabled()) return;
-  if (!enabled()) {
+void WindowCounts::merge(const WindowCounts& other) {
+  if (other.frames_ == 0) return;
+  if (frames_ == 0) {
     *this = other;
     return;
   }
-  OPISO_REQUIRE(batch_frames_ == other.batch_frames_,
-                "BatchAccumulator::merge: batch sizes differ");
-  OPISO_REQUIRE(num_series_ == other.num_series_,
-                "BatchAccumulator::merge: series counts differ");
-  num_frames_ = std::max(num_frames_, other.num_frames_);
-  if (cells_.size() < other.cells_.size()) cells_.resize(other.cells_.size(), 0);
-  for (std::size_t i = 0; i < other.cells_.size(); ++i) cells_[i] += other.cells_[i];
+  OPISO_REQUIRE(width_ == other.width_ && nets_ == other.nets_ && probes_ == other.probes_ &&
+                    frames_ == other.frames_,
+                "WindowCounts::merge: the windows cover different frames");
+  for (std::size_t i = 0; i < cells_.size(); ++i) cells_[i] += other.cells_[i];
 }
 
-void BatchAccumulator::reset() {
-  num_frames_ = 0;
-  cell_base_ = 0;
-  std::fill(cells_.begin(), cells_.end(), 0);
+void WindowCounts::reset() {
+  frames_ = 0;
+  cells_.clear();
 }
 
 namespace {
@@ -100,23 +103,23 @@ double student_t_quantile(double level, std::uint64_t df) {
   return z + g1 / nu + g2 / (nu * nu) + g3 / (nu * nu * nu) + g4 / (nu * nu * nu * nu);
 }
 
-SeriesInterval batch_interval(const BatchAccumulator& acc, std::size_t series,
-                              std::uint64_t lanes, double level) {
+SeriesInterval batch_interval(const WindowCounts& acc, std::size_t column, std::uint64_t lanes,
+                              double level) {
   SeriesInterval out;
   const std::uint64_t windows = acc.complete_windows();
   out.batches = windows;
   if (windows == 0 || lanes == 0) return out;
   const double scale =
-      1.0 / (static_cast<double>(lanes) * static_cast<double>(acc.batch_frames()));
+      1.0 / (static_cast<double>(lanes) * static_cast<double>(acc.width()));
   double sum = 0.0;
   for (std::uint64_t w = 0; w < windows; ++w) {
-    sum += static_cast<double>(acc.cell(w, series)) * scale;
+    sum += static_cast<double>(acc.cell(w, column)) * scale;
   }
   out.mean = sum / static_cast<double>(windows);
   if (windows < 2) return out;
   double ss = 0.0;
   for (std::uint64_t w = 0; w < windows; ++w) {
-    const double d = static_cast<double>(acc.cell(w, series)) * scale - out.mean;
+    const double d = static_cast<double>(acc.cell(w, column)) * scale - out.mean;
     ss += d * d;
   }
   const double var_mean = ss / static_cast<double>(windows - 1) / static_cast<double>(windows);
@@ -124,16 +127,16 @@ SeriesInterval batch_interval(const BatchAccumulator& acc, std::size_t series,
   return out;
 }
 
-SeriesInterval weighted_interval(const BatchAccumulator& acc, const std::vector<double>& weights,
+SeriesInterval weighted_interval(const WindowCounts& acc, const std::vector<double>& weights,
                                  std::uint64_t lanes, double level) {
   SeriesInterval out;
   const std::uint64_t windows = acc.complete_windows();
   out.batches = windows;
   if (windows == 0 || lanes == 0) return out;
-  OPISO_REQUIRE(weights.size() == acc.num_series(),
-                "weighted_interval: weight vector does not match series count");
+  OPISO_REQUIRE(weights.size() == acc.num_nets(),
+                "weighted_interval: weight vector does not match the net count");
   const double scale =
-      1.0 / (static_cast<double>(lanes) * static_cast<double>(acc.batch_frames()));
+      1.0 / (static_cast<double>(lanes) * static_cast<double>(acc.width()));
   std::vector<double> samples(static_cast<std::size_t>(windows), 0.0);
   for (std::uint64_t w = 0; w < windows; ++w) {
     double p = 0.0;
@@ -154,61 +157,6 @@ SeriesInterval weighted_interval(const BatchAccumulator& acc, const std::vector<
   const double var_mean = ss / static_cast<double>(windows - 1) / static_cast<double>(windows);
   out.halfwidth = student_t_quantile(level, windows - 1) * std::sqrt(var_mean);
   return out;
-}
-
-JsonValue build_confidence_section(const ConfidenceInput& input) {
-  JsonValue section = JsonValue::object();
-  section["schema"] = "opiso.confidence/v1";
-  section["level"] = input.config.level;
-  section["batch_frames"] = input.config.batch_frames;
-  const BatchAccumulator* acc = input.nets;
-  const std::uint64_t frames = acc ? acc->num_frames() : 0;
-  const std::uint64_t windows = acc ? acc->complete_windows() : 0;
-  const std::uint64_t lanes = frames > 0 ? input.cycles / frames : 0;
-  section["frames"] = frames;
-  section["batches"] = windows;
-  section["lanes"] = lanes;
-  section["cycles"] = input.cycles;
-
-  if (acc != nullptr && acc->enabled() && !input.power_weights_mw.empty()) {
-    const SeriesInterval pw =
-        weighted_interval(*acc, input.power_weights_mw, lanes, input.config.level);
-    JsonValue power = JsonValue::object();
-    power["mean_mw"] = input.static_power_mw + pw.mean;
-    power["ci_halfwidth_mw"] = pw.halfwidth;
-    power["batches"] = pw.batches;
-    if (input.config.min_power_ci_halfwidth_mw >= 0.0) {
-      power["min_ci_halfwidth_mw"] = input.config.min_power_ci_halfwidth_mw;
-      power["converged"] =
-          pw.batches >= 2 && pw.halfwidth <= input.config.min_power_ci_halfwidth_mw;
-    }
-    section["power_mw"] = std::move(power);
-  }
-
-  JsonValue nets = JsonValue::array();
-  double max_half = 0.0;
-  double sum_half = 0.0;
-  std::size_t count = 0;
-  if (acc != nullptr && acc->enabled()) {
-    for (std::size_t s = 0; s < acc->num_series(); ++s) {
-      const SeriesInterval iv = batch_interval(*acc, s, lanes, input.config.level);
-      JsonValue row = JsonValue::object();
-      row["net"] = s < input.net_names.size() ? JsonValue(input.net_names[s])
-                                              : JsonValue(std::to_string(s));
-      row["toggle_rate"] = iv.mean;
-      row["ci_halfwidth"] = iv.halfwidth;
-      nets.push_back(std::move(row));
-      max_half = std::max(max_half, iv.halfwidth);
-      sum_half += iv.halfwidth;
-      ++count;
-    }
-  }
-  JsonValue net_summary = JsonValue::object();
-  net_summary["max_ci_halfwidth"] = max_half;
-  net_summary["mean_ci_halfwidth"] = count > 0 ? sum_half / static_cast<double>(count) : 0.0;
-  net_summary["nets"] = std::move(nets);
-  section["net_toggle_rate"] = std::move(net_summary);
-  return section;
 }
 
 }  // namespace opiso::obs

@@ -4,20 +4,20 @@
 // Every toggle rate, probe probability, and power figure the pipeline
 // reports is a Monte-Carlo estimate from random stimulus. This layer
 // measures how converged those estimates are, without giving up the
-// project's bitwise-determinism contract: the accumulator stores only
-// exact integers (toggle counts per batch window), so its merge is
-// associative and commutative — the cells come out identical whether
-// the frames were simulated one lane at a time, many lanes side by side
-// on the plane engine, or split across any number of sweep worker
-// threads. All floating-point
-// derivation (means, variances, Student-t half-widths) happens at
-// report time, in this translation unit, which is compiled with
+// project's bitwise-determinism contract: the windows store only exact
+// integers (event counts per window), so their merge is associative
+// and commutative — the cells come out identical whether the frames
+// were simulated one lane at a time, many lanes side by side on the
+// plane engine, or split across any number of sweep worker threads.
+// All floating-point derivation (means, variances, Student-t
+// half-widths) happens at report time, in this translation unit and
+// the section builders of sim/activity.cpp, both compiled with
 // -ffp-contract=off so the arithmetic is the same IEEE sequence on
 // every build of the same source.
 //
-// Batch definition: a *window* is `batch_frames` consecutive stimulus
-// frames; one cell accumulates the total event count (bit toggles, or
-// lanes-where-probe-held) over all lanes in one window for one series
+// Batch definition: a *window* is `width` consecutive stimulus frames;
+// one cell holds the total event count (bit toggles, or
+// lanes-where-probe-held) over all lanes in one window for one column
 // (net or probe). Batch means over windows are the classic batch-means
 // estimator: consecutive-frame correlation (sequential logic) is
 // absorbed inside a window, and the variance of the window means yields
@@ -25,73 +25,71 @@
 // window is carried exactly (merges stay associative) but excluded
 // from interval computation.
 
+#include <algorithm>
 #include <cstdint>
-#include <string>
+#include <span>
 #include <vector>
-
-#include "obs/json.hpp"
 
 namespace opiso::obs {
 
-/// Exact-integer per-(window × series) event counts. Disabled (all
-/// operations no-ops) until `configure` is called with a nonzero
-/// batch size, so the hot simulation loops pay one branch when the
-/// feature is off.
-class BatchAccumulator {
+/// Exact integer event counts per window of `width` consecutive
+/// frames — the one store behind ActivityStats' batch-means windows and
+/// a CycleTrace's samples. Each window is one row: every net's bit
+/// toggles, then every probe's lanes-held count, summed over the
+/// window's frames and all lanes. Width 0 disables the store (add_frame
+/// is a no-op), so the simulation loops pay one branch when it is off.
+class WindowCounts {
  public:
-  /// Series = nets (or probes); batch_frames = frames per window
-  /// (0 disables). Discards any previously accumulated cells.
-  void configure(std::size_t num_series, std::uint32_t batch_frames);
+  WindowCounts() = default;
+  explicit WindowCounts(std::uint64_t width) : width_(width) {}
 
-  [[nodiscard]] bool enabled() const { return batch_frames_ != 0; }
-  [[nodiscard]] std::uint32_t batch_frames() const { return batch_frames_; }
-  [[nodiscard]] std::size_t num_series() const { return num_series_; }
-  /// Frames begun since the last reset/configure.
-  [[nodiscard]] std::uint64_t num_frames() const { return num_frames_; }
-  /// Windows with a full complement of batch_frames frames.
+  [[nodiscard]] bool enabled() const { return width_ != 0; }
+  [[nodiscard]] std::uint64_t width() const { return width_; }
+  [[nodiscard]] std::size_t num_nets() const { return nets_; }
+  [[nodiscard]] std::uint64_t frames() const { return frames_; }
+  /// Windows with a full complement of width() frames.
   [[nodiscard]] std::uint64_t complete_windows() const {
-    return batch_frames_ == 0 ? 0 : num_frames_ / batch_frames_;
+    return width_ == 0 ? 0 : frames_ / width_;
   }
-  [[nodiscard]] std::uint64_t cell(std::uint64_t window, std::size_t series) const {
-    return cells_[static_cast<std::size_t>(window) * num_series_ + series];
+  /// Windows holding at least one frame (a trailing partial one too).
+  [[nodiscard]] std::uint64_t num_windows() const {
+    return width_ == 0 ? 0 : (frames_ + width_ - 1) / width_;
   }
-
-  /// Open the next stimulus frame. Every engine calls this once per
-  /// measured frame *before* the frame's `add` calls.
-  void begin_frame() {
-    if (batch_frames_ == 0) return;
-    const std::uint64_t window = num_frames_ / batch_frames_;
-    cell_base_ = static_cast<std::size_t>(window) * num_series_;
-    if (cells_.size() < cell_base_ + num_series_) {
-      cells_.resize(cell_base_ + num_series_, 0);
-    }
-    ++num_frames_;
+  /// Frames in window w: width() except possibly the last.
+  [[nodiscard]] std::uint64_t frames_in(std::uint64_t w) const {
+    return std::min(width_, frames_ - w * width_);
   }
-
-  /// Count events for one series in the current frame's window.
-  void add(std::size_t series, std::uint64_t count) {
-    if (batch_frames_ == 0) return;
-    cells_[cell_base_ + series] += count;
+  /// Column c of window w: net c below num_nets(), else probe
+  /// c - num_nets().
+  [[nodiscard]] std::uint64_t cell(std::uint64_t w, std::size_t c) const {
+    return cells_[static_cast<std::size_t>(w) * (nets_ + probes_) + c];
+  }
+  /// The per-net columns of window w.
+  [[nodiscard]] std::span<const std::uint64_t> nets(std::uint64_t w) const {
+    return {cells_.data() + static_cast<std::size_t>(w) * (nets_ + probes_), nets_};
   }
 
-  /// Element-wise accumulation of another accumulator over the *same
-  /// frames* (other lanes of the same stimulus schedule): cells add,
-  /// the frame count is the maximum of the two sides. An unconfigured
-  /// *this adopts the other side wholesale; a disabled other side is a
-  /// no-op. Integer addition makes this associative and commutative,
-  /// which is what keeps reports identical across lane/thread/engine
-  /// partitions.
-  void merge(const BatchAccumulator& other);
+  /// Count one frame's per-net and per-probe events (lanes folded)
+  /// into the current window. The first frame fixes the column shape.
+  void add_frame(std::span<const std::uint32_t> nets, std::span<const std::uint32_t> probes);
 
-  /// Zero all cells and the frame counter; keeps the configuration.
+  /// Cell-wise accumulation of the same frames on other lanes: the
+  /// oracle operation that folds per-lane runs into one many-lane run.
+  /// A side without frames (a disabled one included) takes the other
+  /// side wholesale.
+  void merge(const WindowCounts& other);
+
+  /// Drop every frame; keeps the width.
   void reset();
 
+  bool operator==(const WindowCounts&) const = default;
+
  private:
-  std::uint32_t batch_frames_ = 0;
-  std::size_t num_series_ = 0;
-  std::uint64_t num_frames_ = 0;
-  std::size_t cell_base_ = 0;  ///< (current window) * num_series_
-  std::vector<std::uint64_t> cells_;
+  std::uint64_t width_ = 0;
+  std::size_t nets_ = 0;
+  std::size_t probes_ = 0;
+  std::uint64_t frames_ = 0;
+  std::vector<std::uint64_t> cells_;  ///< window-major rows of nets_ + probes_ cells
 };
 
 /// Knobs for confidence collection and the optional convergence gate.
@@ -119,34 +117,16 @@ struct SeriesInterval {
 /// df >= 3) above — ample for observability and fully deterministic.
 [[nodiscard]] double student_t_quantile(double level, std::uint64_t df);
 
-/// CI of one series' per-lane-frame event rate. `lanes` is the number
+/// CI of one column's per-lane-frame event rate. `lanes` is the number
 /// of parallel stimulus lanes each window aggregated (total cycles /
 /// frames). halfwidth is 0 with fewer than 2 complete windows.
-[[nodiscard]] SeriesInterval batch_interval(const BatchAccumulator& acc, std::size_t series,
+[[nodiscard]] SeriesInterval batch_interval(const WindowCounts& windows, std::size_t column,
                                             std::uint64_t lanes, double level);
 
-/// CI of a fixed linear combination of series rates — the design-power
+/// CI of a fixed linear combination of net rates — the design-power
 /// interval, using the macro model's exact per-net dP/dTr weights.
-[[nodiscard]] SeriesInterval weighted_interval(const BatchAccumulator& acc,
+[[nodiscard]] SeriesInterval weighted_interval(const WindowCounts& windows,
                                                const std::vector<double>& weights,
                                                std::uint64_t lanes, double level);
-
-/// Layer-agnostic inputs for the report section (callers adapt their
-/// Netlist/ActivityStats; obs stays below the netlist layer).
-struct ConfidenceInput {
-  const BatchAccumulator* nets = nullptr;  ///< per-net toggle batches
-  std::uint64_t cycles = 0;                ///< total lane-cycles measured
-  std::vector<std::string> net_names;      ///< index-aligned with series
-  /// Per-net dP/dTr in mW (empty => no power interval).
-  std::vector<double> power_weights_mw;
-  /// Toggle-independent power in mW: the design-power interval is
-  /// centred on this plus Σ weight·Tr.
-  double static_power_mw = 0.0;
-  ConfidenceConfig config;
-};
-
-/// `opiso.confidence/v1` report section: design-power CI, per-net
-/// toggle-rate CIs, and the convergence verdict when a gate is set.
-[[nodiscard]] JsonValue build_confidence_section(const ConfidenceInput& input);
 
 }  // namespace opiso::obs

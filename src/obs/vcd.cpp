@@ -1,6 +1,8 @@
 #include "obs/vcd.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <ostream>
 #include <unordered_map>
 
@@ -51,7 +53,8 @@ void write_vcd(std::ostream& os, const Netlist& nl, const CycleTrace& trace,
                const PowerTrace* power) {
   OPISO_REQUIRE(trace.has_values(), "write_vcd: trace has no value snapshots (capture with "
                                     "record_values required)");
-  OPISO_REQUIRE(trace.num_nets() == 0 || trace.num_nets() == nl.num_nets(),
+  const WindowCounts& windows = trace.windows();
+  OPISO_REQUIRE(windows.frames() == 0 || windows.num_nets() == nl.num_nets(),
                 "write_vcd: trace was captured from a different netlist");
 
   std::size_t next_id = 0;
@@ -88,15 +91,14 @@ void write_vcd(std::ostream& os, const Netlist& nl, const CycleTrace& trace,
   }
   os << "$upscope $end\n$enddefinitions $end\n";
 
-  const std::size_t ns = trace.num_samples();
+  const std::size_t ns = windows.num_windows();
   std::uint64_t cycle_start = 0;
   for (std::size_t s = 0; s < ns; ++s) {
     os << '#' << cycle_start * 10 << '\n';
-    const std::vector<std::uint64_t>& values = trace.sample_values(s);
-    const std::vector<std::uint64_t>* prev = s > 0 ? &trace.sample_values(s - 1) : nullptr;
+    const std::span<const std::uint64_t> values = trace.sample_values(s);
     for (NetId id : nl.net_ids()) {
       const std::size_t n = id.value();
-      if (prev != nullptr && values[n] == (*prev)[n]) continue;
+      if (s > 0 && values[n] == trace.sample_values(s - 1)[n]) continue;
       write_vector(os, values[n], nl.net(id).width, net_ids[n]);
     }
     if (power != nullptr) {
@@ -112,7 +114,7 @@ void write_vcd(std::ostream& os, const Netlist& nl, const CycleTrace& trace,
         }
       }
     }
-    cycle_start += trace.sample_cycles(s);
+    cycle_start += windows.frames_in(s);
   }
 }
 
@@ -156,13 +158,14 @@ class VcdLexer {
   std::size_t pos_ = 0;
 };
 
-std::uint64_t parse_u64(std::string_view s, std::string_view what) {
-  require_parse(!s.empty(), std::string("vcd: empty ") + std::string(what));
-  std::uint64_t v = 0;
-  for (char c : s) {
-    require_parse(c >= '0' && c <= '9', std::string("vcd: bad ") + std::string(what) + ": " + std::string(s));
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
+/// The whole token as a number (std::from_chars: no sign on unsigned
+/// types, no wrap past the type's range, no trailing characters).
+template <class T>
+T parse_number(std::string_view s, std::string_view what) {
+  T v{};
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  require_parse(ec == std::errc{} && end == s.data() + s.size(),
+                "vcd: bad " + std::string(what) + " '" + std::string(s) + "'");
   return v;
 }
 
@@ -194,14 +197,18 @@ VcdDocument parse_vcd(std::string_view text) {
     } else if (t == "$var") {
       VcdVar var;
       var.type = std::string(lex.token());
-      var.width = static_cast<unsigned>(parse_u64(lex.token(), "$var width"));
+      const auto width = parse_number<std::uint64_t>(lex.token(), "$var width");
+      require_parse(width >= 1 && width <= 64,
+                    "vcd: unsupported $var width " + std::to_string(width));
+      var.width = static_cast<unsigned>(width);
       var.id = std::string(lex.token());
       const std::string rest = lex.until_end("$var");
       // Reference name, possibly followed by a bit-select — keep the name.
       var.name = rest.substr(0, rest.find(' '));
       require_parse(!var.id.empty() && !var.name.empty(), "vcd: malformed $var");
-      require_parse(var.width >= 1 && var.width <= 64, "vcd: unsupported $var width " + std::to_string(var.width));
-      widths.emplace(var.id, var.width);
+      // An identifier may alias one signal in several scopes, at one width.
+      require_parse(widths.emplace(var.id, var.width).first->second == var.width,
+                    "vcd: identifier '" + var.id + "' redeclared with another width");
       doc.vars.push_back(std::move(var));
     } else if (t == "$enddefinitions") {
       lex.until_end(t);
@@ -217,7 +224,7 @@ VcdDocument parse_vcd(std::string_view text) {
     const std::string_view t = lex.token();
     const char c = t.front();
     if (c == '#') {
-      const std::uint64_t ts = parse_u64(t.substr(1), "timestamp");
+      const auto ts = parse_number<std::uint64_t>(t.substr(1), "timestamp");
       require_parse(!have_time || ts > doc.last_timestamp, "vcd: non-increasing timestamp #" + std::to_string(ts));
       if (!have_time) doc.first_timestamp = ts;
       doc.last_timestamp = ts;
@@ -248,6 +255,8 @@ VcdDocument parse_vcd(std::string_view text) {
       ++doc.num_changes;
     } else if (c == 'r' || c == 'R') {
       require_parse(have_time, "vcd: value change before timestamp");
+      require_parse(std::isfinite(parse_number<double>(t.substr(1), "real value")),
+                    "vcd: non-finite real value '" + std::string(t.substr(1)) + "'");
       const std::string id(lex.token());
       const auto it = widths.find(id);
       require_parse(it != widths.end(), "vcd: change on undeclared identifier '" + id + "'");

@@ -828,13 +828,6 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
     res.netlist = std::move(rewritten);
     res.rewritten = true;
     obs::metrics().counter("rewrite.applied").add(1);
-  } catch (const ResourceError& e) {
-    res.netlist = nl;
-    res.rewritten = false;
-    res.verified = false;
-    res.cells_after = nl.num_cells();
-    res.fallback_reason = std::string("resource budget: ") + e.what();
-    obs::metrics().counter("rewrite.budget_fallbacks").add(1);
   } catch (const Error& e) {
     // The rewrite pass is advisory: any internal failure degrades to
     // the (already validated) input netlist instead of aborting the

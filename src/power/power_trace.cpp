@@ -48,15 +48,16 @@ std::uint64_t cell_energy_fj(const Netlist& nl, const ActivityStats& stats, Cell
 PowerTrace compute_power_trace(const Netlist& nl, const CycleTrace& trace,
                                const MacroPowerModel& model) {
   OPISO_SPAN("power.trace");
-  OPISO_REQUIRE(trace.num_nets() == 0 || trace.num_nets() == nl.num_nets(),
+  const obs::WindowCounts& windows = trace.windows();
+  OPISO_REQUIRE(windows.frames() == 0 || windows.num_nets() == nl.num_nets(),
                 "compute_power_trace: trace was captured from a different netlist");
-  const std::size_t ns = trace.num_samples();
+  const std::size_t ns = windows.num_windows();
   const std::size_t nc = nl.num_cells();
 
   PowerTrace pt;
-  pt.cycles = trace.cycles();
+  pt.cycles = windows.frames();
   pt.lanes = trace.lanes() == 0 ? 1 : trace.lanes();
-  pt.window = trace.window();
+  pt.window = windows.width();
   pt.clock_freq_mhz = model.clock_freq_mhz;
   pt.sample_cycles.resize(ns);
   pt.total_fj.assign(ns, 0);
@@ -68,7 +69,7 @@ PowerTrace compute_power_trace(const Netlist& nl, const CycleTrace& trace,
   pt.cell_toggles.assign(nc, {});
   pt.cell_total_fj.assign(nc, 0);
   pt.cell_total_toggles.assign(nc, 0);
-  for (std::size_t s = 0; s < ns; ++s) pt.sample_cycles[s] = trace.sample_cycles(s);
+  for (std::size_t s = 0; s < ns; ++s) pt.sample_cycles[s] = windows.frames_in(s);
 
   // Hoist the integer coefficients out of the sample loop: one static +
   // per-port toggle coefficient per cell, fixed for the whole trace.
@@ -94,7 +95,7 @@ PowerTrace compute_power_trace(const Netlist& nl, const CycleTrace& trace,
     cell_series.assign(ns, 0);
     tog_series.assign(ns, 0);
     for (std::size_t s = 0; s < ns; ++s) {
-      const auto& toggles = trace.sample_toggles(s);
+      const std::span<const std::uint64_t> toggles = windows.nets(s);
       const std::uint64_t lc = pt.sample_cycles[s] * pt.lanes;
       std::uint64_t e = stat_fj[ci] * lc;
       std::uint64_t tog = 0;

@@ -14,11 +14,9 @@
 //   Σ_samples cell_fj[c][s]  ==  cell_energy_fj(c, aggregate stats)
 //
 // bit-for-bit, for every cell and any window size — integer addition is
-// associative, unlike double accumulation. The double-precision bridge
-// back to the estimator's mW world is exact too when driven through the
-// same code path: CycleTrace::to_activity_stats() feeds PowerEstimator
-// the identical toggle totals and cycle count, so the re-estimated
-// total_mw equals the aggregate run's total_mw bit-for-bit. Only
+// associative, unlike double accumulation. A trace's per-net column sums
+// are the traced run's ActivityStats::toggles exactly, so PowerEstimator
+// prices the traced cycles from that ActivityStats. Only
 // avg_power_mw(), which converts the integer integral directly, may
 // differ from the estimator total in the last bits of a double
 // (documented tolerance: < 1e-9 relative; see DESIGN.md).
@@ -69,8 +67,8 @@ struct PowerTrace {
   [[nodiscard]] double avg_power_mw() const;
 };
 
-/// Evaluate the macro model over every trace sample. The trace must be
-/// finished and cover the same netlist (net count is checked).
+/// Evaluate the macro model over every trace sample. The trace must
+/// cover the same netlist (net count is checked).
 [[nodiscard]] PowerTrace compute_power_trace(const Netlist& nl, const CycleTrace& trace,
                                              const MacroPowerModel& model = {});
 

@@ -1,5 +1,11 @@
 #include "sim/activity.hpp"
 
+// Compiled with -ffp-contract=off (src/sim/CMakeLists.txt), like
+// obs/confidence.cpp: the report sections' derived figures must be the
+// same IEEE operation sequence on every build of the same source.
+
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace opiso {
@@ -53,8 +59,7 @@ void ActivityStats::merge(const ActivityStats& other) {
     probe_true[p] += other.probe_true[p];
     probe_toggles[p] += other.probe_toggles[p];
   }
-  net_batches.merge(other.net_batches);
-  probe_batches.merge(other.probe_batches);
+  windows.merge(other.windows);
 }
 
 void ActivityStats::reset() {
@@ -62,25 +67,63 @@ void ActivityStats::reset() {
   std::fill(toggles.begin(), toggles.end(), 0);
   std::fill(probe_true.begin(), probe_true.end(), 0);
   std::fill(probe_toggles.begin(), probe_toggles.end(), 0);
-  net_batches.reset();
-  probe_batches.reset();
+  windows.reset();
 }
 
 obs::JsonValue build_confidence_section(const Netlist& nl, const ActivityStats& stats,
                                         const obs::ConfidenceConfig& config,
                                         const std::vector<double>& net_power_weights_mw,
                                         double static_power_mw) {
-  obs::ConfidenceInput input;
-  input.nets = &stats.net_batches;
-  input.cycles = stats.cycles;
-  input.net_names.reserve(nl.num_nets());
-  for (std::size_t n = 0; n < nl.num_nets(); ++n) {
-    input.net_names.push_back(nl.net(NetId(static_cast<std::uint32_t>(n))).name);
+  using obs::JsonValue;
+  const obs::WindowCounts& windows = stats.windows;
+  OPISO_REQUIRE(windows.frames() == 0 || windows.num_nets() == nl.num_nets(),
+                "build_confidence_section: statistics of a different netlist");
+  JsonValue section = JsonValue::object();
+  section["schema"] = "opiso.confidence/v1";
+  section["level"] = config.level;
+  section["batch_frames"] = config.batch_frames;
+  const std::uint64_t lanes = windows.frames() > 0 ? stats.cycles / windows.frames() : 0;
+  section["frames"] = windows.frames();
+  section["batches"] = windows.complete_windows();
+  section["lanes"] = lanes;
+  section["cycles"] = stats.cycles;
+
+  if (windows.enabled() && !net_power_weights_mw.empty()) {
+    const obs::SeriesInterval pw =
+        obs::weighted_interval(windows, net_power_weights_mw, lanes, config.level);
+    JsonValue power = JsonValue::object();
+    power["mean_mw"] = static_power_mw + pw.mean;
+    power["ci_halfwidth_mw"] = pw.halfwidth;
+    power["batches"] = pw.batches;
+    if (config.min_power_ci_halfwidth_mw >= 0.0) {
+      power["min_ci_halfwidth_mw"] = config.min_power_ci_halfwidth_mw;
+      power["converged"] = pw.batches >= 2 && pw.halfwidth <= config.min_power_ci_halfwidth_mw;
+    }
+    section["power_mw"] = std::move(power);
   }
-  input.power_weights_mw = net_power_weights_mw;
-  input.static_power_mw = static_power_mw;
-  input.config = config;
-  return obs::build_confidence_section(input);
+
+  JsonValue nets = JsonValue::array();
+  double max_half = 0.0;
+  double sum_half = 0.0;
+  if (windows.enabled()) {
+    for (NetId id : nl.net_ids()) {
+      const obs::SeriesInterval iv = obs::batch_interval(windows, id.value(), lanes, config.level);
+      JsonValue row = JsonValue::object();
+      row["net"] = nl.net(id).name;
+      row["toggle_rate"] = iv.mean;
+      row["ci_halfwidth"] = iv.halfwidth;
+      nets.push_back(std::move(row));
+      max_half = std::max(max_half, iv.halfwidth);
+      sum_half += iv.halfwidth;
+    }
+  }
+  JsonValue net_summary = JsonValue::object();
+  net_summary["max_ci_halfwidth"] = max_half;
+  net_summary["mean_ci_halfwidth"] =
+      nets.size() > 0 ? sum_half / static_cast<double>(nets.size()) : 0.0;
+  net_summary["nets"] = std::move(nets);
+  section["net_toggle_rate"] = std::move(net_summary);
+  return section;
 }
 
 bool confidence_converged(const obs::JsonValue& section) {
@@ -91,22 +134,41 @@ bool confidence_converged(const obs::JsonValue& section) {
 
 obs::JsonValue build_coverage_section(const Netlist& nl, const ActivityStats& stats,
                                       const std::vector<CandidateExercise>& candidates) {
-  obs::CoverageInput input;
-  input.cycles = stats.cycles;
-  input.net_names.reserve(nl.num_nets());
-  for (std::size_t n = 0; n < nl.num_nets(); ++n) {
-    input.net_names.push_back(nl.net(NetId(static_cast<std::uint32_t>(n))).name);
+  using obs::JsonValue;
+  JsonValue section = JsonValue::object();
+  section["schema"] = "opiso.coverage/v1";
+  section["cycles"] = stats.cycles;
+
+  JsonValue never = JsonValue::array();
+  for (std::size_t n = 0; n < stats.toggles.size(); ++n) {
+    if (stats.toggles[n] == 0) never.push_back(nl.net(NetId(static_cast<std::uint32_t>(n))).name);
   }
-  input.net_toggles = stats.toggles;
+  const std::size_t total = stats.toggles.size();
+  const std::size_t toggled = total - never.size();
+  section["nets_total"] = total;
+  section["nets_toggled"] = toggled;
+  section["toggle_coverage_pct"] =
+      total == 0 ? 100.0 : 100.0 * static_cast<double>(toggled) / static_cast<double>(total);
+  section["never_toggled"] = std::move(never);
+
+  JsonValue cands = JsonValue::array();
   for (const CandidateExercise& c : candidates) {
-    obs::CoverageInput::Candidate out;
-    out.cell = c.cell;
-    out.active_cycles = c.probe < stats.probe_true.size() ? stats.probe_true[c.probe] : 0;
-    out.activation_toggles =
+    const std::uint64_t active = c.probe < stats.probe_true.size() ? stats.probe_true[c.probe] : 0;
+    JsonValue row = JsonValue::object();
+    row["cell"] = c.cell;
+    row["active_cycles"] = active;
+    row["idle_cycles"] = stats.cycles >= active ? stats.cycles - active : 0;
+    row["activation_toggles"] =
         c.probe < stats.probe_toggles.size() ? stats.probe_toggles[c.probe] : 0;
-    input.candidates.push_back(std::move(out));
+    row["pr_active"] =
+        stats.cycles > 0 ? static_cast<double>(active) / static_cast<double>(stats.cycles) : 0.0;
+    // Exercised means the stimulus visited both regimes the savings
+    // model needs: at least one active and one idle cycle.
+    row["exercised"] = active > 0 && active < stats.cycles;
+    cands.push_back(std::move(row));
   }
-  return obs::build_coverage_section(input);
+  section["candidates"] = std::move(cands);
+  return section;
 }
 
 }  // namespace opiso

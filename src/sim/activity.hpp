@@ -19,7 +19,7 @@
 #include "boolfn/expr.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/confidence.hpp"
-#include "obs/coverage.hpp"
+#include "obs/json.hpp"
 
 namespace opiso {
 
@@ -45,15 +45,14 @@ struct ActivityStats {
   std::vector<std::uint64_t> toggles;    ///< per net: total bit toggles
   std::vector<std::uint64_t> probe_true; ///< per probe: cycles where expr held
   std::vector<std::uint64_t> probe_toggles; ///< per probe: value changes between cycles
-  /// Batch-means moments behind the confidence layer (obs/confidence
+  /// Batch-means windows behind the confidence layer (obs/confidence
   /// .hpp): exact per-window integer event counts for nets (bit
   /// toggles) and probes (lanes where the expression held). Disabled
-  /// unless a BatchSink (sim/cycle_trace.hpp) fills them; counted only
-  /// over measured frames (reset clears the warmup accumulation), and
-  /// carried through merge so confidence intervals stay bitwise
-  /// identical across engines and partitions.
-  obs::BatchAccumulator net_batches;
-  obs::BatchAccumulator probe_batches;
+  /// unless the engine was asked for them (enable_batch_stats); counted
+  /// only over measured frames (reset drops the warmup's), and carried
+  /// through merge so confidence intervals stay bitwise identical
+  /// across engines and partitions.
+  obs::WindowCounts windows;
 
   /// Average bit toggles per cycle over the whole word (the paper's Tr).
   [[nodiscard]] double toggle_rate(NetId net) const;
@@ -80,11 +79,12 @@ struct CandidateExercise {
   std::size_t probe = 0;  ///< activation probe (Pr[f_i]) index
 };
 
-/// Adapters from simulation statistics to the layer-agnostic obs
-/// section builders. `net_power_weights_mw` is the macro model's exact
-/// per-net dP/dTr vector and `static_power_mw` its toggle-independent
-/// term (power/estimator.hpp), so the design-power interval is centred
-/// on the design's power; empty weights disable that interval.
+/// `opiso.confidence/v1` report section: the design-power CI, per-net
+/// toggle-rate CIs, and the convergence verdict when a gate is set.
+/// `net_power_weights_mw` is the macro model's exact per-net dP/dTr
+/// vector and `static_power_mw` its toggle-independent term
+/// (power/estimator.hpp), so the design-power interval is centred on
+/// the design's power; empty weights disable that interval.
 [[nodiscard]] obs::JsonValue build_confidence_section(
     const Netlist& nl, const ActivityStats& stats, const obs::ConfidenceConfig& config,
     const std::vector<double>& net_power_weights_mw, double static_power_mw);
@@ -93,6 +93,11 @@ struct CandidateExercise {
 /// the design-power interval (`power_mw`, which carries the half-width
 /// and batch count) missed it. True for a null section.
 [[nodiscard]] bool confidence_converged(const obs::JsonValue& section);
+/// `opiso.coverage/v1` report section: did the stimulus exercise the
+/// design? Net toggle coverage (a net that never toggled feeds every
+/// power estimate an untested zero rate), the never-toggled nets, and
+/// per candidate whether its activation probe was seen both true and
+/// false (the idle/active regimes the savings model reasons about).
 [[nodiscard]] obs::JsonValue build_coverage_section(
     const Netlist& nl, const ActivityStats& stats,
     const std::vector<CandidateExercise>& candidates);

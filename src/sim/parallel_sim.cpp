@@ -177,10 +177,6 @@ void ParallelSimulator::set_stimulus(const LaneStimulusFactory& make) {
   }
 }
 
-void ParallelSimulator::enable_batch_stats(std::uint32_t batch_frames) {
-  batch_.emplace(stats_, nl_.num_nets(), batch_frames);
-}
-
 template <unsigned W>
 void ParallelSimulator::drive_inputs() {
   const std::uint64_t* key = input_keys_.data();
@@ -221,7 +217,7 @@ void ParallelSimulator::set_cycle_sink(CycleSink* sink) {
 
 template <unsigned W>
 void ParallelSimulator::record_stats() {
-  const bool framed = batch_ || sink_ != nullptr;
+  const bool framed = stats_.windows.enabled() || sink_ != nullptr;
   // The first cycle has no previous one: no net toggles, and the frame
   // keeps its zeros.
   if (has_prev_) {
@@ -250,10 +246,11 @@ void ParallelSimulator::record_stats() {
     if (framed) frame_probe_true_[p] = static_cast<std::uint32_t>(pc_true);
   }
   if (framed) {
-    const CycleFrame frame{cycle_, lanes_, frame_toggles_, frame_probe_true_,
-                           frame_values_.empty() ? nullptr : frame_values_.data()};
-    if (batch_) batch_->on_cycle(nl_, frame);
-    if (sink_) sink_->on_cycle(nl_, frame);
+    stats_.windows.add_frame(frame_toggles_, frame_probe_true_);
+    if (sink_) {
+      sink_->on_cycle(nl_, CycleFrame{cycle_, lanes_, frame_toggles_, frame_probe_true_,
+                                      frame_values_.empty() ? nullptr : frame_values_.data()});
+    }
   }
   stats_.cycles += lanes_;
 }

@@ -41,14 +41,15 @@
 // counts a probe's root plane the way it counts a net's.
 //
 // The statistics pass keeps what the estimator reads: per-net toggles
-// and per-probe counts. Every other per-cycle consumer — batch-means
-// windows, traces, waveforms, budgets — is a CycleSink fed one
-// CycleFrame per macro-cycle (sim/cycle_trace.hpp).
+// and per-probe counts, and, when asked, folds each macro-cycle's
+// CycleFrame into the batch-means windows of the same ActivityStats.
+// Traces and waveforms are CycleSinks fed that frame
+// (sim/cycle_trace.hpp); a wall-clock budget is a poll between chunks
+// of cycles and sees no frame.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "boolfn/expr.hpp"
@@ -76,9 +77,6 @@ class ParallelSimulator : public ProbeHost {
   /// probes whose variables are NetVarMap variables.
   explicit ParallelSimulator(const Netlist& nl, unsigned lanes = kMaxLanes,
                              const ExprPool* pool = nullptr, const NetVarMap* vars = nullptr);
-  // The batch sink writes into stats_, so the engine stays in place.
-  ParallelSimulator(const ParallelSimulator&) = delete;
-  ParallelSimulator& operator=(const ParallelSimulator&) = delete;
 
   /// Compile `expr` into the plane program. Probes must be added
   /// before the first simulated cycle (run or warmup).
@@ -109,9 +107,12 @@ class ParallelSimulator : public ProbeHost {
   /// reassembled from the planes when it wants them; attach after
   /// warmup.
   void set_cycle_sink(CycleSink* sink);
-  /// Collect batch-means moments (obs/confidence.hpp) through a
-  /// BatchSink on stats(); it sees each frame before the cycle sink.
-  void enable_batch_stats(std::uint32_t batch_frames);
+  /// Fold each measured frame into stats().windows, windows of
+  /// `batch_frames` frames (obs/confidence.hpp), before the cycle sink
+  /// sees it.
+  void enable_batch_stats(std::uint32_t batch_frames) {
+    stats_.windows = obs::WindowCounts(batch_frames);
+  }
 
   [[nodiscard]] const ActivityStats& stats() const { return stats_; }
   [[nodiscard]] unsigned lanes() const { return lanes_; }
@@ -160,9 +161,8 @@ class ParallelSimulator : public ProbeHost {
   ActivityStats stats_;
   std::uint64_t cycle_ = 0;
   bool has_prev_ = false;
-  std::optional<BatchSink> batch_;
   CycleSink* sink_ = nullptr;
-  // The frame's buffers, written only while a sink is attached.
+  // The frame's buffers, written only while windows or a sink take frames.
   std::vector<std::uint32_t> frame_toggles_;     ///< per net (lane-folded)
   std::vector<std::uint32_t> frame_probe_true_;  ///< per probe (lanes that held)
   std::vector<std::uint64_t> frame_values_;      ///< per net, lane 0 (when the sink wants them)

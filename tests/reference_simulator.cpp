@@ -122,10 +122,6 @@ void Simulator::clock_registers() {
   }
 }
 
-void Simulator::enable_batch_stats(std::uint32_t batch_frames) {
-  batch_.emplace(stats_, nl_.num_nets(), batch_frames);
-}
-
 void Simulator::set_cycle_sink(CycleSink* sink) { sink_ = sink; }
 
 void Simulator::record_stats() {
@@ -145,9 +141,10 @@ void Simulator::record_stats() {
     prev_probe_[p] = hold;
     frame_probe_true_[p] = hold ? 1 : 0;
   }
-  const CycleFrame frame{cycle_, 1, frame_toggles_, frame_probe_true_, value_.data()};
-  if (batch_) batch_->on_cycle(nl_, frame);
-  if (sink_) sink_->on_cycle(nl_, frame);
+  stats_.windows.add_frame(frame_toggles_, frame_probe_true_);
+  if (sink_) {
+    sink_->on_cycle(nl_, CycleFrame{cycle_, 1, frame_toggles_, frame_probe_true_, value_.data()});
+  }
   ++stats_.cycles;
 }
 

@@ -12,7 +12,8 @@
 // registers capture. Activity statistics (toggle rates, probe
 // probabilities) accumulate across run() calls until reset_stats().
 // Each cycle it publishes the same CycleFrame as the plane engine, on
-// one lane, to a BatchSink (enable_batch_stats) and the cycle sink.
+// one lane, to the batch-means windows (enable_batch_stats) and the
+// cycle sink.
 //
 // The oracle contract the tests hold the plane engine to: an L-lane
 // plane run with streams s_0..s_{L-1} produces ActivityStats bitwise
@@ -20,7 +21,6 @@
 // ActivityStats::merge.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "boolfn/expr.hpp"
@@ -39,8 +39,6 @@ class Simulator : public ProbeHost {
   /// given) enable Expr probes whose variables are NetVarMap variables.
   explicit Simulator(const Netlist& nl, const ExprPool* pool = nullptr,
                      const NetVarMap* vars = nullptr);
-  Simulator(const Simulator&) = delete;  // the batch sink writes into stats_
-  Simulator& operator=(const Simulator&) = delete;
 
   /// Register an expression to be evaluated each cycle. Returns the
   /// probe index used with ActivityStats::probe_probability.
@@ -68,9 +66,11 @@ class Simulator : public ProbeHost {
   /// the sink receives this cycle's frame, settled net values included.
   void set_cycle_sink(CycleSink* sink);
 
-  /// Collect batch-means moments (obs/confidence.hpp) through a
-  /// BatchSink on stats().
-  void enable_batch_stats(std::uint32_t batch_frames);
+  /// Fold each frame into stats().windows, windows of `batch_frames`
+  /// frames (obs/confidence.hpp).
+  void enable_batch_stats(std::uint32_t batch_frames) {
+    stats_.windows = obs::WindowCounts(batch_frames);
+  }
 
  private:
   void settle_combinational();
@@ -90,7 +90,6 @@ class Simulator : public ProbeHost {
   ActivityStats stats_;
   std::uint64_t cycle_ = 0;
   bool has_prev_ = false;
-  std::optional<BatchSink> batch_;
   CycleSink* sink_ = nullptr;
   std::vector<std::uint32_t> frame_toggles_;     ///< per net, this cycle
   std::vector<std::uint32_t> frame_probe_true_;  ///< per probe, this cycle (0 or 1)

@@ -1,4 +1,4 @@
-// Batch-means confidence layer: the accumulator's integer cells must be
+// Batch-means confidence layer: the windows' integer cells must be
 // bitwise identical for every partition of the lanes x frames work
 // across merge calls (this is what makes the opiso.confidence/v1
 // section lane/thread/width-invariant), the Student-t quantiles must
@@ -10,6 +10,7 @@
 #include <cmath>
 #include <numeric>
 #include <random>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -24,8 +25,8 @@
 namespace opiso {
 namespace {
 
-using obs::BatchAccumulator;
 using obs::SeriesInterval;
+using obs::WindowCounts;
 
 TEST(TQuantile, MatchesClosedFormsAndNormalLimit) {
   // df = 1: t = tan(pi * level / 2).
@@ -44,26 +45,27 @@ TEST(TQuantile, MatchesClosedFormsAndNormalLimit) {
   EXPECT_GT(obs::student_t_quantile(0.95, 3), obs::student_t_quantile(0.95, 30));
 }
 
-TEST(BatchAccumulator, WindowsFillAndPartialTrailing) {
-  BatchAccumulator acc;
-  EXPECT_FALSE(acc.enabled());
-  acc.begin_frame();  // no-op while disabled
-  acc.configure(2, 4);
+TEST(WindowCounts, WindowsFillAndPartialTrailing) {
+  const std::vector<std::uint32_t> none;
+  WindowCounts off;
+  EXPECT_FALSE(off.enabled());
+  off.add_frame(std::vector<std::uint32_t>{1, 2}, none);  // no-op while disabled
+  EXPECT_EQ(off.frames(), 0u);
+  WindowCounts acc(4);
   ASSERT_TRUE(acc.enabled());
-  for (int f = 0; f < 10; ++f) {
-    acc.begin_frame();
-    acc.add(0, 1);
-    acc.add(1, static_cast<std::uint64_t>(f));
-  }
-  EXPECT_EQ(acc.num_frames(), 10u);
+  for (std::uint32_t f = 0; f < 10; ++f) acc.add_frame(std::vector<std::uint32_t>{1, f}, none);
+  EXPECT_EQ(acc.frames(), 10u);
   EXPECT_EQ(acc.complete_windows(), 2u);  // trailing 2 frames stay partial
+  EXPECT_EQ(acc.num_windows(), 3u);
+  EXPECT_EQ(acc.frames_in(1), 4u);
+  EXPECT_EQ(acc.frames_in(2), 2u);
   EXPECT_EQ(acc.cell(0, 0), 4u);
   EXPECT_EQ(acc.cell(0, 1), 0u + 1 + 2 + 3);
   EXPECT_EQ(acc.cell(1, 1), 4u + 5 + 6 + 7);
   EXPECT_EQ(acc.cell(2, 0), 2u);  // partial window carried exactly
   acc.reset();
   EXPECT_TRUE(acc.enabled());
-  EXPECT_EQ(acc.num_frames(), 0u);
+  EXPECT_EQ(acc.frames(), 0u);
 }
 
 /// Deterministic synthetic event count for (frame, lane, series).
@@ -74,31 +76,30 @@ std::uint64_t event_count(std::uint64_t frame, unsigned lane, std::size_t series
   return h % 5;  // small counts, like per-frame bit toggles
 }
 
-/// One accumulator covering `lanes` (a subset) over `frames` frames.
-BatchAccumulator accumulate_lanes(const std::vector<unsigned>& lanes, std::uint64_t frames,
-                                  std::size_t num_series, std::uint32_t batch_frames) {
-  BatchAccumulator acc;
-  acc.configure(num_series, batch_frames);
+/// One window store covering `lanes` (a subset) over `frames` frames;
+/// the first `num_series / 2` columns are nets, the rest probes.
+WindowCounts accumulate_lanes(const std::vector<unsigned>& lanes, std::uint64_t frames,
+                              std::size_t num_series, std::uint32_t batch_frames) {
+  WindowCounts acc(batch_frames);
+  std::vector<std::uint32_t> counts(num_series);
   for (std::uint64_t f = 0; f < frames; ++f) {
-    acc.begin_frame();
+    std::fill(counts.begin(), counts.end(), 0);
     for (unsigned lane : lanes) {
-      for (std::size_t s = 0; s < num_series; ++s) acc.add(s, event_count(f, lane, s));
+      for (std::size_t s = 0; s < num_series; ++s) {
+        counts[s] += static_cast<std::uint32_t>(event_count(f, lane, s));
+      }
     }
+    const std::span<const std::uint32_t> all(counts);
+    acc.add_frame(all.first(num_series / 2), all.subspan(num_series / 2));
   }
   return acc;
 }
 
-void expect_same_cells(const BatchAccumulator& a, const BatchAccumulator& b) {
-  ASSERT_EQ(a.num_frames(), b.num_frames());
+void expect_same_cells(const WindowCounts& a, const WindowCounts& b) {
+  ASSERT_EQ(a.frames(), b.frames());
   ASSERT_EQ(a.complete_windows(), b.complete_windows());
-  ASSERT_EQ(a.num_series(), b.num_series());
-  const std::uint64_t windows =
-      (a.num_frames() + a.batch_frames() - 1) / a.batch_frames();
-  for (std::uint64_t w = 0; w < windows; ++w) {
-    for (std::size_t s = 0; s < a.num_series(); ++s) {
-      ASSERT_EQ(a.cell(w, s), b.cell(w, s)) << "window " << w << " series " << s;
-    }
-  }
+  ASSERT_EQ(a.num_nets(), b.num_nets());
+  EXPECT_EQ(a, b);
 }
 
 // The tentpole invariant, fuzzed: for ANY partition of the lanes into
@@ -107,7 +108,7 @@ void expect_same_cells(const BatchAccumulator& a, const BatchAccumulator& b) {
 // to the single-pass reference. Integer addition is associative and
 // commutative; this test pins that the implementation actually leans
 // on nothing else.
-TEST(BatchAccumulator, MergeInvariantUnderAnyLanePartitionFuzz) {
+TEST(WindowCounts, MergeInvariantUnderAnyLanePartitionFuzz) {
   std::mt19937 rng(0xC0FFEEu);  // fixed seed: failures must reproduce
   for (int iter = 0; iter < 60; ++iter) {
     const unsigned num_lanes = 1 + rng() % 8;
@@ -117,13 +118,12 @@ TEST(BatchAccumulator, MergeInvariantUnderAnyLanePartitionFuzz) {
 
     std::vector<unsigned> all_lanes(num_lanes);
     std::iota(all_lanes.begin(), all_lanes.end(), 0u);
-    const BatchAccumulator ref =
-        accumulate_lanes(all_lanes, frames, num_series, batch_frames);
+    const WindowCounts ref = accumulate_lanes(all_lanes, frames, num_series, batch_frames);
 
     // Random partition: shuffle the lanes, cut into 1..num_lanes groups.
     std::shuffle(all_lanes.begin(), all_lanes.end(), rng);
     const unsigned groups = 1 + rng() % num_lanes;
-    std::vector<BatchAccumulator> parts;
+    std::vector<WindowCounts> parts;
     for (unsigned g = 0; g < groups; ++g) {
       std::vector<unsigned> mine;
       for (unsigned i = g; i < num_lanes; i += groups) mine.push_back(all_lanes[i]);
@@ -138,8 +138,8 @@ TEST(BatchAccumulator, MergeInvariantUnderAnyLanePartitionFuzz) {
       parts[i].merge(parts[i + 1]);
       parts.erase(parts.begin() + static_cast<std::ptrdiff_t>(i) + 1);
     }
-    // Merging into an unconfigured accumulator adopts the other side.
-    BatchAccumulator from_empty;
+    // Merging into a store without frames adopts the other side.
+    WindowCounts from_empty;
     from_empty.merge(parts[0]);
     expect_same_cells(ref, parts[0]);
     expect_same_cells(ref, from_empty);
@@ -147,21 +147,15 @@ TEST(BatchAccumulator, MergeInvariantUnderAnyLanePartitionFuzz) {
 }
 
 TEST(BatchInterval, DegenerateAndConstantSeries) {
-  BatchAccumulator acc;
-  acc.configure(1, 4);
+  const std::vector<std::uint32_t> two = {2};
+  WindowCounts acc(4);
   // One complete window: no interval yet.
-  for (int f = 0; f < 4; ++f) {
-    acc.begin_frame();
-    acc.add(0, 2);
-  }
+  for (int f = 0; f < 4; ++f) acc.add_frame(two, {});
   SeriesInterval one = obs::batch_interval(acc, 0, 1, 0.95);
   EXPECT_EQ(one.batches, 1u);
   EXPECT_DOUBLE_EQ(one.halfwidth, 0.0);
   // Constant rate across windows: zero variance, zero half-width.
-  for (int f = 0; f < 12; ++f) {
-    acc.begin_frame();
-    acc.add(0, 2);
-  }
+  for (int f = 0; f < 12; ++f) acc.add_frame(two, {});
   SeriesInterval flat = obs::batch_interval(acc, 0, 1, 0.95);
   EXPECT_EQ(flat.batches, 4u);
   EXPECT_DOUBLE_EQ(flat.mean, 2.0);
@@ -284,7 +278,7 @@ TEST(Calibration, NinetyFivePercentIntervalsCoverLongRunTruth) {
     sim.warmup(stim, 256);
     sim.run(stim, kCycles);
     const SeriesInterval ci =
-        obs::weighted_interval(sim.stats().net_batches, weights, /*lanes=*/1, 0.95);
+        obs::weighted_interval(sim.stats().windows, weights, /*lanes=*/1, 0.95);
     ASSERT_EQ(ci.batches, kCycles / 16);
     ASSERT_GT(ci.halfwidth, 0.0);
     if (std::abs(ci.mean - truth) <= ci.halfwidth) ++covered;

@@ -1,13 +1,15 @@
 // Per-cycle capture hook (sim/cycle_trace.hpp): the plane engine and
 // the reference interpreter must feed a CycleSink traces that are
 // BITWISE IDENTICAL — the plane engine's lane-folded per-cycle toggle
-// counts equal the sample-wise sum (CycleTrace::merge) of one reference
-// trace per lane with the same stimulus streams — and a trace must
-// integrate back to the engine's own ActivityStats exactly, for any
+// counts equal the window-wise sum (CycleTrace::merge) of one reference
+// trace per lane with the same stimulus streams — and a trace's column
+// sums must be the engine's own ActivityStats::toggles exactly, for any
 // window size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 
 #include "designs/designs.hpp"
 #include "sim/cycle_trace.hpp"
@@ -18,16 +20,14 @@
 namespace opiso {
 namespace {
 
-void expect_traces_equal(const CycleTrace& a, const CycleTrace& b) {
-  ASSERT_EQ(a.num_samples(), b.num_samples());
-  ASSERT_EQ(a.cycles(), b.cycles());
-  ASSERT_EQ(a.lanes(), b.lanes());
-  ASSERT_EQ(a.num_nets(), b.num_nets());
-  for (std::size_t s = 0; s < a.num_samples(); ++s) {
-    ASSERT_EQ(a.sample_cycles(s), b.sample_cycles(s)) << "sample " << s;
-    ASSERT_EQ(a.sample_toggles(s), b.sample_toggles(s)) << "sample " << s;
+/// Per-net toggle totals over every sample of a trace.
+std::vector<std::uint64_t> net_totals(const CycleTrace& trace) {
+  const obs::WindowCounts& w = trace.windows();
+  std::vector<std::uint64_t> totals(w.num_nets(), 0);
+  for (std::uint64_t s = 0; s < w.num_windows(); ++s) {
+    for (std::size_t n = 0; n < totals.size(); ++n) totals[n] += w.nets(s)[n];
   }
-  ASSERT_EQ(a.net_totals(), b.net_totals());
+  return totals;
 }
 
 CycleTrace capture_scalar(const Netlist& nl, UniformLane lane, std::uint64_t warmup,
@@ -38,7 +38,6 @@ CycleTrace capture_scalar(const Netlist& nl, UniformLane lane, std::uint64_t war
   CycleTrace trace(window);
   sim.set_cycle_sink(&trace);
   sim.run(stim, cycles);
-  trace.finish();
   return trace;
 }
 
@@ -56,19 +55,17 @@ void expect_matches_scalar_oracle(const Netlist& nl, unsigned lanes, std::uint64
   CycleTrace ptrace(window);
   psim.set_cycle_sink(&ptrace);
   psim.run(cycles);
-  ptrace.finish();
 
-  CycleTrace oracle(window);
-  oracle.finish();  // empty finished trace; merge adopts the first lane's shape
+  CycleTrace oracle(window);  // empty; merge adopts the first lane's shape
   for (unsigned l = 0; l < lanes; ++l) {
     oracle.merge(capture_scalar(nl, sweep_lane_seed(1, l), warmup, cycles, window));
   }
-  expect_traces_equal(ptrace, oracle);
+  EXPECT_EQ(ptrace.lanes(), oracle.lanes());
+  EXPECT_EQ(ptrace.windows(), oracle.windows());
 
   // The trace also integrates back to the engine's aggregate stats.
-  const ActivityStats from_trace = ptrace.to_activity_stats();
-  EXPECT_EQ(from_trace.cycles, psim.stats().cycles);
-  EXPECT_EQ(from_trace.toggles, psim.stats().toggles);
+  EXPECT_EQ(ptrace.windows().frames() * ptrace.lanes(), psim.stats().cycles);
+  EXPECT_EQ(net_totals(ptrace), psim.stats().toggles);
 }
 
 TEST(CycleTrace, ScalarTraceMatchesAggregateStats) {
@@ -79,14 +76,12 @@ TEST(CycleTrace, ScalarTraceMatchesAggregateStats) {
   CycleTrace trace(1);
   sim.set_cycle_sink(&trace);
   sim.run(stim, 200);
-  trace.finish();
 
-  EXPECT_EQ(trace.cycles(), 200u);
+  EXPECT_EQ(trace.windows().frames(), 200u);
   EXPECT_EQ(trace.lanes(), 1u);
-  EXPECT_EQ(trace.num_samples(), 200u);
-  const ActivityStats from_trace = trace.to_activity_stats();
-  EXPECT_EQ(from_trace.cycles, sim.stats().cycles);
-  EXPECT_EQ(from_trace.toggles, sim.stats().toggles);
+  EXPECT_EQ(trace.windows().num_windows(), 200u);
+  EXPECT_EQ(trace.windows().frames(), sim.stats().cycles);
+  EXPECT_EQ(net_totals(trace), sim.stats().toggles);
 }
 
 TEST(CycleTrace, WindowingPreservesSumsExactly) {
@@ -96,21 +91,23 @@ TEST(CycleTrace, WindowingPreservesSumsExactly) {
   const CycleTrace full = capture_scalar(nl, {3}, 8, 300, 1);
   for (std::uint64_t window : {4u, 77u, 300u, 1000u}) {
     const CycleTrace folded = capture_scalar(nl, {3}, 8, 300, window);
+    const obs::WindowCounts& w = folded.windows();
     SCOPED_TRACE(testing::Message() << "window=" << window);
-    EXPECT_EQ(folded.cycles(), full.cycles());
-    EXPECT_EQ(folded.net_totals(), full.net_totals());
+    EXPECT_EQ(w.frames(), full.windows().frames());
+    EXPECT_EQ(net_totals(folded), net_totals(full));
     std::uint64_t covered = 0;
-    for (std::size_t s = 0; s < folded.num_samples(); ++s) covered += folded.sample_cycles(s);
+    for (std::uint64_t s = 0; s < w.num_windows(); ++s) covered += w.frames_in(s);
     EXPECT_EQ(covered, 300u);
     // Sample-wise refold of the full-resolution trace.
-    for (std::size_t s = 0; s < folded.num_samples(); ++s) {
+    for (std::uint64_t s = 0; s < w.num_windows(); ++s) {
       std::vector<std::uint64_t> expect(nl.num_nets(), 0);
       for (std::uint64_t c = s * window; c < std::min<std::uint64_t>((s + 1) * window, 300);
            ++c) {
-        const std::vector<std::uint64_t>& t = full.sample_toggles(c);
+        const std::span<const std::uint64_t> t = full.windows().nets(c);
         for (std::size_t n = 0; n < t.size(); ++n) expect[n] += t[n];
       }
-      EXPECT_EQ(folded.sample_toggles(s), expect) << "sample " << s;
+      const std::span<const std::uint64_t> got = w.nets(s);
+      EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), expect) << "sample " << s;
     }
   }
 }
@@ -122,10 +119,8 @@ TEST(CycleTrace, FirstObservedCycleHasZeroTogglesWithoutWarmup) {
   CycleTrace trace(1);
   sim.set_cycle_sink(&trace);
   sim.run(stim, 10);
-  trace.finish();
-  for (std::uint64_t t : trace.sample_toggles(0)) EXPECT_EQ(t, 0u);
-  const ActivityStats from_trace = trace.to_activity_stats();
-  EXPECT_EQ(from_trace.toggles, sim.stats().toggles);
+  for (std::uint64_t t : trace.windows().nets(0)) EXPECT_EQ(t, 0u);
+  EXPECT_EQ(net_totals(trace), sim.stats().toggles);
 }
 
 TEST(CycleTrace, ValueSnapshotsFollowScalarEngine) {
@@ -135,16 +130,16 @@ TEST(CycleTrace, ValueSnapshotsFollowScalarEngine) {
   CycleTrace trace(1, /*record_values=*/true);
   sim.set_cycle_sink(&trace);
   sim.run(stim, 25);
-  trace.finish();
   ASSERT_TRUE(trace.has_values());
-  ASSERT_EQ(trace.num_samples(), 25u);
+  ASSERT_EQ(trace.windows().num_windows(), 25u);
   // The last sample's snapshot is the simulator's current settled state
   // pre-clock-edge... the simulator has clocked since, so just check
   // shape and that snapshots change over time for some net.
   ASSERT_EQ(trace.sample_values(0).size(), nl.num_nets());
   bool any_changed = false;
-  for (std::size_t s = 1; s < trace.num_samples() && !any_changed; ++s) {
-    any_changed = trace.sample_values(s) != trace.sample_values(s - 1);
+  for (std::size_t s = 1; s < 25 && !any_changed; ++s) {
+    const std::span<const std::uint64_t> now = trace.sample_values(s);
+    any_changed = !std::equal(now.begin(), now.end(), trace.sample_values(s - 1).begin());
   }
   EXPECT_TRUE(any_changed);
 }
@@ -173,8 +168,7 @@ TEST(CycleTrace, DetachedSinkStopsCapture) {
   sim.run(stim, 5);
   sim.set_cycle_sink(nullptr);
   sim.run(stim, 5);
-  trace.finish();
-  EXPECT_EQ(trace.cycles(), 5u);
+  EXPECT_EQ(trace.windows().frames(), 5u);
   EXPECT_EQ(sim.stats().cycles, 10u);
 }
 

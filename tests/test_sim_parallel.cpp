@@ -68,17 +68,6 @@ LaneFactory uniform_lanes(std::uint64_t seed) {
   };
 }
 
-void expect_same_batches(const obs::BatchAccumulator& got, const obs::BatchAccumulator& want) {
-  ASSERT_EQ(got.num_frames(), want.num_frames());
-  ASSERT_EQ(got.num_series(), want.num_series());
-  const std::uint64_t windows = (got.num_frames() + kBatchFrames - 1) / kBatchFrames;
-  for (std::uint64_t w = 0; w < windows; ++w) {
-    for (std::size_t s = 0; s < got.num_series(); ++s) {
-      ASSERT_EQ(got.cell(w, s), want.cell(w, s)) << "window " << w << " series " << s;
-    }
-  }
-}
-
 /// The differential harness: a plane run vs the per-lane reference
 /// runs on the same streams, merged. Compares every statistic the
 /// engine keeps: toggles, probes and batch moments.
@@ -119,8 +108,8 @@ void expect_matches_oracle(const Netlist& nl, unsigned lanes, std::uint64_t cycl
   EXPECT_EQ(got.toggles, oracle.toggles);
   EXPECT_EQ(got.probe_true, oracle.probe_true);
   EXPECT_EQ(got.probe_toggles, oracle.probe_toggles);
-  expect_same_batches(got.net_batches, oracle.net_batches);
-  expect_same_batches(got.probe_batches, oracle.probe_batches);
+  EXPECT_EQ(got.windows.frames(), cycles);
+  EXPECT_EQ(got.windows, oracle.windows);
 }
 
 void expect_matches_oracle(const Netlist& nl, unsigned lanes, std::uint64_t cycles,
@@ -393,34 +382,36 @@ TEST(SimParallel, CycleSinkValuesAreLaneZeroOfAManyLaneRun) {
   EXPECT_EQ(got.values, want.values);
 }
 
-TEST(SimParallel, BatchWindowsAreTheTraceSamplesOfTheSameFrames) {
-  // The batch-means windows and a trace with the same window width are
-  // two sinks of one frame stream: the warmup's frames leave both.
+TEST(SimParallel, ATraceOfTheBatchWidthHoldsTheBatchWindows) {
+  // The batch-means windows and a trace with the same window width fold
+  // one frame stream into one window store: the warmup's frames leave
+  // both, and the trace's column sums are the run's toggles.
   constexpr std::uint32_t kWindow = 8;
   const Netlist nl = make_design2();
+  ExprPool pool;
+  NetVarMap vars;
+  const std::vector<ExprRef> probes = make_probes(nl, pool, vars);
   for (unsigned lanes : {1u, 64u, 65u}) {
     SCOPED_TRACE(testing::Message() << "lanes=" << lanes);
-    ParallelSimulator sim(nl, lanes);
+    ParallelSimulator sim(nl, lanes, &pool, &vars);
     sim.enable_batch_stats(kWindow);
+    for (ExprRef p : probes) sim.add_probe(p);
     sim.set_stimulus(uniform_lanes(43));
     sim.warmup(5);
     CycleTrace trace(kWindow);
     sim.set_cycle_sink(&trace);
     sim.run(43);
-    trace.finish();
 
-    const obs::BatchAccumulator& batches = sim.stats().net_batches;
-    ASSERT_EQ(batches.num_frames(), 43u);
+    const obs::WindowCounts& batches = sim.stats().windows;
+    ASSERT_EQ(batches.frames(), 43u);
     ASSERT_EQ(batches.complete_windows(), 5u);
-    ASSERT_EQ(trace.num_samples(), 6u);
-    for (std::uint64_t w = 0; w < batches.complete_windows(); ++w) {
-      ASSERT_EQ(trace.sample_cycles(w), kWindow);
-      for (std::size_t n = 0; n < nl.num_nets(); ++n) {
-        ASSERT_EQ(batches.cell(w, n), trace.sample_toggles(w)[n])
-            << "window " << w << " net " << nl.net(NetId(static_cast<std::uint32_t>(n))).name;
-      }
+    ASSERT_EQ(batches.num_windows(), 6u);
+    EXPECT_EQ(trace.windows(), batches);
+    std::vector<std::uint64_t> totals(nl.num_nets(), 0);
+    for (std::uint64_t w = 0; w < batches.num_windows(); ++w) {
+      for (std::size_t n = 0; n < totals.size(); ++n) totals[n] += batches.nets(w)[n];
     }
-    EXPECT_EQ(trace.net_totals(), sim.stats().toggles);
+    EXPECT_EQ(totals, sim.stats().toggles);
   }
 }
 

@@ -70,6 +70,25 @@ TEST(TextIo, PreservesParams) {
   EXPECT_EQ(back.cell(back.find_cell("const:k")).param, 42u);
 }
 
+TEST(TextIo, NumbersAreWholeDecimalTokens) {
+  // The largest param round-trips; one past it, a sign or a suffix is a
+  // parse.number diagnostic on its line (tests/corpus/rtn has the rest).
+  const std::string head = "design t\nnet a 64\nnet y 64\ncell pi:a input -> a :\n";
+  const Netlist nl =
+      netlist_from_string(head + "cell k const param=18446744073709551615 -> y :\n");
+  EXPECT_EQ(nl.cell(nl.find_cell("k")).param, ~std::uint64_t{0});
+  for (const char* param : {"18446744073709551616", "+1", "-0", "0x10"}) {
+    SCOPED_TRACE(param);
+    try {
+      (void)netlist_from_string(head + "cell s shr param=" + param + " -> y : a\n");
+      ADD_FAILURE() << "accepted";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.code(), ErrCode::ParseNumber);
+      EXPECT_EQ(e.input_line(), 5);
+    }
+  }
+}
+
 TEST(TextIo, RejectsUnknownNet) {
   EXPECT_THROW(netlist_from_string("design t\ncell g add -> x : a b\n"), ParseError);
 }

@@ -34,7 +34,6 @@ Wave make_wave(const Netlist& nl, std::uint64_t cycles, std::uint64_t window) {
   sim.warmup(8);
   sim.set_cycle_sink(&w.trace);
   sim.run(cycles);
-  w.trace.finish();
   w.power = compute_power_trace(nl, w.trace);
   return w;
 }
@@ -48,9 +47,9 @@ TEST(Vcd, RoundTripsThroughParser) {
 
   // One wire per net plus two real signals per cell.
   EXPECT_EQ(doc.vars.size(), nl.num_nets() + 2 * nl.num_cells());
-  EXPECT_EQ(doc.num_timestamps, w.trace.num_samples());
+  EXPECT_EQ(doc.num_timestamps, w.trace.windows().num_windows());
   EXPECT_EQ(doc.first_timestamp, 0u);
-  EXPECT_EQ(doc.last_timestamp, (w.trace.num_samples() - 1) * 10);
+  EXPECT_EQ(doc.last_timestamp, (w.trace.windows().num_windows() - 1) * 10);
   EXPECT_GT(doc.num_changes, 0u);
   EXPECT_EQ(doc.timescale, "1ns");
 
@@ -102,7 +101,6 @@ TEST(Vcd, RequiresValueSnapshots) {
   sim.set_stimulus([](unsigned) { return std::make_unique<UniformStimulus>(1); });
   sim.set_cycle_sink(&trace);
   sim.run(4);
-  trace.finish();
   std::ostringstream os;
   EXPECT_THROW(obs::write_vcd(os, nl, trace, nullptr), Error);
 }
@@ -123,6 +121,30 @@ TEST(Vcd, ParserRejectsMalformedDocuments) {
   EXPECT_THROW(obs::parse_vcd("$timescale 1ns $end\n$scope module m $end\n"), ParseError);
   // Garbage token.
   EXPECT_THROW(obs::parse_vcd(std::string(header) + "#0\nq! \n"), ParseError);
+  // Numbers are read whole and never wrap: a width past 2^32 is not a
+  // 1-bit var, a timestamp past 2^64 - 1 does not wrap to a later one,
+  // and a real value must be a finite number.
+  const std::string scope = "$timescale 1ns $end\n$scope module m $end\n";
+  const std::string defs_end = "$upscope $end\n$enddefinitions $end\n";
+  EXPECT_THROW(obs::parse_vcd(scope + "$var wire 4294967297 ! x $end\n" + defs_end + "#0\n1!\n"),
+               ParseError);
+  EXPECT_THROW(obs::parse_vcd(scope + "$var wire 1x ! x $end\n" + defs_end), ParseError);
+  EXPECT_THROW(obs::parse_vcd(std::string(header) + "#5\nb1010 !\n#18446744073709551626\n"),
+               ParseError);
+  EXPECT_THROW(obs::parse_vcd(std::string(header) + "#-1\n"), ParseError);
+  EXPECT_THROW(obs::parse_vcd(std::string(header) + "#1e3\n"), ParseError);
+  const std::string real = scope + "$var real 64 \" e $end\n" + defs_end + "#0\n";
+  EXPECT_THROW(obs::parse_vcd(real + "rfoo \"\n"), ParseError);
+  EXPECT_THROW(obs::parse_vcd(real + "r \"\n"), ParseError);
+  EXPECT_THROW(obs::parse_vcd(real + "r1.5x \"\n"), ParseError);
+  EXPECT_THROW(obs::parse_vcd(real + "rinf \"\n"), ParseError);
+  EXPECT_EQ(obs::parse_vcd(real + "r1.5e3 \"\nr42 \"\n").num_changes, 2u);
+  // An identifier reused for another var must keep its width.
+  const auto aliased = [&](const std::string& width) {
+    return scope + "$var wire 4 ! a $end\n$var wire " + width + " ! b $end\n" + defs_end;
+  };
+  EXPECT_THROW(obs::parse_vcd(aliased("8")), ParseError);
+  EXPECT_EQ(obs::parse_vcd(aliased("4")).vars.size(), 2u);
   // The well-formed document parses.
   const obs::VcdDocument ok = obs::parse_vcd(std::string(header) + "#0\nb1010 !\n#10\n0!\n");
   EXPECT_EQ(ok.vars.size(), 1u);

@@ -679,14 +679,13 @@ struct WaveCapture {
 /// (measure_activity on the isolate options' lanes), so the captured
 /// waveform integrates to the same power the isolate command reports.
 /// The sink attaches after warmup: the trace covers exactly the cycles
-/// the aggregate statistics cover.
+/// the round's statistics cover, and those price the round.
 WaveCapture capture_wave(const Netlist& nl, const IsolationOptions& opt, std::uint64_t window,
                          bool record_values) {
   CycleTrace trace(window, record_values);
-  (void)measure_activity(nl, nullptr, nullptr, opt, nullptr, &trace);
-  trace.finish();
+  const ActivityStats stats = measure_activity(nl, nullptr, nullptr, opt, nullptr, &trace);
   PowerTrace power = compute_power_trace(nl, trace, opt.power);
-  const double mw = PowerEstimator(opt.power).estimate(nl, trace.to_activity_stats()).total_mw;
+  const double mw = PowerEstimator(opt.power).estimate(nl, stats).total_mw;
   return {std::move(trace), std::move(power), mw};
 }
 
