@@ -18,7 +18,7 @@
 #include "isolation/algorithm.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 
 namespace opiso::bench {
 
@@ -43,7 +43,7 @@ struct TableResult {
 
 /// Runs the Algorithm-1 flow once per style (plus the per-candidate
 /// MIXED style extension) and assembles the table. The style flows are
-/// independent, so they fan out across a thread pool; rows are reduced
+/// independent, so they fan out through parallel_for; rows are reduced
 /// in style order, making the table identical to a sequential run.
 /// `stimuli` must therefore be pure (each call returns a fresh,
 /// identically seeded generator) — every caller passes a seed-
@@ -67,8 +67,7 @@ inline TableResult run_style_table(const Netlist& design, const StimulusFactory&
   }
 
   std::vector<IsolationResult> results(flows.size());
-  ThreadPool pool;
-  pool.parallel_for(flows.size(), [&](std::size_t i) {
+  parallel_for(0, flows.size(), [&](std::size_t i) {
     results[i] = run_operand_isolation(design, stimuli, flows[i].opt);
   });
 

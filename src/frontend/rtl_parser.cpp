@@ -176,8 +176,33 @@ struct Elaborator {
     }
   }
 
-  NetId ensure_true() {
-    if (!const_true.valid()) const_true = nl.add_const("__true", 1, 1);
+  // Every net and cell goes through these, which check the builder's
+  // rules first: a design that breaks one is rejected with the rule's
+  // code and the statement's line.
+  static void check(Lexer& lx, const std::optional<BuildIssue>& issue) {
+    if (issue) lx.fail(issue->code, issue->message);
+  }
+  NetId net(Lexer& lx, const std::string& name, unsigned width) {
+    check(lx, nl.net_issue(name, width));
+    return nl.add_net(name, width);
+  }
+  CellId cell(Lexer& lx, CellKind kind, const std::string& name, const std::vector<NetId>& ins,
+              NetId out, std::uint64_t param = 0) {
+    check(lx, nl.cell_issue(kind, name, ins, out, param));
+    return nl.add_cell(kind, name, ins, out, param);
+  }
+  /// A `kind` cell `prefix + name` driving a new net `name` (the naming
+  /// of Netlist's add_* helpers), `width` bits wide or, when 0, as wide
+  /// as its inputs make it.
+  NetId op(Lexer& lx, CellKind kind, const std::string& prefix, const std::string& name,
+           const std::vector<NetId>& ins, std::uint64_t param = 0, unsigned width = 0) {
+    const NetId out = net(lx, name, width != 0 ? width : nl.infer_width(kind, ins));
+    cell(lx, kind, prefix + name, ins, out, param);
+    return out;
+  }
+
+  NetId ensure_true(Lexer& lx) {
+    if (!const_true.valid()) const_true = op(lx, CellKind::Constant, "const:", "__true", {}, 1, 1);
     return const_true;
   }
 
@@ -199,7 +224,8 @@ struct Elaborator {
     NetId else_net = parse_ternary(lx, "");
     // Mux2 semantics: S = 1 selects the B leg, so `c ? a : b` puts the
     // then-value on B.
-    return nl.add_mux2(hint.empty() ? temp_name() : hint, cond, else_net, then_net);
+    return op(lx, CellKind::Mux2, "m:", hint.empty() ? temp_name() : hint,
+              {cond, else_net, then_net});
   }
 
   NetId binop_chain(Lexer& lx, const std::string& hint, NetId (Elaborator::*next)(Lexer&),
@@ -226,7 +252,7 @@ struct Elaborator {
         return true;
       }();
       const std::string name = (last && !hint.empty()) ? hint : temp_name();
-      lhs = nl.add_binop(kind, name, lhs, rhs);
+      lhs = op(lx, kind, "b:", name, {lhs, rhs});
     }
   }
 
@@ -260,8 +286,8 @@ struct Elaborator {
                 "shift amount " + amount.text + " exceeds the 64-bit net limit");
       }
       const bool last = lx.peek().kind != Tok::Shl && lx.peek().kind != Tok::Shr;
-      lhs = nl.add_shift(kind, (last && !hint.empty()) ? hint : temp_name(), lhs,
-                         static_cast<unsigned>(amount.number));
+      lhs = op(lx, kind, "s:", (last && !hint.empty()) ? hint : temp_name(), {lhs},
+               amount.number);
     }
     return lhs;
   }
@@ -281,7 +307,7 @@ struct Elaborator {
     if (lx.peek().kind == Tok::Not || lx.peek().kind == Tok::Bang) {
       lx.take();
       NetId inner = parse_unary(lx, "");
-      return nl.add_unop(CellKind::Not, hint.empty() ? temp_name() : hint, inner);
+      return op(lx, CellKind::Not, "u:", hint.empty() ? temp_name() : hint, {inner});
     }
     return parse_primary(lx, hint);
   }
@@ -296,8 +322,8 @@ struct Elaborator {
         if (lx.peek().kind != Tok::Colon) lx.fail("literal needs a width: value:width");
         lx.take();
         const Token w = lx.expect(Tok::Number, "literal width");
-        return nl.add_const(hint.empty() ? temp_name() : hint, t.number,
-                            checked_width(lx, w.number));
+        return op(lx, CellKind::Constant, "const:", hint.empty() ? temp_name() : hint, {},
+                  t.number, checked_width(lx, w.number));
       }
       case Tok::LParen: {
         NetId inner = parse_expr(lx, hint);
@@ -312,16 +338,16 @@ struct Elaborator {
   /// Give `net` the name `hint`: generated temporaries are renamed in
   /// place (their driving cell too); pre-existing signals (`wire x = y`)
   /// get a buffer so both names stay addressable.
-  NetId maybe_name(Lexer& lx, NetId net, const std::string& hint) {
-    (void)lx;
-    if (hint.empty()) return net;
-    if (nl.net(net).name.rfind("__t", 0) == 0) {
-      const CellId drv = nl.net(net).driver;
-      nl.rename_net(net, hint);
+  NetId maybe_name(Lexer& lx, NetId named, const std::string& hint) {
+    if (hint.empty()) return named;
+    if (nl.net(named).name.rfind("__t", 0) == 0) {
+      check(lx, nl.net_issue(hint, nl.net(named).width));
+      const CellId drv = nl.net(named).driver;
+      nl.rename_net(named, hint);
       nl.rename_cell(drv, nl.fresh_cell_name(hint));
-      return net;
+      return named;
     }
-    return nl.add_unop(CellKind::Buf, hint, net);
+    return op(lx, CellKind::Buf, "u:", hint, {named});
   }
 };
 
@@ -391,35 +417,26 @@ Netlist parse_rtl(const std::string& text, const RtlParseOptions& options,
   };
   std::vector<SeqDecl> seq;
   for (const Statement& s : stmts) {
-    try {
-      Lexer lx(s.text, s.lineno);
-      if (lx.peek().kind != Tok::Ident) lx.fail("expected a statement keyword");
-      const std::string head = lx.peek().text;
-      if (head == "design") {
-        lx.take();
-        el.nl.set_name(lx.expect(Tok::Ident, "design name").text);
-      } else if (head == "reg" || head == "latch") {
-        lx.take();
-        const Token name = lx.expect(Tok::Ident, "register name");
-        const auto width = parse_width_suffix(lx);
-        if (!width) lx.fail("'" + name.text + "': reg/latch needs an explicit width");
-        const NetId q = el.nl.add_net(name.text, *width);
-        const NetId en = el.ensure_true();
-        // D self-loops on Q until pass 2 elaborates the expression.
-        const CellId cell = el.nl.add_cell(head == "reg" ? CellKind::Reg : CellKind::Latch,
-                                           (head == "reg" ? "r:" : "l:") + name.text, {q, en}, q);
-        el.define(lx, name.text, q);
-        seq.push_back(SeqDecl{cell, s});
-      }
-      record_new(s.lineno);
-    } catch (const ParseError&) {
-      throw;
-    } catch (const Error& e) {
-      // Netlist builders reject e.g. a reg whose Q clashes with an
-      // earlier net; re-raise with the offending line attached.
-      throw ParseError(ErrCode::ParseDuplicate,
-                       "rtl line " + std::to_string(s.lineno) + ": " + e.what(), s.lineno);
+    Lexer lx(s.text, s.lineno);
+    if (lx.peek().kind != Tok::Ident) lx.fail("expected a statement keyword");
+    const std::string head = lx.peek().text;
+    if (head == "design") {
+      lx.take();
+      el.nl.set_name(lx.expect(Tok::Ident, "design name").text);
+    } else if (head == "reg" || head == "latch") {
+      lx.take();
+      const Token name = lx.expect(Tok::Ident, "register name");
+      const auto width = parse_width_suffix(lx);
+      if (!width) lx.fail("'" + name.text + "': reg/latch needs an explicit width");
+      const NetId q = el.net(lx, name.text, *width);
+      const NetId en = el.ensure_true(lx);
+      // D self-loops on Q until pass 2 elaborates the expression.
+      const CellId cell = el.cell(lx, head == "reg" ? CellKind::Reg : CellKind::Latch,
+                                  (head == "reg" ? "r:" : "l:") + name.text, {q, en}, q);
+      el.define(lx, name.text, q);
+      seq.push_back(SeqDecl{cell, s});
     }
+    record_new(s.lineno);
   }
 
   // ---- pass 2: elaborate statements in source order. Netlist-level
@@ -427,7 +444,6 @@ Netlist parse_rtl(const std::string& text, const RtlParseOptions& options,
   // carrying the offending line.
   std::size_t seq_index = 0;
   for (const Statement& s : stmts) {
-    try {
     Lexer lx(s.text, s.lineno);
     const std::string head = lx.expect(Tok::Ident, "statement keyword").text;
     if (head == "design") continue;
@@ -435,7 +451,7 @@ Netlist parse_rtl(const std::string& text, const RtlParseOptions& options,
       const Token name = lx.expect(Tok::Ident, "input name");
       el.declare(lx, name.text);
       const unsigned width = parse_width_suffix(lx).value_or(1);
-      el.define(lx, name.text, el.nl.add_input(name.text, width));
+      el.define(lx, name.text, el.op(lx, CellKind::PrimaryInput, "pi:", name.text, {}, 0, width));
     } else if (head == "const") {
       const Token name = lx.expect(Tok::Ident, "const name");
       el.declare(lx, name.text);
@@ -443,11 +459,8 @@ Netlist parse_rtl(const std::string& text, const RtlParseOptions& options,
       if (!width) lx.fail("const needs a width");
       lx.expect(Tok::Assign, "'='");
       const Token value = lx.expect(Tok::Number, "constant value");
-      if ((value.number & ~width_mask(*width)) != 0) {
-        lx.fail(ErrCode::ParseNumber,
-                "constant " + value.text + " does not fit in " + std::to_string(*width) + " bits");
-      }
-      el.define(lx, name.text, el.nl.add_const(name.text, value.number, *width));
+      el.define(lx, name.text,
+                el.op(lx, CellKind::Constant, "const:", name.text, {}, value.number, *width));
     } else if (head == "wire") {
       const Token name = lx.expect(Tok::Ident, "wire name");
       el.declare(lx, name.text);
@@ -479,18 +492,12 @@ Netlist parse_rtl(const std::string& text, const RtlParseOptions& options,
       const Token name = lx.expect(Tok::Ident, "output name");
       lx.expect(Tok::Assign, "'='");
       const NetId net = el.parse_expr(lx, "");
-      el.nl.add_output(name.text, net);
+      el.cell(lx, CellKind::PrimaryOutput, "po:" + name.text, {net}, NetId::invalid());
     } else {
       lx.fail("unknown statement '" + head + "'");
     }
     if (lx.peek().kind != Tok::End) lx.fail("trailing tokens after statement");
     record_new(s.lineno);
-    } catch (const ParseError&) {
-      throw;
-    } catch (const Error& e) {
-      throw ParseError(ErrCode::ParseSyntax,
-                       "rtl line " + std::to_string(s.lineno) + ": " + e.what(), s.lineno);
-    }
   }
 
   if (options.validate) {

@@ -41,11 +41,22 @@ CellId Netlist::find_cell(std::string_view name) const {
   return it == cell_by_name_.end() ? CellId::invalid() : it->second;
 }
 
+std::optional<BuildIssue> Netlist::net_issue(const std::string& name,
+                                             std::uint64_t width) const {
+  if (name.empty()) return BuildIssue{ErrCode::ParseSyntax, "net name must be non-empty"};
+  if (width < 1 || width > 64) {
+    return BuildIssue{ErrCode::ParseWidth,
+                      "width " + std::to_string(width) + " out of range [1,64]"};
+  }
+  if (net_by_name_.contains(name)) {
+    return BuildIssue{ErrCode::ParseDuplicate, "duplicate net name: " + name};
+  }
+  return std::nullopt;
+}
+
 NetId Netlist::add_net(std::string name, unsigned width) {
-  OPISO_REQUIRE(!name.empty(), "net name must be non-empty");
-  OPISO_REQUIRE(width >= 1 && width <= 64, "net width must be in [1,64]");
-  OPISO_REQUIRE(net_by_name_.find(name) == net_by_name_.end(),
-                "duplicate net name: " + name);
+  const std::optional<BuildIssue> issue = net_issue(name, width);
+  OPISO_REQUIRE(!issue, issue->message);
   NetId id{static_cast<std::uint32_t>(nets_.size())};
   Net n;
   n.name = name;
@@ -62,52 +73,80 @@ unsigned Netlist::infer_width(CellKind kind, const std::vector<NetId>& ins) cons
   return cell_kind_width(kind, std::span<const unsigned>(widths.data(), ins.size()));
 }
 
-void Netlist::check_new_cell(CellKind kind, const std::string& name,
-                             const std::vector<NetId>& ins, NetId out) const {
-  OPISO_REQUIRE(!name.empty(), "cell name must be non-empty");
-  OPISO_REQUIRE(cell_by_name_.find(name) == cell_by_name_.end(),
-                "duplicate cell name: " + name);
-  const int want = cell_kind_num_inputs(kind);
-  OPISO_REQUIRE(static_cast<int>(ins.size()) == want,
-                "cell '" + name + "' (" + std::string(cell_kind_name(kind)) + ") needs " +
-                    std::to_string(want) + " inputs, got " + std::to_string(ins.size()));
-  for (NetId in : ins) {
-    OPISO_REQUIRE(in.valid() && in.value() < nets_.size(),
-                  "cell '" + name + "' references an invalid input net");
+std::optional<BuildIssue> Netlist::cell_issue(CellKind kind, const std::string& name,
+                                              const std::vector<NetId>& ins, NetId out,
+                                              std::uint64_t param) const {
+  if (name.empty()) return BuildIssue{ErrCode::ParseSyntax, "cell name must be non-empty"};
+  if (cell_by_name_.contains(name)) {
+    return BuildIssue{ErrCode::ParseDuplicate, "duplicate cell name: " + name};
   }
-  if (cell_kind_has_output(kind)) {
-    OPISO_REQUIRE(out.valid() && out.value() < nets_.size(),
-                  "cell '" + name + "' references an invalid output net");
-    OPISO_REQUIRE(!nets_[out.value()].driver.valid(),
-                  "net '" + nets_[out.value()].name + "' already has a driver");
-  } else {
-    OPISO_REQUIRE(!out.valid(), "PrimaryOutput cells have no output net");
+  // The message names the cell; it is built only for a broken rule.
+  const auto broken = [&](ErrCode code, const std::string& what) {
+    return BuildIssue{code,
+                      "cell '" + name + "' (" + std::string(cell_kind_name(kind)) + ")" + what};
+  };
+  const int want = cell_kind_num_inputs(kind);
+  if (static_cast<int>(ins.size()) != want) {
+    return broken(ErrCode::ParseSyntax, " needs " + std::to_string(want) + " inputs, got " +
+                                            std::to_string(ins.size()));
+  }
+  for (NetId in : ins) {
+    if (!in.valid() || in.value() >= nets_.size()) {
+      return broken(ErrCode::ParseSyntax, " references an invalid input net");
+    }
+  }
+  if (!cell_kind_has_output(kind)) {
+    if (out.valid()) return broken(ErrCode::ParseSyntax, " takes no output net");
+    return std::nullopt;
+  }
+  if (!out.valid() || out.value() >= nets_.size()) {
+    return broken(ErrCode::ParseSyntax, " references an invalid output net");
+  }
+  const Net& onet = nets_[out.value()];
+  if (onet.driver.valid()) {
+    return BuildIssue{ErrCode::ParseDuplicate, "net '" + onet.name + "' already has a driver"};
   }
   // Per-kind width rules on 1-bit control pins.
-  auto require_w1 = [&](int port) {
-    OPISO_REQUIRE(nets_[ins[static_cast<size_t>(port)].value()].width == 1,
-                  "cell '" + name + "': port " + std::string(cell_port_name(kind, port)) +
-                      " must be 1 bit wide");
-  };
+  int control = -1;
   switch (kind) {
     case CellKind::Mux2:
-      require_w1(0);
+      control = 0;
       break;
     case CellKind::Reg:
     case CellKind::Latch:
     case CellKind::IsoAnd:
     case CellKind::IsoOr:
     case CellKind::IsoLatch:
-      require_w1(1);
+      control = 1;
       break;
     default:
       break;
   }
+  if (control >= 0 && nets_[ins[static_cast<std::size_t>(control)].value()].width != 1) {
+    return broken(ErrCode::ParseWidth,
+                  ": port " + std::string(cell_port_name(kind, control)) + " must be 1 bit wide");
+  }
+  if (kind == CellKind::Constant) {
+    if ((param & ~width_mask(onet.width)) != 0) {
+      return BuildIssue{ErrCode::ParseNumber, "constant " + std::to_string(param) +
+                                                  " does not fit in " +
+                                                  std::to_string(onet.width) + " bits"};
+    }
+  } else if (kind != CellKind::PrimaryInput) {
+    const unsigned inferred = infer_width(kind, ins);
+    if (onet.width != inferred) {
+      return broken(ErrCode::ParseWidth, ": output net '" + onet.name + "' width " +
+                                             std::to_string(onet.width) + " != inferred width " +
+                                             std::to_string(inferred));
+    }
+  }
+  return std::nullopt;
 }
 
 CellId Netlist::add_cell(CellKind kind, std::string name, const std::vector<NetId>& ins,
                          NetId out, std::uint64_t param) {
-  check_new_cell(kind, name, ins, out);
+  const std::optional<BuildIssue> issue = cell_issue(kind, name, ins, out, param);
+  OPISO_REQUIRE(!issue, issue->message);
   CellId id{static_cast<std::uint32_t>(cells_.size())};
   Cell c;
   c.kind = kind;
@@ -116,16 +155,8 @@ CellId Netlist::add_cell(CellKind kind, std::string name, const std::vector<NetI
   c.ins = ins;
   c.out = out;
   if (cell_kind_has_output(kind)) {
-    Net& onet = nets_[out.value()];
-    onet.driver = id;
-    c.width = onet.width;
-    if (kind != CellKind::PrimaryInput && kind != CellKind::Constant) {
-      const unsigned inferred = infer_width(kind, ins);
-      OPISO_REQUIRE(onet.width == inferred,
-                    "cell '" + name + "': output net '" + onet.name + "' width " +
-                        std::to_string(onet.width) + " != inferred width " +
-                        std::to_string(inferred));
-    }
+    nets_[out.value()].driver = id;
+    c.width = nets_[out.value()].width;
   } else {
     c.width = nets_[ins[0].value()].width;
   }
@@ -150,8 +181,6 @@ CellId Netlist::add_output(const std::string& name, NetId src) {
 }
 
 NetId Netlist::add_const(const std::string& name, std::uint64_t value, unsigned width) {
-  OPISO_REQUIRE(width >= 1 && width <= 64, "constant width must be in [1,64]");
-  OPISO_REQUIRE((value & ~width_mask(width)) == 0, "constant value does not fit its width");
   NetId out = add_net(name, width);
   add_cell(CellKind::Constant, "const:" + name, {}, out, value);
   return out;

@@ -15,6 +15,7 @@
 // before they trust a netlist.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -53,6 +54,13 @@ struct Net {
   std::vector<Pin> fanouts;
 };
 
+/// A construction rule that a new net or cell would break: the code a
+/// design reader reports it under and a plain message.
+struct BuildIssue {
+  ErrCode code;
+  std::string message;
+};
+
 class Netlist {
  public:
   Netlist() = default;
@@ -80,11 +88,22 @@ class Netlist {
   [[nodiscard]] CellId find_cell(std::string_view name) const;
 
   // -- construction ---------------------------------------------------------
+  /// The rule that add_net / add_cell with these arguments would break,
+  /// or nothing. Design readers call these first, so a file that breaks
+  /// a rule is rejected with the rule's code and its input line; the
+  /// builders treat a broken rule as a caller bug (ErrCode::Internal).
+  [[nodiscard]] std::optional<BuildIssue> net_issue(const std::string& name,
+                                                    std::uint64_t width) const;
+  [[nodiscard]] std::optional<BuildIssue> cell_issue(CellKind kind, const std::string& name,
+                                                     const std::vector<NetId>& ins, NetId out,
+                                                     std::uint64_t param = 0) const;
+
   /// Create a fresh net. Names must be unique and non-empty.
   NetId add_net(std::string name, unsigned width);
 
   /// Generic cell insertion; checks pin counts and width rules for `kind`
-  /// and wires up fanout lists. Returns the new cell id.
+  /// (and that a Constant's value fits its net) and wires up fanout
+  /// lists. Returns the new cell id.
   CellId add_cell(CellKind kind, std::string name, const std::vector<NetId>& ins, NetId out,
                   std::uint64_t param = 0);
 
@@ -123,9 +142,6 @@ class Netlist {
   [[nodiscard]] unsigned infer_width(CellKind kind, const std::vector<NetId>& ins) const;
 
  private:
-  void check_new_cell(CellKind kind, const std::string& name, const std::vector<NetId>& ins,
-                      NetId out) const;
-
   std::string name_;
   std::vector<Cell> cells_;
   std::vector<Net> nets_;

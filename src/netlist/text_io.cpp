@@ -53,6 +53,10 @@ Netlist read_netlist(std::istream& is, const NetlistReadOptions& options,
     }
     return v;
   };
+  // A builder rule the line would break is rejected before the builder runs.
+  auto check = [&](const std::optional<BuildIssue>& issue) {
+    if (issue) fail(issue->message, issue->code);
+  };
   while (std::getline(is, line)) {
     ++lineno;
     // Strip comments and surrounding whitespace.
@@ -69,23 +73,32 @@ Netlist read_netlist(std::istream& is, const NetlistReadOptions& options,
       std::string name;
       if (!(ls >> name >> tok)) fail("net needs <name> <width>");
       const std::uint64_t width = number(tok, "net width");
-      if (width < 1 || width > 64) {
-        fail("width " + std::to_string(width) + " out of range [1,64]", ErrCode::ParseWidth);
-      }
+      check(nl.net_issue(name, width));
       if (ls >> tok) fail("trailing tokens after the net width");
-      try {
-        nl.add_net(name, static_cast<unsigned>(width));
-        if (source_map != nullptr) source_map->net_lines.emplace(name, lineno);
-      } catch (const Error& e) {
-        fail(e.what());
-      }
+      nl.add_net(name, static_cast<unsigned>(width));
+      if (source_map != nullptr) source_map->net_lines.emplace(name, lineno);
     } else if (head == "cell") {
       std::string name, kind_name;
       if (!(ls >> name >> kind_name)) fail("cell needs <name> <kind>");
+      CellKind kind{};
+      try {
+        kind = cell_kind_from_name(kind_name);
+      } catch (const ParseError& e) {
+        fail(e.what());
+      }
       std::uint64_t param = 0;
       if (!(ls >> tok)) fail("cell line truncated");
       if (tok.rfind("param=", 0) == 0) {
+        // Only constants and shifts read a param, and a shift amount is
+        // bounded by the 64-bit net limit, as in the RTL reader.
+        if (kind != CellKind::Constant && kind != CellKind::Shl && kind != CellKind::Shr) {
+          fail(kind_name + " cell '" + name + "' takes no param");
+        }
         param = number(std::string_view(tok).substr(6), "param");
+        if (kind != CellKind::Constant && param > 64) {
+          fail("shift amount " + std::to_string(param) + " exceeds the 64-bit net limit",
+               ErrCode::ParseNumber);
+        }
         if (!(ls >> tok)) fail("cell line truncated after param");
       }
       if (tok != "->") fail("expected '->'");
@@ -104,18 +117,9 @@ Netlist read_netlist(std::istream& is, const NetlistReadOptions& options,
         out = nl.find_net(out_name);
         if (!out.valid()) fail("unknown output net '" + out_name + "'");
       }
-      if (kind_name == cell_kind_name(CellKind::Constant) && out.valid() &&
-          (param & ~width_mask(nl.net(out).width)) != 0) {
-        fail("constant " + std::to_string(param) + " does not fit its " +
-                 std::to_string(nl.net(out).width) + "-bit output net '" + out_name + "'",
-             ErrCode::ParseNumber);
-      }
-      try {
-        nl.add_cell(cell_kind_from_name(kind_name), name, ins, out, param);
-        if (source_map != nullptr) source_map->cell_lines.emplace(name, lineno);
-      } catch (const Error& e) {
-        fail(e.what());
-      }
+      check(nl.cell_issue(kind, name, ins, out, param));
+      nl.add_cell(kind, name, ins, out, param);
+      if (source_map != nullptr) source_map->cell_lines.emplace(name, lineno);
     } else {
       fail("unknown directive '" + head + "'");
     }

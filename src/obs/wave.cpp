@@ -112,35 +112,6 @@ JsonValue build_power_trace_section(const Netlist& nl, const PowerTrace& pt,
   return doc;
 }
 
-JsonValue build_toggle_heatmap(const Netlist& nl, const PowerTrace& pt) {
-  OPISO_REQUIRE(pt.cell_fj.size() == nl.num_cells(),
-                "build_toggle_heatmap: trace does not match the netlist");
-  const std::vector<std::size_t> order = rank_cells(pt);
-  JsonValue doc = JsonValue::object();
-  doc["schema"] = "opiso.toggle_heatmap/v1";
-  doc["total_energy_fj"] = pt.total_energy_fj;
-  JsonValue rows = JsonValue::array();
-  for (std::size_t rank = 0; rank < order.size(); ++rank) {
-    const std::size_t ci = order[rank];
-    const Cell& c = nl.cell(CellId{static_cast<std::uint32_t>(ci)});
-    JsonValue row = JsonValue::object();
-    row["rank"] = static_cast<std::uint64_t>(rank + 1);
-    row["cell"] = c.name;
-    row["kind"] = cell_kind_name(c.kind);
-    row["width"] = c.width;
-    row["candidate"] = cell_kind_is_arith(c.kind);
-    row["total_toggles"] = pt.cell_total_toggles[ci];
-    row["total_fj"] = pt.cell_total_fj[ci];
-    row["energy_pct"] = pt.total_energy_fj > 0
-                            ? 100.0 * static_cast<double>(pt.cell_total_fj[ci]) /
-                                  static_cast<double>(pt.total_energy_fj)
-                            : 0.0;
-    rows.push_back(std::move(row));
-  }
-  doc["rows"] = std::move(rows);
-  return doc;
-}
-
 void write_heatmap_table(std::ostream& os, const Netlist& nl, const PowerTrace& pt,
                          std::size_t max_rows) {
   const std::vector<std::size_t> order = rank_cells(pt);

@@ -49,14 +49,8 @@ namespace opiso::obs {
                                                   std::size_t max_samples = 512,
                                                   std::size_t top_cells = 16);
 
-/// Per-cell heatmap rows ranked hottest-first (total energy, ties by
-/// cell id): {"schema": "opiso.toggle_heatmap/v1", "rows": [{"rank",
-/// "cell", "kind", "width", "candidate", "total_toggles", "total_fj",
-/// "energy_pct"}]}.
-[[nodiscard]] JsonValue build_toggle_heatmap(const Netlist& nl, const PowerTrace& pt);
-
-/// Human-readable rendering of the heatmap (top `max_rows` rows) for
-/// stderr/terminal use.
+/// Per-cell toggle/energy heatmap ranked hottest-first (total energy,
+/// ties by cell id), top `max_rows` rows, for stderr/terminal use.
 void write_heatmap_table(std::ostream& os, const Netlist& nl, const PowerTrace& pt,
                          std::size_t max_rows = 24);
 

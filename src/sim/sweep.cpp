@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <numeric>
 
@@ -11,7 +12,7 @@
 #include "power/estimator.hpp"
 #include "sim/parallel_sim.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 
 namespace opiso {
 
@@ -161,14 +162,7 @@ bool SweepOutcome::failed(std::size_t task_index) const {
   return false;
 }
 
-struct SweepRunner::Impl {
-  explicit Impl(unsigned threads) : pool(threads) {}
-  ThreadPool pool;
-};
-
-SweepRunner::SweepRunner(unsigned threads) : impl_(std::make_shared<Impl>(threads)) {}
-
-unsigned SweepRunner::threads() const { return impl_->pool.size(); }
+SweepRunner::SweepRunner(unsigned threads) : threads_(resolve_threads(threads)) {}
 
 SweepOutcome SweepRunner::run(const std::vector<SweepTask>& tasks, const SweepRunOptions& options,
                               const SweepProgressFn& progress) {
@@ -179,7 +173,7 @@ SweepOutcome SweepRunner::run(const std::vector<SweepTask>& tasks, const SweepRu
   std::mutex mu;  // failures list + progress counter
   std::size_t completed = 0;
   std::atomic<bool> abort{false};
-  impl_->pool.parallel_for(tasks.size(), [&](std::size_t i) {
+  parallel_for(threads_, tasks.size(), [&](std::size_t i) {
     std::uint64_t elapsed = 0;
     SweepTaskFailure failure;
     bool failed = false;

@@ -1,8 +1,9 @@
 #pragma once
 // Multithreaded design sweep.
 //
-// A sweep fans independent (design × stimulus seed) tasks across a
-// deterministic thread pool and reduces the results in task order.
+// A sweep fans independent (design × stimulus seed) tasks out to
+// workers that each run starts and joins (parallel_for) and reduces the
+// results in task order.
 // Every task is one measurement round of the discipline the
 // isolate-family commands share: a plain task is one measure_activity
 // call, an isolate task one run_operand_isolation call, both on the
@@ -15,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -152,21 +152,21 @@ class SweepRunner {
   /// `threads` = 0 picks the hardware concurrency.
   explicit SweepRunner(unsigned threads = 0);
 
-  /// Fan all tasks across the pool; results come back in task order.
+  /// Fan all tasks out to min(threads(), tasks) workers started for
+  /// this call; results come back in task order.
   /// Fault-isolated: a throwing or over-budget task becomes a
   /// SweepTaskFailure record while every other task still completes
-  /// (nothing propagates out of the pool). `progress`, when set, is
+  /// (nothing propagates out of the workers). `progress`, when set, is
   /// invoked once per completed task from the finishing worker,
   /// serialized by an internal mutex (safe to write to a stream from it).
   [[nodiscard]] SweepOutcome run(const std::vector<SweepTask>& tasks,
                                  const SweepRunOptions& options = {},
                                  const SweepProgressFn& progress = nullptr);
 
-  [[nodiscard]] unsigned threads() const;
+  [[nodiscard]] unsigned threads() const { return threads_; }
 
  private:
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
+  unsigned threads_;
 };
 
 /// Deterministic JSON report (schema opiso.sweep/v1). Contains no

@@ -129,6 +129,9 @@ TEST(Corpus, ExpectedCodesForKnownFamilies) {
       {kRtl, "bad_shift_overflow.rtl", ErrCode::ParseNumber},
       {kRtl, "bad_deep_nesting.rtl", ErrCode::ParseDepth},
       {kRtl, "bad_const_too_wide.rtl", ErrCode::ParseNumber},
+      {kRtl, "bad_literal_too_wide.rtl", ErrCode::ParseNumber},
+      {kRtl, "bad_mux_select_width.rtl", ErrCode::ParseWidth},
+      {kRtl, "bad_dup_output.rtl", ErrCode::ParseDuplicate},
       {kRtn, "bad_param_alpha.rtn", ErrCode::ParseNumber},
       {kRtn, "bad_param_empty.rtn", ErrCode::ParseNumber},
       {kRtn, "bad_param_overflow.rtn", ErrCode::ParseNumber},
@@ -137,6 +140,15 @@ TEST(Corpus, ExpectedCodesForKnownFamilies) {
       {kRtn, "bad_const_too_wide.rtn", ErrCode::ParseNumber},
       {kRtn, "bad_net_width_zero.rtn", ErrCode::ParseWidth},
       {kRtn, "bad_net_trailing.rtn", ErrCode::ParseSyntax},
+      {kRtn, "bad_param_on_add.rtn", ErrCode::ParseSyntax},
+      {kRtn, "bad_shift_amount.rtn", ErrCode::ParseNumber},
+      {kRtn, "bad_dup_net.rtn", ErrCode::ParseDuplicate},
+      {kRtn, "bad_dup_cell.rtn", ErrCode::ParseDuplicate},
+      {kRtn, "bad_arity.rtn", ErrCode::ParseSyntax},
+      {kRtn, "bad_two_drivers.rtn", ErrCode::ParseDuplicate},
+      {kRtn, "bad_reg_en_width.rtn", ErrCode::ParseWidth},
+      {kRtn, "bad_output_width.rtn", ErrCode::ParseWidth},
+      {kRtn, "bad_output_cell_net.rtn", ErrCode::ParseSyntax},
   };
   for (const auto& c : kCases) {
     SCOPED_TRACE(c.file);

@@ -97,6 +97,32 @@ TEST(Netlist, PinCountEnforced) {
   EXPECT_THROW(nl.add_cell(CellKind::Add, "add1", {a}, out), Error);
 }
 
+TEST(Netlist, BuildIssuesCarryParseCodesButBuildersStayInternal) {
+  Netlist nl;
+  const NetId a = nl.add_input("a", 4);
+  const NetId wide = nl.add_net("wide", 8);
+  EXPECT_FALSE(nl.net_issue("b", 4));
+  EXPECT_EQ(nl.net_issue("a", 4)->code, ErrCode::ParseDuplicate);
+  EXPECT_EQ(nl.net_issue("b", 65)->code, ErrCode::ParseWidth);
+  EXPECT_EQ(nl.net_issue("b", std::uint64_t{1} << 32 | 1)->code, ErrCode::ParseWidth);
+  EXPECT_EQ(nl.cell_issue(CellKind::Add, "g", {a}, wide)->code, ErrCode::ParseSyntax);
+  EXPECT_EQ(nl.cell_issue(CellKind::Add, "g", {a, a}, wide)->code, ErrCode::ParseWidth);
+  EXPECT_EQ(nl.cell_issue(CellKind::Add, "pi:a", {a, a}, wide)->code, ErrCode::ParseDuplicate);
+  EXPECT_EQ(nl.cell_issue(CellKind::Buf, "g", {a}, a)->code, ErrCode::ParseDuplicate);
+  EXPECT_EQ(nl.cell_issue(CellKind::Mux2, "g", {a, wide, wide}, wide)->code, ErrCode::ParseWidth);
+  EXPECT_EQ(nl.cell_issue(CellKind::PrimaryOutput, "g", {a}, wide)->code, ErrCode::ParseSyntax);
+  EXPECT_EQ(nl.cell_issue(CellKind::Constant, "g", {}, wide, 256)->code, ErrCode::ParseNumber);
+  EXPECT_FALSE(nl.cell_issue(CellKind::Constant, "g", {}, wide, 255));
+  // The same rule broken by library code is a bug, not bad input.
+  try {
+    nl.add_cell(CellKind::Add, "g", {a, a}, wide);
+    FAIL() << "expected a width rejection";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrCode::Internal);
+    EXPECT_NE(std::string(e.what()).find("inferred width 4"), std::string::npos);
+  }
+}
+
 TEST(Netlist, FanoutListsTrackConsumers) {
   Netlist nl;
   NetId a = nl.add_input("a", 4);

@@ -386,10 +386,6 @@ TEST(Trace, ChromeTraceShape) {
 }
 
 TEST(Trace, ConcurrentSweepWorkerSpansProduceValidChromeTrace) {
-  Tracer& tracer = Tracer::instance();
-  tracer.clear();
-  tracer.set_enabled(true);
-
   std::vector<SweepTask> tasks;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SweepTask t;
@@ -401,45 +397,54 @@ TEST(Trace, ConcurrentSweepWorkerSpansProduceValidChromeTrace) {
     t.options.warmup_cycles = 0;
     tasks.push_back(std::move(t));
   }
-  SweepRunner runner(4);
-  const SweepOutcome out = runner.run(tasks);
-  tracer.set_enabled(false);
-  ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out.results.size(), tasks.size());
+  // One thread included: a one-thread sweep still runs its tasks on a
+  // worker, never on the caller.
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Tracer& tracer = Tracer::instance();
+    tracer.clear();
+    tracer.set_enabled(true);
+    SweepRunner runner(threads);
+    const SweepOutcome out = runner.run(tasks);
+    tracer.set_enabled(false);
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out.results.size(), tasks.size());
 
-  // One sweep.task span per task (worker threads) + the caller's
-  // sweep.run span, with per-thread lanes: the caller never executes
-  // tasks, so its tid differs from every worker's.
-  const std::vector<TraceEvent> events = tracer.events();
-  std::set<int> task_tids;
-  int run_tid = -1;
-  std::size_t task_spans = 0;
-  for (const TraceEvent& e : events) {
-    if (e.name == "sweep.task") {
-      ++task_spans;
-      task_tids.insert(e.tid);
-    } else if (e.name == "sweep.run") {
-      run_tid = e.tid;
+    // One sweep.task span per task (worker threads) + the caller's
+    // sweep.run span, with per-thread lanes: the caller never executes
+    // tasks, so its tid differs from every worker's.
+    const std::vector<TraceEvent> events = tracer.events();
+    std::set<int> task_tids;
+    int run_tid = -1;
+    std::size_t task_spans = 0;
+    for (const TraceEvent& e : events) {
+      if (e.name == "sweep.task") {
+        ++task_spans;
+        task_tids.insert(e.tid);
+      } else if (e.name == "sweep.run") {
+        run_tid = e.tid;
+      }
     }
-  }
-  EXPECT_EQ(task_spans, tasks.size());
-  EXPECT_NE(run_tid, -1);
-  EXPECT_EQ(task_tids.count(run_tid), 0u);
+    EXPECT_EQ(task_spans, tasks.size());
+    EXPECT_NE(run_tid, -1);
+    EXPECT_EQ(task_tids.count(run_tid), 0u);
+    EXPECT_LE(task_tids.size(), threads);
 
-  // The serialized trace is one valid JSON document whose events all
-  // carry the Chrome trace-event fields.
-  std::ostringstream os;
-  tracer.write_chrome_trace(os);
-  const JsonValue doc = JsonValue::parse(os.str());
-  ASSERT_EQ(doc.at("traceEvents").size(), events.size());
-  for (std::size_t i = 0; i < doc.at("traceEvents").size(); ++i) {
-    const JsonValue& ev = doc.at("traceEvents").at(i);
-    EXPECT_EQ(ev.at("ph").as_string(), "X");
-    EXPECT_TRUE(ev.at("ts").is_number());
-    EXPECT_TRUE(ev.at("dur").is_number());
-    EXPECT_GE(ev.at("tid").as_number(), 1.0);
+    // The serialized trace is one valid JSON document whose events all
+    // carry the Chrome trace-event fields.
+    std::ostringstream os;
+    tracer.write_chrome_trace(os);
+    const JsonValue doc = JsonValue::parse(os.str());
+    ASSERT_EQ(doc.at("traceEvents").size(), events.size());
+    for (std::size_t i = 0; i < doc.at("traceEvents").size(); ++i) {
+      const JsonValue& ev = doc.at("traceEvents").at(i);
+      EXPECT_EQ(ev.at("ph").as_string(), "X");
+      EXPECT_TRUE(ev.at("ts").is_number());
+      EXPECT_TRUE(ev.at("dur").is_number());
+      EXPECT_GE(ev.at("tid").as_number(), 1.0);
+    }
+    tracer.clear();
   }
-  tracer.clear();
 }
 
 // ------------------------------------------------------------- Metrics

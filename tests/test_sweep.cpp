@@ -1,13 +1,17 @@
-// Thread pool and sweep runner: deterministic parallelism. The pool
-// must execute every task exactly once and propagate failures; the
+// Fan-out and sweep runner: deterministic parallelism. parallel_for
+// must run every task exactly once on workers it starts and joins
+// itself, never more workers than tasks, and propagate failures; the
 // sweep runner must produce results that are bitwise independent of the
 // thread count and equal to one reference-interpreter run per lane,
 // merged.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "designs/designs.hpp"
 #include "isolation/algorithm.hpp"
@@ -15,43 +19,55 @@
 #include "power/estimator.hpp"
 #include "reference_simulator.hpp"
 #include "sim/sweep.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 
 namespace opiso {
 namespace {
 
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
+TEST(ParallelFor, RunsEveryTaskExactlyOnce) {
   std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  parallel_for(4, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, HandlesEmptyAndReuse) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL() << "no tasks expected"; });
+TEST(ParallelFor, HandlesEmptyAndRepeatedCalls) {
+  parallel_for(2, 0, [](std::size_t) { FAIL() << "no tasks expected"; });
   std::atomic<int> count{0};
   for (int round = 0; round < 10; ++round) {
-    pool.parallel_for(7, [&](std::size_t) { count.fetch_add(1); });
+    parallel_for(2, 7, [&](std::size_t) { count.fetch_add(1); });
   }
   EXPECT_EQ(count.load(), 70);
 }
 
-TEST(ThreadPool, PropagatesTheSmallestFailingIndex) {
-  ThreadPool pool(4);
+TEST(ParallelFor, PropagatesTheSmallestFailingIndex) {
   try {
-    pool.parallel_for(50, [](std::size_t i) {
+    parallel_for(4, 50, [](std::size_t i) {
       if (i == 7 || i == 31) throw std::runtime_error("task " + std::to_string(i));
     });
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "task 7");
   }
-  // The pool must survive a failed round.
+  // A failed call leaves nothing behind for the next one.
   std::atomic<int> ok{0};
-  pool.parallel_for(3, [&](std::size_t) { ok.fetch_add(1); });
+  parallel_for(4, 3, [&](std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 3);
+}
+
+TEST(ParallelFor, StartsNoMoreWorkersThanTasks) {
+  // Eight threads asked for, three tasks: three workers start, each on
+  // a thread of its own, and the caller runs none of the tasks.
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  parallel_for(8, 3, [&](std::size_t) {
+    std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_EQ(obs::metrics().gauge("pool.workers").value(), 3.0);
+  EXPECT_EQ(ids.count(std::this_thread::get_id()), 0u);
+  EXPECT_LE(ids.size(), 3u);
+  EXPECT_EQ(resolve_threads(8), 8u);
+  EXPECT_GE(resolve_threads(0), 1u);
 }
 
 /// A plain task on `lanes` lanes of `cycles` cycles each, after
@@ -231,11 +247,10 @@ TEST(SweepLaneSeed, NamesLaneOfTheSeedsFamily) {
 
 // ---------------------------------------------------- robustness layer
 
-TEST(ThreadPool, CountsTaskFailuresInMetrics) {
+TEST(ParallelFor, CountsTaskFailuresInMetrics) {
   obs::metrics().counter("pool.task_failures").reset();
-  ThreadPool pool(4);
   try {
-    pool.parallel_for(20, [](std::size_t i) {
+    parallel_for(4, 20, [](std::size_t i) {
       if (i % 5 == 0) throw std::runtime_error("boom " + std::to_string(i));
     });
     FAIL() << "expected an exception";
@@ -246,19 +261,17 @@ TEST(ThreadPool, CountsTaskFailuresInMetrics) {
   EXPECT_EQ(obs::metrics().counter("pool.task_failures").value(), 4u);
 }
 
-TEST(ThreadPool, SurvivesFailureStorms) {
-  // Regression for the generation-handoff race: a worker still draining
-  // one generation while the caller starts the next could claim
-  // next-generation indices or corrupt the busy histogram. Hammer the
-  // pool with quick alternating throwing/clean generations; correctness
-  // here is "every task of every generation runs exactly once and the
-  // pool never deadlocks" (the ctest TIMEOUT backs the latter).
-  ThreadPool pool(8);
+TEST(ParallelFor, SurvivesFailureStorms) {
+  // Quick alternating throwing/clean calls: every task of every call
+  // runs exactly once, a failure never leaks into the next call, and no
+  // call deadlocks (the ctest TIMEOUT backs the latter). Under TSan
+  // this checks that the join orders each call's writes before its
+  // reads.
   for (int round = 0; round < 200; ++round) {
     std::vector<std::atomic<int>> hits(17);
     const bool throwing = round % 2 == 0;
     try {
-      pool.parallel_for(hits.size(), [&](std::size_t i) {
+      parallel_for(8, hits.size(), [&](std::size_t i) {
         hits[i].fetch_add(1);
         if (throwing && i % 7 == 3) throw std::runtime_error("x");
       });

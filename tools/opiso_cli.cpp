@@ -508,7 +508,7 @@ Outcome run_lint(const Args& args, const Input& in) {
 }
 
 /// The designs were loaded once up front only to fail fast on a bad
-/// operand before the pool spins up; every task loads its own copy.
+/// operand before any worker starts; every task loads its own copy.
 Outcome run_sweep(const Args& args, const Input& in) {
   // One options block for every task; each task installs its own
   // seed's lane streams. Sweeps default to all compiled lanes
