@@ -158,6 +158,14 @@ int main() {
       r["verified"] = rw.result.rewrite.at("verified").as_bool();
       r["cells_before"] = rw.result.rewrite.at("cells").at("before");
       r["cells_after"] = rw.result.rewrite.at("cells").at("after");
+      // The rewrite's exact work: held to the baseline with no band, so
+      // a change that adds e-graph or proof work fails on any host.
+      r["iterations"] = rw.result.rewrite.at("iterations");
+      r["egraph"] = rw.result.rewrite.at("egraph");
+      r["rules_fired"] = rw.result.rewrite.at("rules_fired");
+      obs::JsonValue v = obs::JsonValue::object();
+      v["obligations_checked"] = rw.result.rewrite.at("verify").at("obligations_checked");
+      r["verify"] = std::move(v);
       d["rewrite"] = std::move(r);
     }
     const double red_iso = d.at("isolated").at("net_reduction_pct").as_number();

@@ -76,7 +76,8 @@ set_tests_properties(bench_sweep_structural PROPERTIES TIMEOUT 300 LABELS bench-
 
 # Same split for BENCH_rewrite.json: this ctest regenerates it and holds
 # the deterministic fields (power figures, module counts, the rewrite
-# advantage) to the committed snapshot; wall-clock fields are gated by
+# advantage, the rewrite's exact work counts) to the committed snapshot,
+# the counts with no band; wall-clock fields are gated by
 # the rolling perf-trajectory CI job. The bench binary itself exits
 # nonzero unless rewriting strictly beats isolated-only somewhere, so
 # the acceptance inequality is enforced on every run.

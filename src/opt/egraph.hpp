@@ -6,12 +6,15 @@
 // structure holding *every* equivalent form reached by the rule set, so
 // extraction can pick the variant with the best cost after the fact
 // instead of committing greedily. This implementation keeps the classic
-// shape — hashcons + union-find + congruence rebuild — but is tuned for
-// determinism rather than raw speed:
+// shape — hashcons + union-find + congruence rebuild — and keeps every
+// result a pure function of insertion history:
 //
-//   * e-nodes are ordered values keyed by (kind, param, width, child
-//     e-classes) and hashconsed through a std::map, so iteration order
-//     is a pure function of insertion history, never of pointer values;
+//   * e-nodes are flat values — kind, param, width and at most three
+//     child e-classes inline — hashconsed through hash tables that are
+//     only ever looked up, never iterated, so no order depends on a
+//     hash or a pointer value;
+//   * class ids come from insertion order, and class_ids() and nodes()
+//     scan vectors;
 //   * union-find always keeps the smaller class id as the canonical
 //     representative, so canonical ids are stable across runs;
 //   * per-class node lists preserve first-insertion order.
@@ -28,10 +31,13 @@
 // to express by accident — the rule set must introduce an explicit
 // zero-extension (Or with a wide zero constant) instead.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <initializer_list>
 #include <optional>
-#include <string>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -43,18 +49,54 @@ namespace opiso {
 /// to this module.
 using EClassId = std::uint32_t;
 
+/// The child classes of one e-node, held inline behind an arity. Mux2 is
+/// the widest operator the e-graph sees, so three slots suffice and a
+/// fourth child is an Error. Unused slots stay zero, so equality and
+/// hashing may read every slot.
+class EChildren {
+ public:
+  static constexpr std::size_t kCapacity = 3;
+
+  EChildren() = default;
+  EChildren(std::initializer_list<EClassId> ids) {
+    for (EClassId c : ids) push_back(c);
+  }
+
+  void push_back(EClassId c);
+
+  [[nodiscard]] std::size_t size() const { return arity_; }
+  [[nodiscard]] bool empty() const { return arity_ == 0; }
+  [[nodiscard]] EClassId operator[](std::size_t i) const { return ids_[i]; }
+  [[nodiscard]] EClassId* begin() { return ids_.data(); }
+  [[nodiscard]] EClassId* end() { return ids_.data() + arity_; }
+  [[nodiscard]] const EClassId* begin() const { return ids_.data(); }
+  [[nodiscard]] const EClassId* end() const { return ids_.data() + arity_; }
+
+  [[nodiscard]] bool operator==(const EChildren&) const = default;
+
+ private:
+  std::array<EClassId, kCapacity> ids_{};
+  std::uint8_t arity_ = 0;
+};
+
 /// One operator application over e-classes. For leaf kinds
 /// (PrimaryInput / Reg / Latch / IsoLatch) `param` holds the original
 /// NetId value and `children` is empty; for Constant `param` is the
 /// value; for Shl/Shr it is the shift amount.
 struct ENode {
   CellKind kind = CellKind::Constant;
-  std::uint64_t param = 0;
   unsigned width = 1;
-  std::vector<EClassId> children;
+  std::uint64_t param = 0;
+  EChildren children;
 
-  [[nodiscard]] bool operator<(const ENode& o) const;
-  [[nodiscard]] bool operator==(const ENode& o) const;
+  [[nodiscard]] bool operator==(const ENode&) const = default;
+};
+
+static_assert(std::is_trivially_copyable_v<ENode>, "e-nodes are copied, never allocated");
+
+/// Hash over every field of an e-node.
+struct ENodeHash {
+  [[nodiscard]] std::size_t operator()(const ENode& n) const;
 };
 
 class EGraph {
@@ -103,9 +145,9 @@ class EGraph {
   [[nodiscard]] ENode canonical(ENode n) const;
 
   std::vector<EClass> classes_;
-  std::vector<EClassId> parent_;      ///< union-find forest
-  std::map<ENode, EClassId> memo_;    ///< canonical node -> class (hashcons)
-  std::vector<EClassId> dirty_;      ///< classes touched since last rebuild
+  std::vector<EClassId> parent_;  ///< union-find forest
+  std::unordered_map<ENode, EClassId, ENodeHash> memo_;  ///< canonical node -> class (hashcons)
+  std::vector<EClassId> dirty_;   ///< classes touched since last rebuild
   std::size_t total_nodes_ = 0;
 };
 

@@ -1,9 +1,11 @@
 #include "opt/rewrite_rules.hpp"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -56,13 +58,12 @@ GraphBuild build_egraph(const Netlist& nl) {
     } else {
       n.kind = c.kind;
       n.param = (c.kind == CellKind::Shl || c.kind == CellKind::Shr) ? c.param : 0;
-      n.children.reserve(c.ins.size());
       for (NetId in : c.ins) {
         OPISO_REQUIRE(b.has_class[in.value()], "rewrite: input net without e-class");
         n.children.push_back(b.class_of_net[in.value()]);
       }
     }
-    const EClassId cls = b.g.add(std::move(n));
+    const EClassId cls = b.g.add(n);
     b.class_of_net[c.out.value()] = cls;
     b.has_class[c.out.value()] = 1;
     if (cls >= b.hint.size()) b.hint.resize(cls + 1);
@@ -130,16 +131,15 @@ struct Saturator {
   std::map<std::string, std::uint64_t>& fired;
   std::uint64_t merges_done = 0;
 
-  EClassId mk(CellKind kind, std::uint64_t param, std::vector<EClassId> children) {
-    std::vector<unsigned> ws;
-    ws.reserve(children.size());
-    for (EClassId c : children) ws.push_back(g.width(c));
+  EClassId mk(CellKind kind, std::uint64_t param, EChildren children) {
+    std::array<unsigned, EChildren::kCapacity> ws{};
+    for (std::size_t i = 0; i < children.size(); ++i) ws[i] = g.width(children[i]);
     ENode n;
     n.kind = kind;
     n.param = param;
-    n.width = cell_kind_width(kind, ws);
-    n.children = std::move(children);
-    return g.add(std::move(n));
+    n.width = cell_kind_width(kind, std::span<const unsigned>(ws.data(), children.size()));
+    n.children = children;
+    return g.add(n);
   }
 
   EClassId mk_const(std::uint64_t value, unsigned width) {
@@ -147,7 +147,7 @@ struct Saturator {
     n.kind = CellKind::Constant;
     n.param = value & width_mask(width);
     n.width = width;
-    return g.add(std::move(n));
+    return g.add(n);
   }
 
   /// Merge with the global width safety net: a rule whose conclusion
@@ -192,18 +192,18 @@ struct Saturator {
     // -- constant folding: all operands constant -> fold to a constant.
     {
       bool all_const = !n.children.empty();
-      std::vector<std::uint64_t> vals;
-      vals.reserve(n.children.size());
+      std::array<std::uint64_t, EChildren::kCapacity> vals{};
       for (std::size_t i = 0; i < n.children.size(); ++i) {
         const auto v = cv(i);
         if (!v) {
           all_const = false;
           break;
         }
-        vals.push_back(*v);
+        vals[i] = *v;
       }
       if (all_const) {
-        unite(cls, mk_const(cell_kind_eval(n.kind, n.param, W, vals), W), "const-fold");
+        const std::span<const std::uint64_t> in(vals.data(), n.children.size());
+        unite(cls, mk_const(cell_kind_eval(n.kind, n.param, W, in), W), "const-fold");
       }
     }
 
@@ -530,10 +530,10 @@ struct CostModel {
 
   double node_cost(const EGraph& g, const ENode& n, const std::vector<double>& rate) const {
     if (!cell_kind_is_operator(n.kind)) return 0.0;
-    std::vector<double> rates;
-    rates.reserve(n.children.size());
-    for (EClassId c : n.children) rates.push_back(rate[g.find(c)]);
-    double pw = power.module_power_mw(n.kind, n.width, rates);
+    std::array<double, EChildren::kCapacity> rates{};
+    for (std::size_t i = 0; i < n.children.size(); ++i) rates[i] = rate[g.find(n.children[i])];
+    const std::span<const double> in(rates.data(), n.children.size());
+    double pw = power.module_power_mw(n.kind, n.width, in);
     if (cell_kind_is_arith(n.kind) && n.width >= iso_min_width) pw *= (1.0 - pr_idle);
     const double aw = area.cell_area_um2(n.kind, n.width);
     return omega_p * (pw / p0) + omega_a * (aw / a0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <type_traits>
 
 #include "opt/egraph.hpp"
 #include "util/error.hpp"
@@ -33,6 +34,17 @@ ENode binop(CellKind kind, EClassId a, EClassId b, unsigned width) {
   n.children = {a, b};
   return n;
 }
+
+ENode mux(EClassId s, EClassId a, EClassId b, unsigned width) {
+  ENode n;
+  n.kind = CellKind::Mux2;
+  n.width = width;
+  n.children = {s, a, b};
+  return n;
+}
+
+// E-nodes are flat values: copying one never allocates.
+static_assert(std::is_trivially_copyable_v<ENode>);
 
 TEST(EGraph, HashconsDeduplicates) {
   EGraph g;
@@ -120,6 +132,57 @@ TEST(EGraph, NodeWidthMatchesNetlistRules) {
   EXPECT_EQ(cell_kind_width(CellKind::Shl, Widths{8}), 8u);
   EXPECT_EQ(cell_kind_width(CellKind::Mux2, Widths{1, 4, 8}), 8u);
   EXPECT_EQ(cell_kind_width(CellKind::IsoAnd, Widths{8, 1}), 8u);
+}
+
+TEST(EGraph, MuxHashconsesAndBecomesCongruent) {
+  EGraph g;
+  const EClassId s0 = g.add(leaf(0, 1));
+  const EClassId s1 = g.add(leaf(1, 1));
+  const EClassId a = g.add(leaf(2, 8));
+  const EClassId b = g.add(leaf(3, 8));
+  const EClassId m0 = g.add(mux(s0, a, b, 8));
+  EXPECT_EQ(g.add(mux(s0, a, b, 8)), m0);
+  EXPECT_EQ(g.num_nodes(), 5u);
+  // The third child is part of the key.
+  EXPECT_NE(g.add(mux(s0, a, a, 8)), m0);
+  const EClassId m1 = g.add(mux(s1, a, b, 8));
+  EXPECT_NE(g.find(m0), g.find(m1));
+  g.merge(s0, s1);
+  g.rebuild();
+  EXPECT_EQ(g.find(m0), g.find(m1));
+  EXPECT_EQ(g.nodes(m0).size(), 1u);
+}
+
+TEST(EGraph, HashconsIsCompleteAfterRebuild) {
+  // A cascade: x == y makes the sums congruent, which makes the
+  // products congruent. Afterwards every stored node is in the hashcons
+  // under its own class, so re-adding it creates nothing.
+  EGraph g;
+  const EClassId x = g.add(leaf(0, 8));
+  const EClassId y = g.add(leaf(1, 8));
+  const EClassId z = g.add(leaf(2, 8));
+  const EClassId xz = g.add(binop(CellKind::Add, x, z, 8));
+  const EClassId yz = g.add(binop(CellKind::Add, y, z, 8));
+  const EClassId zx = g.add(binop(CellKind::Add, z, x, 8));
+  g.add(binop(CellKind::Mul, xz, z, 16));
+  g.add(binop(CellKind::Mul, yz, z, 16));
+  g.add(binop(CellKind::Mul, zx, xz, 16));
+  g.merge(x, y);
+  g.merge(zx, yz);
+  g.rebuild();
+  EXPECT_EQ(g.find(xz), g.find(zx));
+  const std::size_t nodes = g.num_nodes();
+  for (EClassId c : g.class_ids()) {
+    for (const ENode& n : g.nodes(c)) EXPECT_EQ(g.add(n), c);
+  }
+  EXPECT_EQ(g.num_nodes(), nodes);
+}
+
+TEST(EGraph, FourthChildIsRejected) {
+  EChildren kids{1, 2, 3};
+  EXPECT_THROW(kids.push_back(4), Error);
+  EXPECT_EQ(kids.size(), 3u);
+  EXPECT_THROW((void)EChildren({1, 2, 3, 4}), Error);
 }
 
 TEST(EGraph, DeterministicIterationOrder) {

@@ -165,6 +165,37 @@ TEST(Rtl, Fig1CanBeWrittenInRtl) {
   }
 }
 
+TEST(Rtl, UserNamesLikeGeneratedOnesAreKept) {
+  // An input named like a temporary is a user signal: `y` buffers it,
+  // and the input keeps its name and its cell.
+  const Netlist nl = parse_rtl(
+      "input __t5:4\n"
+      "wire y = __t5\n"
+      "output o = y\n");
+  const NetId in = nl.find_net("__t5");
+  ASSERT_TRUE(in.valid());
+  EXPECT_EQ(nl.cell(nl.net(in).driver).kind, CellKind::PrimaryInput);
+  EXPECT_EQ(nl.cell(nl.net(in).driver).name, "pi:__t5");
+  const Cell& y = nl.cell(nl.net(nl.find_net("y")).driver);
+  EXPECT_EQ(y.kind, CellKind::Buf);
+  ASSERT_EQ(y.ins.size(), 1u);
+  EXPECT_EQ(y.ins[0], in);
+
+  // The default register enable and the temporaries step aside for
+  // names that statements declare, even further down.
+  const Netlist regs = parse_rtl(
+      "input x:4\n"
+      "reg r:4 = x + x + x\n"
+      "input __true\n"
+      "input __t0:4\n"
+      "output o = r\n"
+      "output p = __t0\n");
+  EXPECT_EQ(regs.cell(regs.net(regs.find_net("__true")).driver).kind, CellKind::PrimaryInput);
+  EXPECT_EQ(regs.cell(regs.net(regs.find_net("__t0")).driver).kind, CellKind::PrimaryInput);
+  const Cell& r = regs.cell(regs.net(regs.find_net("r")).driver);
+  EXPECT_EQ(regs.cell(regs.net(r.ins[1]).driver).kind, CellKind::Constant);
+}
+
 TEST(Rtl, ErrorsCarryLineNumbers) {
   try {
     (void)parse_rtl("input a:8\nwire b = a +\n");
