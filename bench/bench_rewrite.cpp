@@ -12,9 +12,10 @@
 // build, not just bend a curve.
 //
 // Emitted as BENCH_rewrite.json (schema opiso.bench_rewrite/v1 inside
-// the opiso.bench/v1 envelope). Wall-clock fields feed the rolling
-// perf-trajectory gate; everything else is deterministic (fixed seeds,
-// single-stream measurements) and gated structurally against the committed
+// the opiso.bench/v1 envelope). Wall-clock fields are gated by
+// tools/perf_ab.py's same-host A/B of the base revision and the change;
+// everything else is deterministic (fixed seeds, single-stream
+// measurements) and gated structurally against the committed
 // ci/bench_baseline snapshot.
 
 #include <chrono>

@@ -1,16 +1,14 @@
 // Perf-trajectory bench: wall-clock and throughput of the sweep and
 // isolation flows.
 //
-// Emits BENCH_sweep.json (schema opiso.bench_sweep/v1) for the CI
-// perf-trajectory gate: a fresh run is diffed against the rolling
-// baseline (actions/cache) or the committed ci/bench_baseline snapshot
-// using the one-sided rules in ci/bench_baseline/sweep_tolerances.json
-// — wall_ms may not rise more than 10%, lane_cycles_per_sec may not
-// fall more than 10%, and movement in the improving direction is
-// always accepted. Deterministic fields (lane_cycles, stimulus_words)
-// are gated exactly, so a workload change that silently shrinks the
-// measured work cannot masquerade as a speedup, and a change that adds
-// stimulus work fails on any host.
+// Emits BENCH_sweep.json (schema opiso.bench_sweep/v1). Its wall_ms
+// rows are gated by tools/perf_ab.py, which runs this bench for the
+// base revision and the change in alternating pairs on one host.
+// Deterministic fields (lane_cycles, stimulus_words) are held exactly
+// to the committed ci/bench_baseline snapshot (ctest
+// bench_sweep_structural), so a workload change that silently shrinks
+// the measured work cannot masquerade as a speedup, and a change that
+// adds stimulus work fails on any host.
 //
 // Each timing is best-of-kReps to shave scheduler noise; the simulated
 // work itself is deterministic (fixed seeds), so lane_cycles and

@@ -62,9 +62,9 @@ set_tests_properties(bench_table_tolerances PROPERTIES TIMEOUT 300 LABELS bench-
 # Perf-trajectory artifact shape: regenerate BENCH_sweep.json and hold
 # its structure (schema, bench set, deterministic lane_cycles work
 # measure) to the committed ci/bench_baseline snapshot. Timing fields
-# are ignored here — the 10% wall-clock gate runs in the perf-trajectory
-# CI job against a rolling same-runner baseline, where the numbers are
-# actually comparable.
+# are ignored here: tools/perf_ab.py gates them by running the base
+# revision and the change in alternating pairs on one host, where the
+# numbers are actually comparable.
 add_test(NAME bench_sweep_structural
          COMMAND sh -c "mkdir -p ${CMAKE_BINARY_DIR}/bench_json && \
 OPISO_BENCH_JSON_DIR=${CMAKE_BINARY_DIR}/bench_json $<TARGET_FILE:bench_sweep> && \
@@ -78,7 +78,7 @@ set_tests_properties(bench_sweep_structural PROPERTIES TIMEOUT 300 LABELS bench-
 # the deterministic fields (power figures, module counts, the rewrite
 # advantage, the rewrite's exact work counts) to the committed snapshot,
 # the counts with no band; wall-clock fields are gated by
-# the rolling perf-trajectory CI job. The bench binary itself exits
+# tools/perf_ab.py. The bench binary itself exits
 # nonzero unless rewriting strictly beats isolated-only somewhere, so
 # the acceptance inequality is enforced on every run.
 add_test(NAME bench_rewrite_structural

@@ -56,22 +56,20 @@ int LintContext::net_line(NetId id) const {
   return source_map_ == nullptr ? 0 : source_map_->net_line(nl_.net(id).name);
 }
 
-const std::vector<std::unique_ptr<LintPass>>& builtin_passes() {
-  // Explicit construction: these live in the same static library, and a
-  // self-registering static initializer in an otherwise unreferenced
-  // object file would be dropped by the linker.
-  static const std::vector<std::unique_ptr<LintPass>> passes = [] {
-    std::vector<std::unique_ptr<LintPass>> v;
-    v.push_back(make_comb_loop_pass());
-    v.push_back(make_width_pass());
-    v.push_back(make_drivers_pass());
-    v.push_back(make_dead_logic_pass());
-    v.push_back(make_isolation_soundness_pass());
-    v.push_back(make_isolation_overhead_pass());
-    return v;
-  }();
-  return passes;
-}
+namespace {
+
+constexpr BuiltinPass kBuiltinPasses[] = {
+    {"comb_loop", false, comb_loop_pass},
+    {"width", false, width_pass},
+    {"drivers", false, drivers_pass},
+    {"dead_logic", true, dead_logic_pass},
+    {"isolation_soundness", true, isolation_soundness_pass},
+    {"isolation_overhead", true, isolation_overhead_pass},
+};
+
+}  // namespace
+
+std::span<const BuiltinPass> builtin_passes() { return kBuiltinPasses; }
 
 LintReport run_lint(const Netlist& nl, const LintOptions& options,
                     const SourceMap* source_map) {
@@ -85,18 +83,18 @@ LintReport run_lint(const Netlist& nl, const LintOptions& options,
                        [&](const std::string& s) { return s == name; });
   };
 
-  for (const auto& pass : builtin_passes()) {
-    if (!selected(pass->name())) continue;
+  for (const BuiltinPass& pass : builtin_passes()) {
+    if (!selected(pass.name)) continue;
     PassResult result;
-    result.pass = std::string(pass->name());
-    if (pass->requires_acyclic() && !ctx.acyclic()) {
+    result.pass = std::string(pass.name);
+    if (pass.requires_acyclic && !ctx.acyclic()) {
       result.skipped = true;
       result.note = "skipped: design has combinational cycles";
       report.passes.push_back(std::move(result));
       continue;
     }
     std::vector<Finding> found;
-    pass->run(ctx, found, result.note);
+    pass.run(ctx, found, result.note);
     for (Finding& f : found) f.pass = result.pass;
     result.num_findings = found.size();
     report.findings.insert(report.findings.end(), std::make_move_iterator(found.begin()),

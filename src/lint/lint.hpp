@@ -7,7 +7,7 @@
 // net/cell names involved, and — when the design came from a textual
 // source and a SourceMap is supplied — the 1-based input line.
 //
-// Built-in passes (registration order):
+// Built-in passes (table order, builtin_passes()):
 //   comb_loop            combinational cycles (iterative Tarjan SCC)
 //   width                width mismatches / silent truncation
 //   drivers              undriven, multiply-driven and dangling nets
@@ -24,9 +24,10 @@
 // full lint of a design stays well under a second.
 
 #include <iosfwd>
-#include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "boolfn/bdd.hpp"
@@ -136,21 +137,18 @@ class LintContext {
   std::optional<TimingReport> sta_;
 };
 
-/// One analysis pass. Implementations must be stateless across runs
-/// (builtin_passes() instantiates each pass once and reuses it).
-class LintPass {
- public:
-  virtual ~LintPass() = default;
-  [[nodiscard]] virtual std::string_view name() const = 0;
-  /// Passes that need a dependency order (observability, STA) return
-  /// true and are skipped — with a note — on cyclic designs.
-  [[nodiscard]] virtual bool requires_acyclic() const { return true; }
+/// One row of the built-in pass table.
+struct BuiltinPass {
+  std::string_view name;
+  /// Passes that need a dependency order (observability, STA) are
+  /// skipped — with a note — on cyclic designs.
+  bool requires_acyclic;
   /// Append findings; may record a degradation note for the report.
-  virtual void run(LintContext& ctx, std::vector<Finding>& out, std::string& note) = 0;
+  void (*run)(LintContext& ctx, std::vector<Finding>& out, std::string& note);
 };
 
 /// The built-in passes, in the order listed above and run by run_lint.
-[[nodiscard]] const std::vector<std::unique_ptr<LintPass>>& builtin_passes();
+[[nodiscard]] std::span<const BuiltinPass> builtin_passes();
 
 /// Run all (or options.only_passes) built-in passes over `nl`.
 [[nodiscard]] LintReport run_lint(const Netlist& nl, const LintOptions& options = {},

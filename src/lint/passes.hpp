@@ -1,19 +1,20 @@
 #pragma once
-// Internal: factories for the built-in lint passes. builtin_passes()
-// calls these explicitly — static-initializer registration would be
-// dropped by the linker for unreferenced objects in a static library.
+// Internal: the six built-in lint passes, in the order of the table
+// builtin_passes() returns. Each appends its findings and may record a
+// degradation note for the report.
 
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "lint/lint.hpp"
 
 namespace opiso::lint {
 
-std::unique_ptr<LintPass> make_comb_loop_pass();
-std::unique_ptr<LintPass> make_width_pass();
-std::unique_ptr<LintPass> make_drivers_pass();
-std::unique_ptr<LintPass> make_dead_logic_pass();
-std::unique_ptr<LintPass> make_isolation_soundness_pass();
-std::unique_ptr<LintPass> make_isolation_overhead_pass();
+void comb_loop_pass(LintContext& ctx, std::vector<Finding>& out, std::string& note);
+void width_pass(LintContext& ctx, std::vector<Finding>& out, std::string& note);
+void drivers_pass(LintContext& ctx, std::vector<Finding>& out, std::string& note);
+void dead_logic_pass(LintContext& ctx, std::vector<Finding>& out, std::string& note);
+void isolation_soundness_pass(LintContext& ctx, std::vector<Finding>& out, std::string& note);
+void isolation_overhead_pass(LintContext& ctx, std::vector<Finding>& out, std::string& note);
 
 }  // namespace opiso::lint

@@ -110,13 +110,8 @@ class Differ {
   }
 
  private:
-  bool full() const {
-    return options_.max_entries != 0 && entries_.size() >= options_.max_entries;
-  }
-
   void report(std::string kind, std::string av, std::string bv, double delta = 0.0,
               double allowed = 0.0) {
-    if (full()) return;
     entries_.push_back(DiffEntry{join_path(path_), std::move(kind), std::move(av),
                                  std::move(bv), delta, allowed});
     // A diff on a rule-less path gets a hint at the glob that almost
@@ -128,7 +123,6 @@ class Differ {
   }
 
   void compare(const JsonValue& a, const JsonValue& b) {
-    if (full()) return;
     const ToleranceRule* rule = spec_.match(path_);
     current_rule_ = rule;
     if (rule && rule->ignore) return;
@@ -192,25 +186,8 @@ class Differ {
     const double abs_tol = rule ? rule->abs_tol : 0.0;
     const double rel_tol = rule ? rule->rel_tol : 0.0;
     const double rel_allow = rel_tol * std::max(std::abs(av), std::abs(bv));
-    double allowed = std::max(abs_tol, rel_allow);
     if (delta > 0.0 && (delta <= abs_tol || delta <= rel_allow)) return;
-    // One-sided trajectory rules (baseline A vs fresh B): improvement
-    // is unbounded, only a regression beyond the margin is a diff.
-    if (rule && (rule->rel_increase >= 0.0 || rule->rel_decrease >= 0.0)) {
-      bool ok = true;
-      if (rule->rel_increase >= 0.0) {
-        const double margin = rule->rel_increase * std::abs(av);
-        if (bv > av + margin) ok = false;
-        allowed = std::max(allowed, margin);
-      }
-      if (rule->rel_decrease >= 0.0) {
-        const double margin = rule->rel_decrease * std::abs(av);
-        if (bv < av - margin) ok = false;
-        allowed = std::max(allowed, margin);
-      }
-      if (ok) return;
-    }
-    report("value", a.dump(), b.dump(), delta, allowed);
+    report("value", a.dump(), b.dump(), delta, std::max(abs_tol, rel_allow));
   }
 
   void compare_arrays(const JsonValue& a, const JsonValue& b) {
@@ -280,6 +257,12 @@ ToleranceSpec ToleranceSpec::parse(const JsonValue& doc) {
     const JsonValue& r = rules.at(i);
     const std::string where = "tolerance file: rule " + std::to_string(i);
     if (!r.is_object() || !r.contains("path")) throw ParseError(where + " needs a \"path\"");
+    for (const auto& member : r.members()) {
+      const std::string& key = member.first;
+      if (key != "path" && key != "ignore" && key != "abs" && key != "rel") {
+        throw ParseError(where + ": unknown key \"" + key + "\"");
+      }
+    }
     // The rule's field `key`, checked to hold the JSON type `is` tests
     // for; null when absent.
     const auto field = [&](const char* key, bool (JsonValue::*is)() const,
@@ -299,8 +282,6 @@ ToleranceSpec ToleranceSpec::parse(const JsonValue& doc) {
     }
     number("abs", rule.abs_tol);
     number("rel", rule.rel_tol);
-    number("rel_increase", rule.rel_increase);
-    number("rel_decrease", rule.rel_decrease);
     spec.add_rule(std::move(rule));
   }
   return spec;

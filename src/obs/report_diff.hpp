@@ -28,22 +28,14 @@
 //   {"schema": "opiso.report_tolerances/v1",
 //    "rules": [{"path": "rows.*.power_reduction_pct", "abs": 3.0},
 //              {"path": "summary.power_*", "rel": 1e-6},
-//              {"path": "benches.*.wall_ms", "rel_increase": 0.10},
-//              {"path": "benches.*.lane_cycles_per_sec", "rel_decrease": 0.10},
 //              {"path": "metrics.**", "ignore": true}]}
-// `rel_increase` / `rel_decrease` are one-sided trajectory rules for
-// baseline-vs-fresh comparisons (A = baseline, B = fresh run): the B
-// side may move in the improving direction without bound, and only a
-// regression beyond the margin — B above A·(1+rel_increase) for
-// lower-is-better metrics, B below A·(1-rel_decrease) for
-// higher-is-better ones — is reported. This is what lets the CI perf
-// gate fail a 10% slowdown while never failing a speedup.
-// Paths are dotted; segments match literally, `*` matches exactly one
-// segment (array indices are segments), a glob `*`/prefix inside a
-// segment matches within it, and `**` — anywhere in the pattern —
-// matches zero or more whole segments (`a.**.z` covers `a.z`,
-// `a.b.z`, `a.b.c.z`). First matching rule wins; no match means exact
-// comparison.
+// A rule holds only `path`, `ignore`, `abs` and `rel`; any other key
+// is a parse error. Paths are dotted; segments match literally, `*`
+// matches exactly one segment (array indices are segments), a glob
+// `*`/prefix inside a segment matches within it, and `**` — anywhere
+// in the pattern — matches zero or more whole segments (`a.**.z`
+// covers `a.z`, `a.b.z`, `a.b.c.z`). First matching rule wins; no
+// match means exact comparison.
 
 #include <iosfwd>
 #include <string>
@@ -58,12 +50,6 @@ struct ToleranceRule {
   bool ignore = false;
   double abs_tol = 0.0;
   double rel_tol = 0.0;
-  /// One-sided margins (negative = unset). rel_increase bounds how far
-  /// B may rise above A (lower-is-better metrics); rel_decrease bounds
-  /// how far B may fall below A (higher-is-better metrics). Movement in
-  /// the improving direction is always accepted.
-  double rel_increase = -1.0;
-  double rel_decrease = -1.0;
 };
 
 class ToleranceSpec {
@@ -71,7 +57,7 @@ class ToleranceSpec {
   ToleranceSpec() = default;
 
   /// Parse a tolerance document. Throws opiso::Error on an unexpected
-  /// schema or malformed rule.
+  /// schema, a malformed rule or a rule key it does not know.
   [[nodiscard]] static ToleranceSpec parse(const JsonValue& doc);
 
   void add_rule(ToleranceRule rule) { rules_.push_back(std::move(rule)); }
@@ -108,8 +94,6 @@ struct DiffEntry {
 struct DiffOptions {
   /// A is an expected subset: keys present only in B are not reported.
   bool subset = false;
-  /// Stop after this many entries (0 = unlimited).
-  std::size_t max_entries = 0;
 };
 
 /// Structural diff; empty result means the documents match under the

@@ -40,6 +40,20 @@ struct GraphBuild {
   std::vector<std::string> hint;       ///< class id (at allocation) -> net name
 };
 
+/// The operator e-node of cell `c` over its input nets' classes in `b`:
+/// only Shl/Shr keep their param (the shift amount).
+ENode operator_node(const Cell& c, const GraphBuild& b) {
+  ENode n;
+  n.kind = c.kind;
+  n.width = c.width;
+  n.param = (c.kind == CellKind::Shl || c.kind == CellKind::Shr) ? c.param : 0;
+  for (NetId in : c.ins) {
+    OPISO_REQUIRE(b.has_class[in.value()], "rewrite: input net without e-class");
+    n.children.push_back(b.class_of_net[in.value()]);
+  }
+  return n;
+}
+
 GraphBuild build_egraph(const Netlist& nl) {
   GraphBuild b;
   b.class_of_net.assign(nl.num_nets(), 0);
@@ -48,20 +62,16 @@ GraphBuild build_egraph(const Netlist& nl) {
     const Cell& c = nl.cell(id);
     if (c.kind == CellKind::PrimaryOutput) continue;
     ENode n;
-    n.width = c.width;
     if (is_leaf_kind(c.kind)) {
       n.kind = c.kind;
+      n.width = c.width;
       n.param = c.out.value();
     } else if (c.kind == CellKind::Constant) {
       n.kind = CellKind::Constant;
+      n.width = c.width;
       n.param = c.param & width_mask(c.width);
     } else {
-      n.kind = c.kind;
-      n.param = (c.kind == CellKind::Shl || c.kind == CellKind::Shr) ? c.param : 0;
-      for (NetId in : c.ins) {
-        OPISO_REQUIRE(b.has_class[in.value()], "rewrite: input net without e-class");
-        n.children.push_back(b.class_of_net[in.value()]);
-      }
+      n = operator_node(c, b);
     }
     const EClassId cls = b.g.add(n);
     b.class_of_net[c.out.value()] = cls;
@@ -777,12 +787,7 @@ RewriteResult rewrite_datapath(const Netlist& nl, const RewriteOptions& opt) {
     for (CellId id : nl.cell_ids()) {
       const Cell& c = nl.cell(id);
       if (!cell_kind_is_operator(c.kind)) continue;
-      ENode n;
-      n.kind = c.kind;
-      n.param = (c.kind == CellKind::Shl || c.kind == CellKind::Shr) ? c.param : 0;
-      n.width = c.width;
-      for (NetId in : c.ins) n.children.push_back(b.class_of_net[in.value()]);
-      cost_before += cost(n);
+      cost_before += cost(operator_node(c, b));
     }
     res.cost_before = cost_before;
 

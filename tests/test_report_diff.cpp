@@ -92,44 +92,43 @@ TEST(ReportDiff, AbsAndRelTolerancesAccept) {
   EXPECT_DOUBLE_EQ(d[0].allowed, 1.0);
 }
 
-TEST(ReportDiff, OneSidedRelIncreaseAllowsUnboundedImprovement) {
-  // Lower-is-better metric (wall time): a halving passes, a within-
-  // margin rise passes, an over-margin rise fails — the CI perf gate's
-  // exact semantics.
-  const ToleranceSpec spec = spec_from(R"([{"path": "benches.*.wall_ms",
-                                            "rel_increase": 0.10}])");
-  const JsonValue base = JsonValue::parse(R"({"benches": [{"wall_ms": 100.0}]})");
-  const JsonValue faster = JsonValue::parse(R"({"benches": [{"wall_ms": 50.0}]})");
-  const JsonValue slightly = JsonValue::parse(R"({"benches": [{"wall_ms": 109.0}]})");
-  const JsonValue regressed = JsonValue::parse(R"({"benches": [{"wall_ms": 111.0}]})");
-  EXPECT_TRUE(diff_reports(base, faster, spec).empty());
-  EXPECT_TRUE(diff_reports(base, slightly, spec).empty());
-  const std::vector<DiffEntry> d = diff_reports(base, regressed, spec);
+TEST(ReportDiff, UnmatchedDiffNamesTheNearestRule) {
+  const ToleranceSpec spec = spec_from(R"([{"path": "summary.power_before_*", "abs": 0.5}])");
+  // No rule covers power_after_mw; the glob that shares its first
+  // segment is the hint.
+  const JsonValue a = JsonValue::parse(R"({"summary": {"power_after_mw": 1.0}})");
+  const JsonValue b = JsonValue::parse(R"({"summary": {"power_after_mw": 2.0}})");
+  std::vector<DiffEntry> d = diff_reports(a, b, spec);
   ASSERT_EQ(d.size(), 1u);
-  EXPECT_EQ(d[0].path, "benches.0.wall_ms");
-  EXPECT_DOUBLE_EQ(d[0].allowed, 10.0);
-}
+  EXPECT_EQ(d[0].nearest_rule, "summary.power_before_*");
+  std::ostringstream os;
+  print_diff(os, d);
+  EXPECT_NE(os.str().find("[no tolerance rule matched; nearest glob: summary.power_before_*]"),
+            std::string::npos)
+      << os.str();
 
-TEST(ReportDiff, OneSidedRelDecreaseGuardsThroughputMetrics) {
-  // Higher-is-better metric (lane-cycles/sec): only a drop beyond the
-  // margin is a regression.
-  const ToleranceSpec spec = spec_from(R"([{"path": "throughput",
-                                            "rel_decrease": 0.10}])");
-  const JsonValue base = JsonValue::parse(R"({"throughput": 1000.0})");
-  EXPECT_TRUE(diff_reports(base, JsonValue::parse(R"({"throughput": 5000.0})"), spec).empty());
-  EXPECT_TRUE(diff_reports(base, JsonValue::parse(R"({"throughput": 901.0})"), spec).empty());
-  EXPECT_EQ(diff_reports(base, JsonValue::parse(R"({"throughput": 899.0})"), spec).size(), 1u);
-}
+  // No rule shares the path's first segment: no hint.
+  d = diff_reports(JsonValue::parse(R"({"totals": {"power_after_mw": 1.0}})"),
+                   JsonValue::parse(R"({"totals": {"power_after_mw": 2.0}})"), spec);
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(d[0].nearest_rule, "");
 
-TEST(ReportDiff, OneSidedRulesComposeWithTwoSidedAcceptance) {
-  // An abs rule on the same path still accepts small regressions even
-  // past the one-sided margin's direction checks.
-  const ToleranceSpec spec = spec_from(R"([{"path": "v", "abs": 5.0,
-                                            "rel_increase": 0.0}])");
-  const JsonValue base = JsonValue::parse(R"({"v": 100.0})");
-  EXPECT_TRUE(diff_reports(base, JsonValue::parse(R"({"v": 104.0})"), spec).empty());
-  EXPECT_EQ(diff_reports(base, JsonValue::parse(R"({"v": 106.0})"), spec).size(), 1u);
-  EXPECT_TRUE(diff_reports(base, JsonValue::parse(R"({"v": 1.0})"), spec).empty());
+  // A matched rule that rejects the drift carries no hint either.
+  d = diff_reports(JsonValue::parse(R"({"summary": {"power_before_mw": 1.0}})"),
+                   JsonValue::parse(R"({"summary": {"power_before_mw": 2.0}})"), spec);
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(d[0].nearest_rule, "");
+  os.str("");
+  print_diff(os, d);
+  EXPECT_EQ(os.str().find("nearest glob"), std::string::npos) << os.str();
+
+  // Nor does a schema mismatch, even where a rule shares its segment.
+  const ToleranceSpec star = spec_from(R"([{"path": "*.wall_ms", "ignore": true}])");
+  d = diff_reports(JsonValue::parse(R"({"schema": "opiso.sweep/v1"})"),
+                   JsonValue::parse(R"({"schema": "opiso.run_report/v1"})"), star);
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(d[0].kind, "schema");
+  EXPECT_EQ(d[0].nearest_rule, "");
 }
 
 TEST(ReportDiff, IgnoreRulesSuppressSubtreesAndPresence) {
@@ -278,6 +277,23 @@ TEST(ReportDiff, ToleranceSpecParseRejectsBadInput) {
       ToleranceSpec::parse(JsonValue::parse(
           R"({"schema": "opiso.report_tolerances/v1", "rules": [{"abs": 1.0}]})")),
       Error);
+  // A rule key other than path, ignore, abs and rel fails loudly (a
+  // typo, or a one-sided rule from an old tolerance file) instead of
+  // leaving the path compared exactly.
+  const auto parse_error = [](const std::string& rules_json) -> std::string {
+    try {
+      (void)spec_from(rules_json);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrCode::ParseSyntax);
+      return e.what();
+    }
+    ADD_FAILURE() << "accepted " << rules_json;
+    return "";
+  };
+  EXPECT_EQ(parse_error(R"([{"path": "x", "abs": 1.0}, {"path": "y", "absolute": 1.0}])"),
+            "tolerance file: rule 1: unknown key \"absolute\"");
+  EXPECT_EQ(parse_error(R"([{"path": "benches.*.wall_ms", "rel_increase": 0.10}])"),
+            "tolerance file: rule 0: unknown key \"rel_increase\"");
 }
 
 }  // namespace

@@ -188,12 +188,12 @@ void set_confidence_level(const Option& opt, Args& args, const std::string& valu
 /// --pass takes the name of one of lint::builtin_passes().
 void add_lint_pass(const Option& opt, Args& args, const std::string& value) {
   std::string names;
-  for (const auto& pass : lint::builtin_passes()) {
-    if (pass->name() == value) {
+  for (const lint::BuiltinPass& pass : lint::builtin_passes()) {
+    if (pass.name == value) {
       args.only_passes.push_back(value);
       return;
     }
-    names.append(names.empty() ? "" : "|").append(pass->name());
+    names.append(names.empty() ? "" : "|").append(pass.name);
   }
   usage(std::string(opt.name) + " expects one of " + names + ", got '" + value + "'");
 }
@@ -961,7 +961,7 @@ void usage(const std::string& error) {
   os << "\nA <design> is a builtin (";
   for (const auto& builtin : kBuiltins) os << (&builtin == kBuiltins ? "" : ", ") << builtin.first;
   os << "), a .rtl RTL file or a .rtn netlist.\n--pass NAME is one of:";
-  for (const auto& pass : lint::builtin_passes()) os << ' ' << pass->name();
+  for (const lint::BuiltinPass& pass : lint::builtin_passes()) os << ' ' << pass.name;
   os << ".\n\n"
         "exit codes: 0 success; 1 failure (error, verify mismatch, report divergence,\n"
         "lint findings at --fail-on, coverage below --min-coverage-pct, candidate never\n"
